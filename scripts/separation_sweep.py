@@ -12,6 +12,11 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
 from padeval import (
     OcsvmConfig,
     PresentationLabel,

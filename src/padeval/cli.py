@@ -84,10 +84,6 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.output_dir, name)
 
 
-def _formats(args) -> set[str]:
-    return set(args.format) if args.format else {"csv", "json", "svg"}
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -160,31 +156,33 @@ def _cmd_fuse(args) -> None:
     )
 
 
+def _write_evaluation(args, report, config, report_name, positive, negative, axes) -> None:
+    """Write the report JSON and the DET exports, then print the report summary."""
+    formats = set(args.format) if args.format else {"csv", "json", "svg"}
+    if "json" in formats:
+        _write_text(_out_path(args, report_name), ingest.write_report(report, config=config))
+    curve = det_curve(positive.scores(), negative.scores(), axes)
+    if "csv" in formats:
+        _write_text(_out_path(args, "det.csv"), ingest.write_det(curve))
+    if "svg" in formats:
+        _write_text(_out_path(args, "det.svg"), ingest.write_det_svg(curve))
+    for line in ingest._summary(report):
+        print(line)
+
+
 def _cmd_eval_pad(args) -> None:
     full_bona = _parse_file(ingest.parse_scores, args.bonafide, Polarity.HIGHER_IS_BONA_FIDE)
     full_attack = _parse_file(ingest.parse_scores, args.attack, Polarity.HIGHER_IS_BONA_FIDE)
     bona = full_bona.with_label(PresentationLabel.BONA_FIDE)
     attack = full_attack.with_label(PresentationLabel.ATTACK)
+    config = {
+        "bonafide": args.bonafide,
+        "attack": args.attack,
+        "polarity": Polarity.HIGHER_IS_BONA_FIDE.value,
+        "apcer_targets": [0.1, 0.05],
+    }
     report = evaluate_pad(bona, attack)
-    formats = _formats(args)
-    text = ingest.write_report(
-        report,
-        config={
-            "bonafide": args.bonafide,
-            "attack": args.attack,
-            "polarity": Polarity.HIGHER_IS_BONA_FIDE.value,
-            "apcer_targets": [0.1, 0.05],
-        },
-    )
-    if "json" in formats:
-        _write_text(_out_path(args, "pad_report.json"), text)
-    curve = det_curve(bona.scores(), attack.scores(), DetAxes.APCER_BPCER)
-    if "csv" in formats:
-        _write_text(_out_path(args, "det.csv"), ingest.write_det(curve))
-    if "svg" in formats:
-        _write_text(_out_path(args, "det.svg"), ingest.write_det_svg(curve))
-    for line in ingest.parse_report(text)["summary"]:
-        print(line)
+    _write_evaluation(args, report, config, "pad_report.json", bona, attack, DetAxes.APCER_BPCER)
 
 
 def _cmd_eval_vuln(args) -> None:
@@ -198,27 +196,15 @@ def _cmd_eval_vuln(args) -> None:
         TrialLabel.ATTACK_MATED
     )
     targets = args.fmr if args.fmr else [0.001, 0.01]
+    config = {
+        "mated": args.mated,
+        "nonmated": args.nonmated,
+        "attack": args.attack,
+        "polarity": Polarity.HIGHER_IS_MATCH.value,
+        "fmr_targets": targets,
+    }
     report = evaluate_vuln(mated, nonmated, attack, targets)
-    formats = _formats(args)
-    text = ingest.write_report(
-        report,
-        config={
-            "mated": args.mated,
-            "nonmated": args.nonmated,
-            "attack": args.attack,
-            "polarity": Polarity.HIGHER_IS_MATCH.value,
-            "fmr_targets": targets,
-        },
-    )
-    if "json" in formats:
-        _write_text(_out_path(args, "vuln_report.json"), text)
-    curve = det_curve(mated.scores(), nonmated.scores(), DetAxes.FMR_FNMR)
-    if "csv" in formats:
-        _write_text(_out_path(args, "det.csv"), ingest.write_det(curve))
-    if "svg" in formats:
-        _write_text(_out_path(args, "det.svg"), ingest.write_det_svg(curve))
-    for line in ingest.parse_report(text)["summary"]:
-        print(line)
+    _write_evaluation(args, report, config, "vuln_report.json", mated, nonmated, DetAxes.FMR_FNMR)
 
 
 def _cmd_synth_depth(args) -> None:

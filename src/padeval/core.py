@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence, Union
 
@@ -257,27 +257,25 @@ class FeatureMatrix:
 
     sample_ids: tuple[str, ...]
     values: np.ndarray
-    _skip_checks: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         self.sample_ids = tuple(self.sample_ids)
         arr = np.asarray(self.values, dtype=np.float64)
-        if not self._skip_checks:
-            if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-                raise ValidationError(f"feature matrix must be non-empty 2-D, got shape {arr.shape}")
-            if len(self.sample_ids) != arr.shape[0]:
-                raise ValidationError(
-                    f"{len(self.sample_ids)} sample_ids for {arr.shape[0]} feature rows"
-                )
-            seen: set[str] = set()
-            for sid in self.sample_ids:
-                if not _id_ok(sid):
-                    raise ValidationError(f"bad sample_id {sid!r}")
-                if sid in seen:
-                    raise DuplicateIdError(sid)
-                seen.add(sid)
-            if not np.isfinite(arr).all():
-                raise ValidationError("feature values must be finite")
+        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+            raise ValidationError(f"feature matrix must be non-empty 2-D, got shape {arr.shape}")
+        if len(self.sample_ids) != arr.shape[0]:
+            raise ValidationError(
+                f"{len(self.sample_ids)} sample_ids for {arr.shape[0]} feature rows"
+            )
+        seen: set[str] = set()
+        for sid in self.sample_ids:
+            if not _id_ok(sid):
+                raise ValidationError(f"bad sample_id {sid!r}")
+            if sid in seen:
+                raise DuplicateIdError(sid)
+            seen.add(sid)
+        if not np.isfinite(arr).all():
+            raise ValidationError("feature values must be finite")
         self.values = _read_only(arr)
 
     @property

@@ -33,6 +33,7 @@ from .core import (
     ScoreRecord,
     ScoreSet,
     ValidationError,
+    _id_ok,
 )
 from .metrics import DetAxes, DetCurve, PadReport, VulnReport
 from .ocsvm import OcsvmDiagnostics, OcsvmModel
@@ -188,7 +189,7 @@ def _parse_float(token: str, line: int, what: str) -> float:
 def _parse_id(token: str, line: int, seen: set[str]) -> str:
     # ids are line-atomic: a quoted CSV field could smuggle in a line break,
     # which the single-line writers could not reproduce
-    if token == "" or any(ch in token for ch in "\x00\r\n"):
+    if not _id_ok(token):
         raise ParseError(f"bad sample_id {token!r}", line=line)
     if token in seen:
         raise ParseError(f"duplicate sample_id {token!r}", line=line)
@@ -239,7 +240,7 @@ def parse_scores(data: Union[bytes, str], polarity: Polarity) -> ScoreSet:
 
 
 def _writable_id(sample_id: str) -> str:
-    if sample_id == "" or any(ch in sample_id for ch in "\x00\r\n"):
+    if not _id_ok(sample_id):
         raise ValidationError(f"sample_id {sample_id!r} cannot be written to a single CSV line")
     return sample_id
 
@@ -463,20 +464,19 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _pad_summary(report: PadReport) -> list[str]:
-    return [
-        f"D-EER: {percent(report.d_eer, 2)}% at threshold {fmt_float(report.eer_threshold)}",
-        f"BPCER @ APCER<=10%: {percent(report.bpcer10, 2)}% (threshold {fmt_float(report.bpcer10_threshold)})",
-        f"BPCER @ APCER<=5%: {percent(report.bpcer20, 2)}% (threshold {fmt_float(report.bpcer20_threshold)})",
-        f"bona fide: {report.n_bonafide}, attacks: {report.n_attack}",
-    ]
-
-
 def _fmr_label(target: float) -> str:
     return f"FMR={target * 100.0:g}%"
 
 
-def _vuln_summary(report: VulnReport) -> list[str]:
+def _summary(report: Union[PadReport, VulnReport]) -> list[str]:
+    """The report's human-oriented summary block, as the CLI prints it."""
+    if isinstance(report, PadReport):
+        return [
+            f"D-EER: {percent(report.d_eer, 2)}% at threshold {fmt_float(report.eer_threshold)}",
+            f"BPCER @ APCER<=10%: {percent(report.bpcer10, 2)}% (threshold {fmt_float(report.bpcer10_threshold)})",
+            f"BPCER @ APCER<=5%: {percent(report.bpcer20, 2)}% (threshold {fmt_float(report.bpcer20_threshold)})",
+            f"bona fide: {report.n_bonafide}, attacks: {report.n_attack}",
+        ]
     lines = [
         f"{_fmr_label(t)}: threshold {fmt_float(report.thresholds[t])}, "
         f"IAPMR {percent(report.iapmr[t], 4)}%"
@@ -508,7 +508,6 @@ def write_report(report: Union[PadReport, VulnReport], config: Mapping[str, obje
             "n_bonafide": report.n_bonafide,
             "n_attack": report.n_attack,
         }
-        summary = _pad_summary(report)
     elif isinstance(report, VulnReport):
         kind = "vuln-report"
         metrics = {
@@ -518,7 +517,6 @@ def write_report(report: Union[PadReport, VulnReport], config: Mapping[str, obje
             "n_nonmated": report.n_nonmated,
             "n_attack": report.n_attack,
         }
-        summary = _vuln_summary(report)
     else:
         raise ValidationError(f"cannot serialize report of type {type(report).__name__}")
     return _dump_json(
@@ -527,7 +525,7 @@ def write_report(report: Union[PadReport, VulnReport], config: Mapping[str, obje
             "version": FORMAT.version,
             "kind": kind,
             "metrics": metrics,
-            "summary": summary,
+            "summary": _summary(report),
             "config": dict(config or {}),
             "defaults": DEFAULTS,
         }

@@ -14,13 +14,15 @@ from integer counts under this rule:
 
 Candidate thresholds
 --------------------
-Every sweep in this module walks one deterministic grid: the midpoints
-between consecutive distinct sorted scores, plus one sentinel below the
-minimum (``min - 1``) and one above the maximum (``max + 1``).  This grid
-realises every confusion matrix the given scores can produce.  Operations
-that constrain a single rate (``threshold_at_fmr``, ``bpcer_at_apcer``)
-build the grid from the scores of the constrained class only; both-class
-sweeps (``d_eer``, ``det_curve``) pool the two score lists first.
+Every threshold search reads one private sweep that sorts each score class
+once.  A grid is the midpoints between consecutive distinct sorted scores
+(the upper score of the pair where the midpoint rounds onto the lower one
+or overflows) plus a sentinel below the minimum (``min - 1``) and one above the maximum
+(``max + 1``, or the next float up where that rounds back to ``max``).
+Both-class sweeps (``d_eer``, ``det_curve``) count both classes on the
+pooled grid of the positive then the negative scores; single-rate
+constraints (``threshold_at_fmr``, ``bpcer_at_apcer``) take the first point
+of the constrained class's own grid whose accept count fits the target.
 
 Rates and their comparisons are carried out in exact integer/rational
 arithmetic over counts and converted to float only at the boundary, so
@@ -136,7 +138,8 @@ class VulnReport:
 # input handling
 
 
-def _as_scores(scores: Sequence[float], what: str) -> np.ndarray:
+def _sorted(scores: Sequence[float], what: str) -> np.ndarray:
+    """The validated scores as a sorted float array."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError(f"{what} must be a flat sequence of scores")
@@ -144,7 +147,7 @@ def _as_scores(scores: Sequence[float], what: str) -> np.ndarray:
         raise EmptySetError(f"{what} is empty")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains a non-finite score")
-    return arr
+    return np.sort(arr)
 
 
 def _check_tau(tau: float) -> float:
@@ -171,9 +174,14 @@ def _count_lt(sorted_scores: np.ndarray, taus: np.ndarray | float) -> np.ndarray
     return np.searchsorted(sorted_scores, taus, side="left")
 
 
-def _rate(count: int, n: int) -> float:
-    # int / int division is correctly rounded, i.e. float(Fraction(count, n))
-    return int(count) / int(n)
+def _accept_rate(sorted_scores: np.ndarray, tau: float) -> float:
+    """Share of scores >= a finite tau; int / int division is correctly rounded."""
+    return int(_count_ge(sorted_scores, _check_tau(tau))) / sorted_scores.size
+
+
+def _reject_rate(sorted_scores: np.ndarray, tau: float) -> float:
+    """Share of scores < a finite tau; int / int division is correctly rounded."""
+    return int(_count_lt(sorted_scores, _check_tau(tau))) / sorted_scores.size
 
 
 def _floor_times(target: float, n: int) -> int:
@@ -182,22 +190,55 @@ def _floor_times(target: float, n: int) -> int:
     return (as_frac.numerator * n) // as_frac.denominator
 
 
+def _grid(sorted_scores: np.ndarray) -> np.ndarray:
+    """The candidate grid (see :func:`candidate_thresholds`) of sorted scores."""
+    distinct = sorted_scores[np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))]
+    lower, upper = distinct[:-1], distinct[1:]
+    with np.errstate(over="ignore"):
+        mids = lower + (upper - lower) / 2.0
+    # the midpoint of adjacent floats can round onto the lower one, and an
+    # overflowing difference makes it +inf; the upper score splits the same way
+    mids = np.where((mids > lower) & (mids <= upper), mids, upper)
+    # past 2**53, max + 1 rounds back to max; the next float up still rejects it
+    hi = np.maximum(distinct[-1] + 1.0, np.nextafter(distinct[-1], np.inf))
+    return np.concatenate(([distinct[0] - 1.0], mids, [hi]))
+
+
+def _pooled(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pooled grid of two sorted classes, with ``neg`` accept and ``pos`` reject counts."""
+    grid = _grid(np.sort(np.concatenate((pos, neg))))
+    return grid, _count_ge(neg, grid), _count_lt(pos, grid)
+
+
+def _first_feasible(neg: np.ndarray, targets: Sequence[float]) -> list[Threshold]:
+    """Per target, the first point of sorted ``neg``'s own grid accepting at most that rate."""
+    grid = _grid(neg)
+    accepts = _count_ge(neg, grid)
+    # count <= floor(target * n) <=> rate <= target; the top sentinel always fits
+    return [float(grid[np.flatnonzero(accepts <= _floor_times(t, neg.size))[0]]) for t in targets]
+
+
+def _d_eer(pos: np.ndarray, neg: np.ndarray) -> tuple[float, Threshold]:
+    grid, c_apcer, c_bpcer = _pooled(pos, neg)
+    # |APCER - BPCER| compared on the common denominator of the two rates
+    gap = np.abs(c_apcer * pos.size - c_bpcer * neg.size)
+    best = int(np.argmin(gap))
+    eer = (Fraction(int(c_apcer[best]), neg.size) + Fraction(int(c_bpcer[best]), pos.size)) / 2
+    return float(eer), float(grid[best])
+
+
 # ---------------------------------------------------------------------------
 # point metrics
 
 
 def fmr(nonmated_scores: Sequence[float], tau: Threshold) -> float:
     """False match rate: fraction of non-mated scores at or above ``tau``."""
-    arr = _as_scores(nonmated_scores, "nonmated_scores")
-    tau = _check_tau(tau)
-    return _rate(_count_ge(np.sort(arr), tau), arr.size)
+    return _accept_rate(_sorted(nonmated_scores, "nonmated_scores"), tau)
 
 
 def fnmr(mated_scores: Sequence[float], tau: Threshold) -> float:
     """False non-match rate: fraction of mated scores below ``tau``."""
-    arr = _as_scores(mated_scores, "mated_scores")
-    tau = _check_tau(tau)
-    return _rate(_count_lt(np.sort(arr), tau), arr.size)
+    return _reject_rate(_sorted(mated_scores, "mated_scores"), tau)
 
 
 def iapmr(attack_scores: Sequence[float], tau: Threshold) -> float:
@@ -206,23 +247,17 @@ def iapmr(attack_scores: Sequence[float], tau: Threshold) -> float:
     The fraction of attack-versus-target comparison scores that reach the
     decision threshold, i.e. attacks accepted as matches.
     """
-    arr = _as_scores(attack_scores, "attack_scores")
-    tau = _check_tau(tau)
-    return _rate(_count_ge(np.sort(arr), tau), arr.size)
+    return _accept_rate(_sorted(attack_scores, "attack_scores"), tau)
 
 
 def apcer(attack_scores: Sequence[float], tau: Threshold) -> float:
     """Attack presentation classification error rate at ``tau``."""
-    arr = _as_scores(attack_scores, "attack_scores")
-    tau = _check_tau(tau)
-    return _rate(_count_ge(np.sort(arr), tau), arr.size)
+    return _accept_rate(_sorted(attack_scores, "attack_scores"), tau)
 
 
 def bpcer(bonafide_scores: Sequence[float], tau: Threshold) -> float:
     """Bona fide presentation classification error rate at ``tau``."""
-    arr = _as_scores(bonafide_scores, "bonafide_scores")
-    tau = _check_tau(tau)
-    return _rate(_count_lt(np.sort(arr), tau), arr.size)
+    return _reject_rate(_sorted(bonafide_scores, "bonafide_scores"), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +267,13 @@ def bpcer(bonafide_scores: Sequence[float], tau: Threshold) -> float:
 def candidate_thresholds(scores: Sequence[float]) -> np.ndarray:
     """Deterministic sweep grid for the given scores.
 
-    Midpoints between consecutive distinct sorted values, with one sentinel
-    below the minimum and one above the maximum, deduplicated.  Every
+    Midpoints between consecutive distinct sorted values (or the upper value
+    where the midpoint rounds onto the lower one), with one sentinel below
+    the minimum and one above the maximum, strictly increasing.  Every
     achievable accept/reject split of ``scores`` is realised by exactly one
     grid point.
     """
-    distinct = np.unique(_as_scores(scores, "scores"))
-    mids = distinct[:-1] + (distinct[1:] - distinct[:-1]) / 2.0
-    grid = np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
-    return np.unique(grid)
+    return _grid(_sorted(scores, "scores"))
 
 
 def threshold_at_fmr(nonmated_scores: Sequence[float], target: float) -> Threshold:
@@ -250,14 +283,8 @@ def threshold_at_fmr(nonmated_scores: Sequence[float], target: float) -> Thresho
     is non-increasing in the threshold, the result is the most permissive
     operating point satisfying the constraint.
     """
-    arr = np.sort(_as_scores(nonmated_scores, "nonmated_scores"))
-    target = _check_target(target)
-    grid = candidate_thresholds(arr)
-    counts = np.asarray(_count_ge(arr, grid), dtype=np.int64)
-    allowed = _floor_times(target, arr.size)  # count <= allowed  <=>  rate <= target
-    feasible = np.flatnonzero(counts <= allowed)
-    # the above-max sentinel has count 0, so a feasible point always exists
-    return float(grid[feasible[0]])
+    nonmated = _sorted(nonmated_scores, "nonmated_scores")
+    return _first_feasible(nonmated, [_check_target(target)])[0]
 
 
 def d_eer(bonafide_scores: Sequence[float], attack_scores: Sequence[float]) -> tuple[float, Threshold]:
@@ -267,17 +294,8 @@ def d_eer(bonafide_scores: Sequence[float], attack_scores: Sequence[float]) -> t
     toward the smallest threshold; comparisons done on exact integer
     cross-products) and returns ``((APCER + BPCER) / 2, threshold)``.
     """
-    bona = np.sort(_as_scores(bonafide_scores, "bonafide_scores"))
-    att = np.sort(_as_scores(attack_scores, "attack_scores"))
-    grid = candidate_thresholds(np.concatenate((bona, att)))
-    n_b, n_a = bona.size, att.size
-    c_apcer = np.asarray(_count_ge(att, grid), dtype=np.int64)
-    c_bpcer = np.asarray(_count_lt(bona, grid), dtype=np.int64)
-    # |APCER - BPCER| compared on the common denominator n_a * n_b
-    gap = np.abs(c_apcer * n_b - c_bpcer * n_a)
-    best = int(np.argmin(gap))
-    eer = (Fraction(int(c_apcer[best]), n_a) + Fraction(int(c_bpcer[best]), n_b)) / 2
-    return float(eer), float(grid[best])
+    bona = _sorted(bonafide_scores, "bonafide_scores")
+    return _d_eer(bona, _sorted(attack_scores, "attack_scores"))
 
 
 def bpcer_at_apcer(
@@ -290,15 +308,10 @@ def bpcer_at_apcer(
     The sweep grid is built from the attack scores (the constrained class);
     BPCER is then evaluated at the selected threshold.
     """
-    bona = np.sort(_as_scores(bonafide_scores, "bonafide_scores"))
-    att = np.sort(_as_scores(attack_scores, "attack_scores"))
-    target_apcer = _check_target(target_apcer)
-    grid = candidate_thresholds(att)
-    counts = np.asarray(_count_ge(att, grid), dtype=np.int64)
-    allowed = _floor_times(target_apcer, att.size)
-    feasible = np.flatnonzero(counts <= allowed)
-    tau = float(grid[feasible[0]])
-    return _rate(_count_lt(bona, tau), bona.size), tau
+    bona = _sorted(bonafide_scores, "bonafide_scores")
+    attack = _sorted(attack_scores, "attack_scores")
+    tau = _first_feasible(attack, [_check_target(target_apcer)])[0]
+    return _reject_rate(bona, tau), tau
 
 
 def det_curve(
@@ -316,19 +329,17 @@ def det_curve(
     """
     if not isinstance(axes, DetAxes):
         raise ValidationError(f"axes must be a DetAxes, got {axes!r}")
-    pos = np.sort(_as_scores(positive_scores, "positive_scores"))
-    neg = np.sort(_as_scores(negative_scores, "negative_scores"))
-    grid = candidate_thresholds(np.concatenate((pos, neg)))
-    x = np.asarray(_count_ge(neg, grid), dtype=np.int64) / neg.size
-    y = np.asarray(_count_lt(pos, grid), dtype=np.int64) / pos.size
-    return DetCurve(thresholds=grid, x_rates=x, y_rates=y, axes=axes)
+    pos = _sorted(positive_scores, "positive_scores")
+    neg = _sorted(negative_scores, "negative_scores")
+    grid, accepts, rejects = _pooled(pos, neg)
+    return DetCurve(grid, accepts / neg.size, rejects / pos.size, axes)
 
 
 # ---------------------------------------------------------------------------
 # set-level evaluations
 
 
-def _checked_scores(score_set: ScoreSet, expected_label, expected_polarity: Polarity, role: str) -> list[float]:
+def _checked_scores(score_set: ScoreSet, expected_label, expected_polarity: Polarity, role: str) -> np.ndarray:
     validate_score_set(score_set)
     if score_set.polarity is not expected_polarity:
         raise PolarityMismatchError(
@@ -341,7 +352,7 @@ def _checked_scores(score_set: ScoreSet, expected_label, expected_polarity: Pola
             f"{role} set must contain only {expected_label.value!r} records; "
             f"found other labels (first: {off_label[0]!r})"
         )
-    return score_set.scores()
+    return _sorted(score_set.scores(), f"{role} scores")
 
 
 def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
@@ -350,24 +361,21 @@ def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
     Both sets must declare ``HIGHER_IS_BONA_FIDE`` polarity and carry only
     their own presentation label, which guards against swapped inputs.
     """
-    bona_scores = _checked_scores(
+    bona = _checked_scores(
         bonafide, PresentationLabel.BONA_FIDE, Polarity.HIGHER_IS_BONA_FIDE, "bonafide"
     )
-    att_scores = _checked_scores(
-        attack, PresentationLabel.ATTACK, Polarity.HIGHER_IS_BONA_FIDE, "attack"
-    )
-    eer, eer_tau = d_eer(bona_scores, att_scores)
-    b10, tau10 = bpcer_at_apcer(bona_scores, att_scores, 0.10)
-    b20, tau20 = bpcer_at_apcer(bona_scores, att_scores, 0.05)
+    att = _checked_scores(attack, PresentationLabel.ATTACK, Polarity.HIGHER_IS_BONA_FIDE, "attack")
+    eer, eer_tau = _d_eer(bona, att)
+    tau10, tau20 = _first_feasible(att, [0.10, 0.05])
     return PadReport(
         d_eer=eer,
         eer_threshold=eer_tau,
-        bpcer10=b10,
-        bpcer20=b20,
+        bpcer10=_reject_rate(bona, tau10),
+        bpcer20=_reject_rate(bona, tau20),
         bpcer10_threshold=tau10,
         bpcer20_threshold=tau20,
-        n_bonafide=len(bona_scores),
-        n_attack=len(att_scores),
+        n_bonafide=bona.size,
+        n_attack=att.size,
     )
 
 
@@ -394,16 +402,12 @@ def evaluate_vuln(
     targets = [_check_target(t) for t in fmr_targets]
     if not targets:
         raise ValidationError("at least one FMR target is required")
-    thresholds: dict[float, Threshold] = {}
-    rates: dict[float, float] = {}
-    for t in targets:
-        tau = threshold_at_fmr(nonmated_scores, t)
-        thresholds[t] = tau
-        rates[t] = iapmr(attack_scores, tau)
+    thresholds = dict(zip(targets, _first_feasible(nonmated_scores, targets)))
+    rates = {t: _accept_rate(attack_scores, tau) for t, tau in thresholds.items()}
     return VulnReport(
         thresholds=thresholds,
         iapmr=rates,
-        n_mated=len(mated_scores),
-        n_nonmated=len(nonmated_scores),
-        n_attack=len(attack_scores),
+        n_mated=mated_scores.size,
+        n_nonmated=nonmated_scores.size,
+        n_attack=attack_scores.size,
     )

@@ -25,7 +25,9 @@ def midpoint_grid(values):
     xs = sorted({float(v) for v in values})
     grid = [xs[0] - 1.0]
     for lo, hi in zip(xs, xs[1:]):
-        grid.append(lo + (hi - lo) / 2.0)
+        mid = lo + (hi - lo) / 2.0
+        # a midpoint rounded onto lo (adjacent floats) or overflowed: hi splits alike
+        grid.append(mid if lo < mid <= hi else hi)
     grid.append(xs[-1] + 1.0)
     return sorted(set(grid))
 

@@ -314,6 +314,7 @@ class TestEvalPad:
         assert lines[0] == "D-EER: 0.00% at threshold 2.5"
         assert lines[3] == "bona fide: 4, attacks: 3"
         report = parse_report((out / "pad_report.json").read_bytes())
+        assert lines == report["summary"]
         assert report["metrics"]["d_eer"] == 0.0
         assert report["config"]["apcer_targets"] == [0.1, 0.05]
         assert (out / "det.csv").exists()
@@ -325,6 +326,12 @@ class TestEvalPad:
         assert (out / "pad_report.json").exists()
         assert not (out / "det.csv").exists()
         assert not (out / "det.svg").exists()
+
+    def test_summary_printed_without_json(self, tmp_path, capsys):
+        _, out, _ = self.run_eval(tmp_path, capsys)
+        code, _, csv_stdout = self.run_eval(tmp_path, capsys, extra=("--format", "csv"))
+        assert code == 0
+        assert csv_stdout.splitlines() == parse_report((out / "pad_report.json").read_bytes())["summary"]
 
     def test_config_echo_names_inputs(self, tmp_path, capsys):
         code, out, _ = self.run_eval(tmp_path, capsys)
@@ -338,22 +345,34 @@ class TestEvalPad:
 
 
 class TestEvalVuln:
-    def test_outputs_and_summary(self, tmp_path, capsys):
+    def run_eval(self, tmp_path, capsys, extra=()):
         from padeval import TrialLabel
 
         mated = scores_csv(tmp_path, "mated.csv", [2.0, 3.0, 4.0], label=TrialLabel.MATED, prefix="m")
         nonmated = scores_csv(tmp_path, "nonmated.csv", [0.0, 0.5, 1.0], label=TrialLabel.NONMATED, prefix="n")
         attack = scores_csv(tmp_path, "attack.csv", [2.0, 2.0, 0.0], label=TrialLabel.ATTACK_MATED, prefix="x")
         out = tmp_path / "vuln"
-        assert run(["eval-vuln", "--mated", mated, "--nonmated", nonmated,
-                    "--attack", attack, "--output-dir", str(out)]) == 0
-        stdout = capsys.readouterr().out.splitlines()
-        assert stdout[0].startswith("FMR=0.1%: threshold ")
-        assert stdout[1].startswith("FMR=1%: threshold ")
-        assert stdout[2] == "mated: 3, non-mated: 3, attack-mated: 3"
+        code = run(["eval-vuln", "--mated", mated, "--nonmated", nonmated,
+                    "--attack", attack, "--output-dir", str(out), *extra])
+        return code, out, capsys.readouterr().out
+
+    def test_outputs_and_summary(self, tmp_path, capsys):
+        code, out, stdout = self.run_eval(tmp_path, capsys)
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[0].startswith("FMR=0.1%: threshold ")
+        assert lines[1].startswith("FMR=1%: threshold ")
+        assert lines[2] == "mated: 3, non-mated: 3, attack-mated: 3"
         report = parse_report((out / "vuln_report.json").read_bytes())
         assert report["kind"] == "vuln-report"
+        assert lines == report["summary"]
         assert (out / "det.csv").exists() and (out / "det.svg").exists()
+
+    def test_summary_printed_without_json(self, tmp_path, capsys):
+        _, out, _ = self.run_eval(tmp_path, capsys)
+        code, _, csv_stdout = self.run_eval(tmp_path, capsys, extra=("--format", "csv"))
+        assert code == 0
+        assert csv_stdout.splitlines() == parse_report((out / "vuln_report.json").read_bytes())["summary"]
 
     def test_custom_fmr_targets(self, tmp_path, capsys):
         from padeval import TrialLabel

@@ -47,6 +47,15 @@ continuous_scores = st.lists(
     max_size=60,
 )
 any_scores = st.one_of(lattice_scores, continuous_scores)
+# any_scores with signed zeros and magnitudes where x - 1.0 == x mixed in
+edge_scores = st.tuples(
+    any_scores, st.lists(st.sampled_from([-0.0, 0.0, 1e17, -1e17]), max_size=6)
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+targets = st.lists(st.floats(min_value=1e-6, max_value=0.999999), min_size=1, max_size=4)
+
+
+def bits(values):
+    return [np.float64(v).tobytes() for v in values]
 
 
 class TestPointMetrics:
@@ -102,6 +111,12 @@ class TestCandidateThresholds:
         assert len(grid) == 4  # 3 distinct -> 2 midpoints + 2 sentinels
         assert (np.diff(grid) > 0).all()
 
+    def test_adjacent_floats_keep_every_split(self):
+        # the midpoint of adjacent floats rounds onto the lower one
+        xs = [-100.0, float(np.nextafter(-100.0, 0.0))]
+        counts = [oracles.count_ge(xs, tau) for tau in candidate_thresholds(xs).tolist()]
+        assert counts == [2, 1, 0]
+
     @given(any_scores)
     def test_matches_reference_grid(self, scores):
         assert candidate_thresholds(scores).tolist() == oracles.midpoint_grid(scores)
@@ -138,6 +153,11 @@ class TestThresholdAtFmr:
     @given(any_scores, st.floats(min_value=1e-6, max_value=0.999999))
     def test_oracle_equivalence(self, scores, target):
         assert threshold_at_fmr(scores, target) == oracles.threshold_at_fmr(scores, target)
+
+    def test_sentinel_stays_above_a_huge_maximum(self):
+        # 1e17 + 1.0 rounds back to 1e17; the sentinel must still reject it
+        tau = threshold_at_fmr([0.0, 1e17], 0.25)
+        assert tau > 1e17 and fmr([0.0, 1e17], tau) == 0.0
 
     @given(any_scores, st.floats(min_value=1e-6, max_value=0.999999))
     def test_postcondition_most_permissive(self, scores, target):
@@ -286,20 +306,26 @@ class TestEvaluatePad:
         assert report.bpcer20 == 0.0
         assert (report.n_bonafide, report.n_attack) == (3, 2)
 
-    def test_report_matches_primitives(self):
-        rng = np.random.default_rng(11)
-        bona_scores = rng.normal(1.0, 1.0, 60).tolist()
-        attack_scores = rng.normal(-1.0, 1.0, 80).tolist()
+    @given(edge_scores, edge_scores)
+    def test_report_matches_primitives(self, bona_scores, attack_scores):
         bona = make_score_set(bona_scores, label=PresentationLabel.BONA_FIDE)
         attack = make_score_set(attack_scores, label=PresentationLabel.ATTACK, prefix="a")
         report = evaluate_pad(bona, attack)
-        assert (report.d_eer, report.eer_threshold) == d_eer(bona_scores, attack_scores)
-        assert (report.bpcer10, report.bpcer10_threshold) == bpcer_at_apcer(
-            bona_scores, attack_scores, 0.10
-        )
-        assert (report.bpcer20, report.bpcer20_threshold) == bpcer_at_apcer(
-            bona_scores, attack_scores, 0.05
-        )
+        got = [
+            report.d_eer,
+            report.eer_threshold,
+            report.bpcer10,
+            report.bpcer10_threshold,
+            report.bpcer20,
+            report.bpcer20_threshold,
+        ]
+        expected = [
+            *d_eer(bona_scores, attack_scores),
+            *bpcer_at_apcer(bona_scores, attack_scores, 0.10),
+            *bpcer_at_apcer(bona_scores, attack_scores, 0.05),
+        ]
+        assert bits(got) == bits(expected)
+        assert (report.n_bonafide, report.n_attack) == (len(bona_scores), len(attack_scores))
 
     def test_wrong_polarity_rejected(self):
         bona = make_score_set([1.0], polarity=Polarity.HIGHER_IS_MATCH)
@@ -347,6 +373,16 @@ class TestEvaluateVuln:
         # looser FMR target -> lower threshold -> IAPMR can only grow
         assert report.thresholds[0.1] <= report.thresholds[0.01]
         assert report.iapmr[0.1] >= report.iapmr[0.01]
+
+    @given(edge_scores, edge_scores, edge_scores, targets)
+    def test_report_matches_primitives(self, mated_scores, nonmated_scores, attack_scores, fmr_targets):
+        report = evaluate_vuln(*self._sets(mated_scores, nonmated_scores, attack_scores), fmr_targets)
+        assert list(report.thresholds) == list(dict.fromkeys(fmr_targets))
+        for t, tau in report.thresholds.items():
+            expected = threshold_at_fmr(nonmated_scores, t)
+            assert bits([tau, report.iapmr[t]]) == bits([expected, iapmr(attack_scores, expected)])
+        counts = (report.n_mated, report.n_nonmated, report.n_attack)
+        assert counts == (len(mated_scores), len(nonmated_scores), len(attack_scores))
 
     def test_no_targets_rejected(self):
         mated, nonmated, attack = self._sets([1.0], [0.0], [0.5])
