@@ -26,7 +26,6 @@ from padeval import (
     OcsvmConfig,
     Polarity,
     PresentationLabel,
-    ScoreRecord,
     ScoreSet,
     SynthDepthSpec,
     SynthFeatureSpec,
@@ -67,7 +66,7 @@ def build_scenario():
     bona_amp = np.clip(rng.normal(10.0, 3.0, N_EVAL), 1.0, None)
     attack_amp = np.clip(rng.normal(1.0, 0.5, N_EVAL), 0.0, None)
 
-    records = []
+    dv_labels, dv_values = [], []
     for k, sid in enumerate(eval_rows.sample_ids):
         is_bona = sid.startswith("bf_")
         i = k if is_bona else k - N_EVAL
@@ -90,14 +89,14 @@ def build_scenario():
                 seed=43_000_000 + i,
             )
         depth, marks = gen_depth(spec)
-        records.append(
-            ScoreRecord(
-                sample_id=sid,
-                label=PresentationLabel.BONA_FIDE if is_bona else PresentationLabel.ATTACK,
-                score=dv_score(depth, marks).value,
-            )
-        )
-    dv_scores = ScoreSet(records=tuple(records), polarity=Polarity.HIGHER_IS_BONA_FIDE)
+        dv_labels.append(PresentationLabel.BONA_FIDE if is_bona else PresentationLabel.ATTACK)
+        dv_values.append(dv_score(depth, marks).value)
+    dv_scores = ScoreSet(
+        sample_ids=eval_rows.sample_ids,
+        labels=dv_labels,
+        values=dv_values,
+        polarity=Polarity.HIGHER_IS_BONA_FIDE,
+    )
 
     fused = fuse(dv_scores, ad_scores, w_a=0.5, w_b=0.5)
     return dv_scores, ad_scores, fused

@@ -20,7 +20,6 @@ from .core import (
     ScoreSet,
     TrialLabel,
     ValidationError,
-    validate_score_set,
 )
 from .depth_variance import DvScore, TooFewValidLandmarksError, dv_score, sample_depths
 from .fusion import IdMismatchError, MinMaxParams, WeightError, fuse, minmax_apply, minmax_fit

@@ -23,7 +23,6 @@ from .core import (
     PadevalError,
     Polarity,
     PresentationLabel,
-    ScoreRecord,
     ScoreSet,
     TrialLabel,
 )
@@ -102,7 +101,7 @@ def _cmd_dv_batch(args) -> None:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(manifest_dir, p)
 
-    records = []
+    scores = []
     for row in rows:
         depth = _parse_file(ingest.parse_depth_pgm, resolve(row.depth_path))
         landmarks = _parse_file(ingest.parse_landmarks, resolve(row.landmarks_path))
@@ -110,8 +109,13 @@ def _cmd_dv_batch(args) -> None:
             score = dv_score(depth, landmarks, min_valid=args.min_valid)
         except PadevalError as exc:
             raise PadevalError(f"sample {row.sample_id!r}: {exc}") from exc
-        records.append(ScoreRecord(sample_id=row.sample_id, label=row.label, score=score.value))
-    out = ScoreSet(records=tuple(records), polarity=Polarity.HIGHER_IS_BONA_FIDE)
+        scores.append(score.value)
+    out = ScoreSet(
+        sample_ids=[row.sample_id for row in rows],
+        labels=[row.label for row in rows],
+        values=scores,
+        polarity=Polarity.HIGHER_IS_BONA_FIDE,
+    )
     _write_text(args.out, ingest.write_scores(out))
 
 
@@ -161,7 +165,7 @@ def _write_evaluation(args, report, config, report_name, positive, negative, axe
     formats = set(args.format) if args.format else {"csv", "json", "svg"}
     if "json" in formats:
         _write_text(_out_path(args, report_name), ingest.write_report(report, config=config))
-    curve = det_curve(positive.scores(), negative.scores(), axes)
+    curve = det_curve(positive.values, negative.values, axes)
     if "csv" in formats:
         _write_text(_out_path(args, "det.csv"), ingest.write_det(curve))
     if "svg" in formats:

@@ -15,7 +15,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence, Union
@@ -39,7 +38,6 @@ __all__ = [
     "DepthMap",
     "LandmarkSet",
     "FeatureMatrix",
-    "validate_score_set",
 ]
 
 
@@ -124,32 +122,79 @@ class ScoreRecord:
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreSet:
-    """An ordered collection of score records with a declared polarity."""
+    """Aligned score columns with a declared polarity, checked when built.
 
-    records: tuple[ScoreRecord, ...]
+    ``sample_ids[k]``, ``labels[k]`` and ``values[k]`` describe sample ``k``;
+    ``values`` is a read-only float64 array.
+
+    Raises:
+        EmptySetError: the set holds no samples.
+        DuplicateIdError: two samples share a ``sample_id``.
+        NonFiniteScoreError: a score is NaN or +/-inf.
+        ValidationError: an id is empty or contains NUL or line breaks, a
+            label/polarity field holds a foreign type, or the columns differ
+            in length.
+    """
+
+    sample_ids: tuple[str, ...]
+    labels: tuple[Label, ...]
+    values: np.ndarray
     polarity: Polarity
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
+        if not isinstance(self.polarity, Polarity):
+            raise ValidationError(f"polarity must be a Polarity, got {self.polarity!r}")
+        ids, labels = tuple(self.sample_ids), tuple(self.labels)
+        if not ids:
+            raise EmptySetError("score set holds no records")
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "iuf":
+            raise ValidationError(f"scores must be real numbers, got dtype {values.dtype}")
+        values = values.astype(np.float64)  # a copy: the caller's array stays writeable
+        if values.shape != (len(ids),) or len(labels) != len(ids):
+            raise ValidationError(
+                f"{len(ids)} sample_ids, {len(labels)} labels and {values.shape} scores are not aligned"
+            )
+        _check_ids(ids)
+        if not set(map(type, labels)) <= {PresentationLabel, TrialLabel}:
+            bad = next(lab for lab in labels if not isinstance(lab, (PresentationLabel, TrialLabel)))
+            raise ValidationError(f"label must be a PresentationLabel or TrialLabel, got {bad!r}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise NonFiniteScoreError(ids[k], float(values[k]))
+        object.__setattr__(self, "sample_ids", ids)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", _read_only(values))
+
+    @property
+    def records(self) -> tuple[ScoreRecord, ...]:
+        """The samples as records, built on each access."""
+        return tuple(map(ScoreRecord, self.sample_ids, self.labels, self.values.tolist()))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.sample_ids)
 
     def __iter__(self) -> Iterator[ScoreRecord]:
         return iter(self.records)
 
     def scores(self) -> list[float]:
-        return [r.score for r in self.records]
+        return self.values.tolist()
 
     def ids(self) -> list[str]:
-        return [r.sample_id for r in self.records]
+        return list(self.sample_ids)
 
     def with_label(self, label: Label) -> "ScoreSet":
-        """Sub-set holding only the records carrying ``label``."""
-        kept = tuple(r for r in self.records if r.label is label)
-        return ScoreSet(records=kept, polarity=self.polarity)
+        """Sub-set holding only the samples carrying ``label``."""
+        keep = [k for k, lab in enumerate(self.labels) if lab is label]
+        return ScoreSet(
+            sample_ids=[self.sample_ids[k] for k in keep],
+            labels=[label] * len(keep),
+            values=self.values[keep],
+            polarity=self.polarity,
+        )
 
 
 def _id_ok(sample_id: object) -> bool:
@@ -161,37 +206,23 @@ def _id_ok(sample_id: object) -> bool:
     return (
         isinstance(sample_id, str)
         and sample_id != ""
-        and not any(ch in sample_id for ch in "\x00\r\n")
+        and "\x00" not in sample_id
+        and "\r" not in sample_id
+        and "\n" not in sample_id
     )
 
 
-def validate_score_set(score_set: ScoreSet) -> None:
-    """Check the :class:`ScoreSet` invariants, raising on the first breach.
-
-    Raises:
-        EmptySetError: the set holds no records.
-        DuplicateIdError: two records share a ``sample_id``.
-        NonFiniteScoreError: a score is NaN or +/-inf.
-        ValidationError: an id is empty or contains NUL or line breaks, or
-            a label/polarity field holds a foreign type.
-    """
-    if not isinstance(score_set.polarity, Polarity):
-        raise ValidationError(f"polarity must be a Polarity, got {score_set.polarity!r}")
-    if len(score_set.records) == 0:
-        raise EmptySetError("score set holds no records")
+def _check_ids(ids: Sequence[str]) -> None:
+    """Apply the id rule to every id and require them to be unique."""
     seen: set[str] = set()
-    for rec in score_set.records:
-        if not _id_ok(rec.sample_id):
+    for sid in ids:
+        if not _id_ok(sid):
             raise ValidationError(
-                f"sample_id must be a non-empty single-line string without NUL, got {rec.sample_id!r}"
+                f"sample_id must be a non-empty single-line string without NUL, got {sid!r}"
             )
-        if rec.sample_id in seen:
-            raise DuplicateIdError(rec.sample_id)
-        seen.add(rec.sample_id)
-        if not isinstance(rec.label, (PresentationLabel, TrialLabel)):
-            raise ValidationError(f"label must be a PresentationLabel or TrialLabel, got {rec.label!r}")
-        if not isinstance(rec.score, float) or not math.isfinite(rec.score):
-            raise NonFiniteScoreError(rec.sample_id, rec.score)
+        if sid in seen:
+            raise DuplicateIdError(sid)
+        seen.add(sid)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -267,13 +298,7 @@ class FeatureMatrix:
             raise ValidationError(
                 f"{len(self.sample_ids)} sample_ids for {arr.shape[0]} feature rows"
             )
-        seen: set[str] = set()
-        for sid in self.sample_ids:
-            if not _id_ok(sid):
-                raise ValidationError(f"bad sample_id {sid!r}")
-            if sid in seen:
-                raise DuplicateIdError(sid)
-            seen.add(sid)
+        _check_ids(self.sample_ids)
         if not np.isfinite(arr).all():
             raise ValidationError("feature values must be finite")
         self.values = _read_only(arr)

@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    EmptySetError,
-    PolarityMismatchError,
-    ScoreRecord,
-    ScoreSet,
-    ValidationError,
-    validate_score_set,
-)
+from .core import EmptySetError, PolarityMismatchError, ScoreSet, ValidationError
 
 __all__ = [
     "WeightError",
@@ -94,8 +87,6 @@ def fuse(a: ScoreSet, b: ScoreSet, w_a: float = 0.5, w_b: float = 0.5) -> ScoreS
         PolarityMismatchError: the sets declare different polarities.
         WeightError: weights invalid.
     """
-    validate_score_set(a)
-    validate_score_set(b)
     if a.polarity is not b.polarity:
         raise PolarityMismatchError(
             f"cannot fuse polarity {a.polarity.value!r} with {b.polarity.value!r}"
@@ -105,20 +96,15 @@ def fuse(a: ScoreSet, b: ScoreSet, w_a: float = 0.5, w_b: float = 0.5) -> ScoreS
         raise WeightError(f"weights must be non-negative and finite, got {w_a!r}, {w_b!r}")
     if abs((w_a + w_b) - 1.0) > 1e-9:
         raise WeightError(f"weights must sum to 1, got {w_a!r} + {w_b!r}")
-    ids_a = set(a.ids())
-    ids_b = set(b.ids())
-    if ids_a != ids_b:
-        odd = sorted(ids_a.symmetric_difference(ids_b))[0]
+    # ids are unique within each set, so equal sizes and a in b mean the same ids
+    b_index = {sid: k for k, sid in enumerate(b.sample_ids)}
+    if len(a) != len(b) or not all(sid in b_index for sid in a.sample_ids):
+        odd = sorted(set(a.sample_ids).symmetric_difference(b_index))[0]
         raise IdMismatchError(f"score sets cover different samples (first difference: {odd!r})")
-    params_a = minmax_fit(a.scores())
-    params_b = minmax_fit(b.scores())
-    b_by_id = {r.sample_id: r.score for r in b}
-    records = tuple(
-        ScoreRecord(
-            sample_id=r.sample_id,
-            label=r.label,
-            score=w_a * minmax_apply(params_a, r.score) + w_b * minmax_apply(params_b, b_by_id[r.sample_id]),
-        )
-        for r in a
-    )
-    return ScoreSet(records=records, polarity=a.polarity)
+    scores_a, scores_b = a.scores(), b.scores()
+    params_a, params_b = minmax_fit(scores_a), minmax_fit(scores_b)
+    values = [
+        w_a * minmax_apply(params_a, s) + w_b * minmax_apply(params_b, scores_b[b_index[sid]])
+        for sid, s in zip(a.sample_ids, scores_a)
+    ]
+    return ScoreSet(sample_ids=a.sample_ids, labels=a.labels, values=values, polarity=a.polarity)

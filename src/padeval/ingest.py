@@ -30,9 +30,9 @@ from .core import (
     LandmarkSet,
     PadevalError,
     Polarity,
-    ScoreRecord,
     ScoreSet,
     ValidationError,
+    _check_ids,
     _id_ok,
 )
 from .metrics import DetAxes, DetCurve, PadReport, VulnReport
@@ -207,9 +207,12 @@ def _parse_label(token: str, line: int) -> Label:
     return label
 
 
-def _csv_line(fields: Sequence[str]) -> str:
+def _csv_table(header: Sequence[str], rows) -> str:
+    """The header and every row as CSV text, written through one writer."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -228,30 +231,21 @@ def parse_scores(data: Union[bytes, str], polarity: Polarity) -> ScoreSet:
     rows = _csv_rows(_decode(data, "scores CSV"), "scores CSV")
     _check_header(rows, _SCORES_HEADER, "scores")
     seen: set[str] = set()
-    records = []
+    ids, labels, scores = [], [], []
     for line, fields in rows[1:]:
         if len(fields) != 3:
             raise RaggedRowError(f"expected 3 columns, got {len(fields)}", line=line)
-        sid = _parse_id(fields[0], line, seen)
-        label = _parse_label(fields[1], line)
-        score = _parse_float(fields[2], line, "score")
-        records.append(ScoreRecord(sample_id=sid, label=label, score=score))
-    return ScoreSet(records=tuple(records), polarity=polarity)
-
-
-def _writable_id(sample_id: str) -> str:
-    if not _id_ok(sample_id):
-        raise ValidationError(f"sample_id {sample_id!r} cannot be written to a single CSV line")
-    return sample_id
+        ids.append(_parse_id(fields[0], line, seen))
+        labels.append(_parse_label(fields[1], line))
+        scores.append(_parse_float(fields[2], line, "score"))
+    return ScoreSet(sample_ids=ids, labels=labels, values=scores, polarity=polarity)
 
 
 def write_scores(score_set: ScoreSet) -> str:
-    out = [_csv_line(_SCORES_HEADER)]
-    out += [
-        _csv_line([_writable_id(r.sample_id), r.label.value, fmt_float(r.score)])
-        for r in score_set.records
-    ]
-    return "".join(out)
+    labels = (lab.value for lab in score_set.labels)
+    return _csv_table(
+        _SCORES_HEADER, zip(score_set.sample_ids, labels, map(fmt_float, score_set.values.tolist()))
+    )
 
 
 def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
@@ -269,9 +263,8 @@ def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
 
 
 def write_labels(labels: Mapping[str, Label]) -> str:
-    out = [_csv_line(_LABELS_HEADER)]
-    out += [_csv_line([_writable_id(sid), lab.value]) for sid, lab in labels.items()]
-    return "".join(out)
+    _check_ids(tuple(labels))
+    return _csv_table(_LABELS_HEADER, ((sid, lab.value) for sid, lab in labels.items()))
 
 
 def _features_header(d: int) -> list[str]:
@@ -304,10 +297,8 @@ def parse_features(data: Union[bytes, str]) -> FeatureMatrix:
 
 
 def write_features(features: FeatureMatrix) -> str:
-    out = [_csv_line(_features_header(features.d))]
-    for sid, row in zip(features.sample_ids, features.values):
-        out.append(_csv_line([sid] + [fmt_float(v) for v in row]))
-    return "".join(out)
+    rows = ([sid, *map(fmt_float, row)] for sid, row in zip(features.sample_ids, features.values.tolist()))
+    return _csv_table(_features_header(features.d), rows)
 
 
 def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
@@ -330,10 +321,8 @@ def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
 
 
 def write_landmarks(landmarks: LandmarkSet) -> str:
-    out = [_csv_line(_LANDMARKS_HEADER)]
-    for k, (x, y) in enumerate(landmarks.points):
-        out.append(_csv_line([str(k), fmt_float(x), fmt_float(y)]))
-    return "".join(out)
+    rows = ((str(k), fmt_float(x), fmt_float(y)) for k, (x, y) in enumerate(landmarks.points.tolist()))
+    return _csv_table(_LANDMARKS_HEADER, rows)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ from .core import (
     ScoreSet,
     TrialLabel,
     ValidationError,
-    validate_score_set,
 )
 
 __all__ = [
@@ -340,19 +339,19 @@ def det_curve(
 
 
 def _checked_scores(score_set: ScoreSet, expected_label, expected_polarity: Polarity, role: str) -> np.ndarray:
-    validate_score_set(score_set)
+    """The sorted scores of a set that fits its role; the set itself is valid when built."""
     if score_set.polarity is not expected_polarity:
         raise PolarityMismatchError(
             f"{role} scores must declare polarity {expected_polarity.value!r}, "
             f"got {score_set.polarity.value!r}"
         )
-    off_label = [r.sample_id for r in score_set if r.label is not expected_label]
+    off_label = [sid for sid, lab in zip(score_set.sample_ids, score_set.labels) if lab is not expected_label]
     if off_label:
         raise ValidationError(
             f"{role} set must contain only {expected_label.value!r} records; "
             f"found other labels (first: {off_label[0]!r})"
         )
-    return _sorted(score_set.scores(), f"{role} scores")
+    return np.sort(score_set.values)
 
 
 def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:

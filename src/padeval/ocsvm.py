@@ -40,7 +40,6 @@ from .core import (
     PadevalError,
     Polarity,
     PresentationLabel,
-    ScoreRecord,
     ScoreSet,
     TrialLabel,
     ValidationError,
@@ -376,8 +375,6 @@ def score_matrix(
         if missing:
             raise ValidationError(f"no label for sample_id {missing[0]!r}")
         per_row = [labels[sid] for sid in features.sample_ids]
-    records = tuple(
-        ScoreRecord(sample_id=sid, label=lab, score=float(s))
-        for sid, lab, s in zip(features.sample_ids, per_row, values)
+    return ScoreSet(
+        sample_ids=features.sample_ids, labels=per_row, values=values, polarity=Polarity.HIGHER_IS_BONA_FIDE
     )
-    return ScoreSet(records=records, polarity=Polarity.HIGHER_IS_BONA_FIDE)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, settings
 
-from padeval import Polarity, PresentationLabel, ScoreRecord, ScoreSet
+from padeval import Polarity, PresentationLabel, ScoreSet
 
 settings.register_profile(
     "suite",
@@ -18,9 +18,10 @@ def make_score_set(
     polarity=Polarity.HIGHER_IS_BONA_FIDE,
     prefix="s",
 ):
-    """ScoreSet with generated ids and one label for every record."""
-    records = tuple(
-        ScoreRecord(sample_id=f"{prefix}{k:05d}", label=label, score=float(s))
-        for k, s in enumerate(scores)
+    """ScoreSet with generated ids and one label for every sample."""
+    return ScoreSet(
+        sample_ids=[f"{prefix}{k:05d}" for k in range(len(scores))],
+        labels=[label] * len(scores),
+        values=[float(s) for s in scores],
+        polarity=polarity,
     )
-    return ScoreSet(records=records, polarity=polarity)

@@ -9,6 +9,8 @@ candidate grid, which is part of the contract and must match bit-for-bit.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import statistics
 from bisect import bisect_left
@@ -91,6 +93,20 @@ def det_points(positives, negatives):
         y = Fraction(count_lt(pos, tau), len(pos))
         out.append((tau, float(x), float(y)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+
+
+def csv_lines(header, rows):
+    """CSV text written line by line, each line through a writer of its own."""
+    lines = []
+    for fields in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(fields)
+        lines.append(buf.getvalue())
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

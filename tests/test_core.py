@@ -20,61 +20,110 @@ from padeval import (
     ScoreSet,
     TrialLabel,
     ValidationError,
-    validate_score_set,
 )
 from conftest import make_score_set
 
 
 class TestScoreSet:
     def test_valid_set_passes(self):
-        validate_score_set(make_score_set([0.1, 0.9, -3.5]))
+        score_set = make_score_set([0.1, 0.9, -3.5])
+        assert score_set.values.dtype == np.float64
+        assert score_set.records[2] == ScoreRecord("s00002", PresentationLabel.BONA_FIDE, -3.5)
 
     def test_empty_set_rejected(self):
-        with pytest.raises(EmptySetError):
-            validate_score_set(ScoreSet(records=(), polarity=Polarity.HIGHER_IS_BONA_FIDE))
+        with pytest.raises(EmptySetError, match="score set holds no records"):
+            ScoreSet(sample_ids=(), labels=(), values=(), polarity=Polarity.HIGHER_IS_BONA_FIDE)
 
     def test_duplicate_id_rejected(self):
-        records = (
-            ScoreRecord("a", PresentationLabel.BONA_FIDE, 0.5),
-            ScoreRecord("a", PresentationLabel.ATTACK, 0.6),
-        )
         with pytest.raises(DuplicateIdError) as err:
-            validate_score_set(ScoreSet(records=records, polarity=Polarity.HIGHER_IS_BONA_FIDE))
+            ScoreSet(
+                sample_ids=("a", "a"),
+                labels=(PresentationLabel.BONA_FIDE, PresentationLabel.ATTACK),
+                values=(0.5, 0.6),
+                polarity=Polarity.HIGHER_IS_BONA_FIDE,
+            )
         assert err.value.sample_id == "a"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_score_rejected(self, bad):
         with pytest.raises(NonFiniteScoreError) as err:
-            validate_score_set(make_score_set([0.1, bad]))
+            make_score_set([0.1, bad])
         assert err.value.sample_id == "s00001"
+        assert str(err.value) == f"non-finite score {bad!r} for sample_id 's00001'"
 
-    @pytest.mark.parametrize("bad_id", ["", "nul\x00id", 7])
+    @pytest.mark.parametrize("bad_id", ["", "nul\x00id", "line\nbreak", "carriage\rreturn", 7])
     def test_bad_ids_rejected(self, bad_id):
-        records = (ScoreRecord(bad_id, PresentationLabel.ATTACK, 0.5),)
-        with pytest.raises(ValidationError):
-            validate_score_set(ScoreSet(records=records, polarity=Polarity.HIGHER_IS_MATCH))
+        with pytest.raises(ValidationError, match="sample_id must be"):
+            ScoreSet(
+                sample_ids=(bad_id,),
+                labels=(PresentationLabel.ATTACK,),
+                values=(0.5,),
+                polarity=Polarity.HIGHER_IS_MATCH,
+            )
 
     def test_foreign_label_rejected(self):
-        records = (ScoreRecord("a", "bonafide", 0.5),)
-        with pytest.raises(ValidationError):
-            validate_score_set(ScoreSet(records=records, polarity=Polarity.HIGHER_IS_BONA_FIDE))
+        with pytest.raises(ValidationError, match="label must be"):
+            ScoreSet(
+                sample_ids=("a",), labels=("bonafide",), values=(0.5,), polarity=Polarity.HIGHER_IS_BONA_FIDE
+            )
 
     def test_foreign_polarity_rejected(self):
-        records = (ScoreRecord("a", PresentationLabel.BONA_FIDE, 0.5),)
+        with pytest.raises(ValidationError, match="polarity must be"):
+            ScoreSet(
+                sample_ids=("a",),
+                labels=(PresentationLabel.BONA_FIDE,),
+                values=(0.5,),
+                polarity="higher_is_bonafide",
+            )
+
+    @pytest.mark.parametrize(
+        "labels, values",
+        [
+            ((PresentationLabel.BONA_FIDE,), (0.5,)),
+            ((PresentationLabel.BONA_FIDE,) * 2, (0.5,)),
+            ((PresentationLabel.BONA_FIDE,) * 2, [[0.5, 0.6]]),
+            ((PresentationLabel.BONA_FIDE,) * 2, ("0.5", "0.6")),
+        ],
+    )
+    def test_misaligned_or_non_numeric_columns_rejected(self, labels, values):
         with pytest.raises(ValidationError):
-            validate_score_set(ScoreSet(records=records, polarity="higher_is_bonafide"))
+            ScoreSet(
+                sample_ids=("a", "b"), labels=labels, values=values, polarity=Polarity.HIGHER_IS_BONA_FIDE
+            )
+
+    def test_values_read_only(self):
+        given_values = np.array([0.5, -1.0])
+        score_set = make_score_set(given_values)
+        with pytest.raises(ValueError):
+            score_set.values[0] = 2.0
+        assert given_values.flags.writeable  # the set keeps its own copy
+        direct = ScoreSet(
+            sample_ids=("a", "b"),
+            labels=(PresentationLabel.ATTACK,) * 2,
+            values=given_values,
+            polarity=Polarity.HIGHER_IS_BONA_FIDE,
+        )
+        given_values[0] = 7.0
+        assert direct.scores() == [0.5, -1.0]
+        with pytest.raises(ValueError):
+            direct.values[1] = 2.0
 
     def test_with_label_filters(self):
-        records = (
-            ScoreRecord("a", PresentationLabel.BONA_FIDE, 0.9),
-            ScoreRecord("b", PresentationLabel.ATTACK, 0.2),
-            ScoreRecord("c", PresentationLabel.BONA_FIDE, 0.8),
+        both = ScoreSet(
+            sample_ids=("a", "b", "c"),
+            labels=(PresentationLabel.BONA_FIDE, PresentationLabel.ATTACK, PresentationLabel.BONA_FIDE),
+            values=(0.9, 0.2, 0.8),
+            polarity=Polarity.HIGHER_IS_BONA_FIDE,
         )
-        both = ScoreSet(records=records, polarity=Polarity.HIGHER_IS_BONA_FIDE)
         bona = both.with_label(PresentationLabel.BONA_FIDE)
         assert bona.ids() == ["a", "c"]
         assert bona.scores() == [0.9, 0.8]
         assert bona.polarity is both.polarity
+
+    def test_with_absent_label_raises(self):
+        score_set = make_score_set([0.1, 0.2], label=PresentationLabel.BONA_FIDE)
+        with pytest.raises(EmptySetError, match="score set holds no records"):
+            score_set.with_label(PresentationLabel.ATTACK)
 
     def test_accessors_preserve_order(self):
         scores = [0.5, -1.0, 2.25]
@@ -172,5 +221,5 @@ class TestFeatureMatrix:
 )
 def test_any_finite_scores_validate(scores):
     score_set = make_score_set(scores, label=TrialLabel.NONMATED, polarity=Polarity.HIGHER_IS_MATCH)
-    validate_score_set(score_set)
     assert score_set.scores() == [float(s) for s in scores]
+    assert [r.score for r in score_set] == [float(s) for s in scores]

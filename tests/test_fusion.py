@@ -16,7 +16,6 @@ from padeval import (
     MinMaxParams,
     PolarityMismatchError,
     PresentationLabel,
-    ScoreRecord,
     ScoreSet,
     ValidationError,
     WeightError,
@@ -95,10 +94,9 @@ class TestFuse:
     def test_join_is_by_id_not_position(self):
         a = make_score_set([1.0, 2.0, 3.0])
         shuffled = ScoreSet(
-            records=tuple(
-                ScoreRecord(sample_id=f"s{k:05d}", label=PresentationLabel.BONA_FIDE, score=v)
-                for k, v in [(2, 8.0), (0, 0.0), (1, 4.0)]
-            ),
+            sample_ids=("s00002", "s00000", "s00001"),
+            labels=(PresentationLabel.BONA_FIDE,) * 3,
+            values=(8.0, 0.0, 4.0),
             polarity=a.polarity,
         )
         fused = fuse(a, shuffled, w_a=0.0, w_b=1.0)

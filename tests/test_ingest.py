@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
+
 from padeval import (
     DepthKind,
     DepthMap,
@@ -22,7 +24,6 @@ from padeval import (
     PadevalError,
     Polarity,
     PresentationLabel,
-    ScoreRecord,
     ScoreSet,
     SynthDepthSpec,
     TrialLabel,
@@ -70,6 +71,16 @@ sample_ids = st.text(min_size=1, max_size=30).filter(
     lambda s: not any(ch in s for ch in "\x00\r\n")
 )
 any_label = st.sampled_from(list(PresentationLabel) + list(TrialLabel))
+# ids that need CSV quoting or carry non-ASCII text: delimiters, quotes,
+# tabs, edge spaces, accents, symbols outside the BMP
+csv_ids = st.text(
+    alphabet=st.one_of(
+        st.sampled_from([",", '"', "\t", " ", "é", "€", "\u2028", "\U0001f600"]),
+        st.characters(exclude_characters="\x00\r\n"),
+    ),
+    min_size=1,
+    max_size=12,
+)
 
 
 class TestFormatting:
@@ -103,10 +114,8 @@ class TestScoresCsv:
         st.sampled_from(list(Polarity)),
     )
     def test_round_trip(self, rows, polarity):
-        original = ScoreSet(
-            records=tuple(ScoreRecord(sample_id=i, label=l, score=s) for i, l, s in rows),
-            polarity=polarity,
-        )
+        ids, labels, scores = zip(*rows)
+        original = ScoreSet(sample_ids=ids, labels=labels, values=scores, polarity=polarity)
         text = write_scores(original)
         parsed = parse_scores(text.encode("utf-8"), polarity)
         assert parsed.records == original.records
@@ -115,10 +124,9 @@ class TestScoresCsv:
     def test_ids_with_delimiters_survive(self):
         tricky = ['a,b', 'quote"inside', "tab\tchar", "café", " padded "]
         original = ScoreSet(
-            records=tuple(
-                ScoreRecord(sample_id=i, label=PresentationLabel.ATTACK, score=float(k))
-                for k, i in enumerate(tricky)
-            ),
+            sample_ids=tricky,
+            labels=[PresentationLabel.ATTACK] * len(tricky),
+            values=[float(k) for k in range(len(tricky))],
             polarity=Polarity.HIGHER_IS_BONA_FIDE,
         )
         parsed = parse_scores(write_scores(original), Polarity.HIGHER_IS_BONA_FIDE)
@@ -126,10 +134,16 @@ class TestScoresCsv:
 
     @pytest.mark.parametrize("bad", ["with\rreturn", "with\nnewline", "nul\x00char"])
     def test_line_break_ids_refused_on_both_sides(self, bad):
-        record = ScoreRecord(sample_id=bad, label=PresentationLabel.ATTACK, score=1.0)
-        broken = ScoreSet(records=(record,), polarity=Polarity.HIGHER_IS_BONA_FIDE)
+        # the constructor refuses the id before write_scores could see it
         with pytest.raises(ValidationError):
-            write_scores(broken)
+            write_scores(
+                ScoreSet(
+                    sample_ids=(bad,),
+                    labels=(PresentationLabel.ATTACK,),
+                    values=(1.0,),
+                    polarity=Polarity.HIGHER_IS_BONA_FIDE,
+                )
+            )
         quoted = bad.replace("\x00", "")
         data = f'sample_id,label,score\n"{quoted}x",attack,1.0\n'
         if "\x00" not in bad:
@@ -175,6 +189,25 @@ class TestScoresCsv:
     def test_non_utf8(self):
         with pytest.raises(ParseError, match="UTF-8"):
             parse_scores(b"\xff\xfe\x00bad", Polarity.HIGHER_IS_BONA_FIDE)
+
+
+class TestOneWriterTables:
+    @given(
+        st.lists(
+            st.tuples(csv_ids, any_label, finite_floats), min_size=1, max_size=30, unique_by=lambda t: t[0]
+        )
+    )
+    def test_bytes_match_the_per_line_writer(self, rows):
+        ids, labels, scores = zip(*rows)
+        score_set = ScoreSet(
+            sample_ids=ids, labels=labels, values=scores, polarity=Polarity.HIGHER_IS_BONA_FIDE
+        )
+        expected_scores = oracles.csv_lines(
+            ["sample_id", "label", "score"], [[i, l.value, repr(s)] for i, l, s in rows]
+        )
+        assert write_scores(score_set).encode("utf-8") == expected_scores.encode("utf-8")
+        expected_labels = oracles.csv_lines(["sample_id", "label"], [[i, l.value] for i, l, _ in rows])
+        assert write_labels(dict(zip(ids, labels))).encode("utf-8") == expected_labels.encode("utf-8")
 
 
 class TestLabelsCsv:
