@@ -133,9 +133,9 @@ class ScoreSet:
         EmptySetError: the set holds no samples.
         DuplicateIdError: two samples share a ``sample_id``.
         NonFiniteScoreError: a score is NaN or +/-inf.
-        ValidationError: an id is empty or contains NUL or line breaks, a
-            label/polarity field holds a foreign type, or the columns differ
-            in length.
+        ValidationError: an id is empty or contains NUL, a line break or a
+            surrogate, a label/polarity field holds a foreign type, or the
+            columns differ in length.
     """
 
     sample_ids: tuple[str, ...]
@@ -197,28 +197,47 @@ class ScoreSet:
         )
 
 
-def _id_ok(sample_id: object) -> bool:
-    """Ids are non-empty line-atomic tokens: no NUL, no CR, no LF.
+def _ids_ok(ids: Sequence[object]) -> bool:
+    """The sample-id rule over a whole column, and uniqueness.
 
+    Ids are non-empty line-atomic strings of Unicode scalar values: no NUL,
+    no CR, no LF, and nothing UTF-8 cannot encode (a surrogate code point).
     Line breaks are excluded so that ids sit on one line of every text
     format and error messages can cite meaningful line numbers.
     """
+    try:
+        joined = "".join(ids)  # TypeError on a non-str id
+        joined.encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
+        return False
     return (
-        isinstance(sample_id, str)
-        and sample_id != ""
-        and "\x00" not in sample_id
-        and "\r" not in sample_id
-        and "\n" not in sample_id
+        all(ids)
+        and "\x00" not in joined
+        and "\r" not in joined
+        and "\n" not in joined
+        and len(set(ids)) == len(ids)
     )
 
 
+def _id_ok(sample_id: object) -> bool:
+    """The sample-id rule for one id."""
+    return _ids_ok((sample_id,))
+
+
 def _check_ids(ids: Sequence[str]) -> None:
-    """Apply the id rule to every id and require them to be unique."""
+    """Apply the id rule to every id and require them to be unique.
+
+    The column is checked at once; only a failing column is walked id by id
+    to name the first offender.
+    """
+    if _ids_ok(ids):
+        return
     seen: set[str] = set()
     for sid in ids:
         if not _id_ok(sid):
             raise ValidationError(
-                f"sample_id must be a non-empty single-line string without NUL, got {sid!r}"
+                "sample_id must be a non-empty single-line string without NUL or "
+                f"surrogates, got {sid!r}"
             )
         if sid in seen:
             raise DuplicateIdError(sid)

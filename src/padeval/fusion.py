@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import EmptySetError, PolarityMismatchError, ScoreSet, ValidationError
 
 __all__ = [
@@ -52,10 +54,10 @@ def minmax_fit(scores: Sequence[float]) -> MinMaxParams:
         EmptySetError: no scores.
         ValidationError: a score is non-finite.
     """
-    values = [float(s) for s in scores]
+    values = list(map(float, scores))
     if not values:
         raise EmptySetError("cannot fit min-max parameters on no scores")
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise ValidationError("scores contain a non-finite value")
     return MinMaxParams(lo=min(values), hi=max(values))
 
@@ -64,15 +66,32 @@ def minmax_apply(params: MinMaxParams, score: float) -> float:
     """Map ``score`` onto [0, 1] under ``params``, clamping out-of-range input.
 
     Degenerate parameters (``hi == lo``) carry no scale information, so
-    every score maps to the neutral value 0.5.
+    every score maps to the neutral value 0.5.  A range too wide for
+    ``hi - lo`` to be finite maps the halved score over the halved range.
     """
     score = float(score)
     if not math.isfinite(score):
         raise ValidationError(f"score must be finite, got {score!r}")
+    return float(_normalise(params, np.array([score]))[0])
+
+
+def _normalise(params: MinMaxParams, scores: np.ndarray) -> np.ndarray:
+    """The clamped ``(s - lo) / (hi - lo)`` of each finite score.
+
+    When ``hi - lo`` overflows, the halved values are mapped instead,
+    ``(s/2 - lo/2) / (hi/2 - lo/2)``, whose range is finite.
+    """
     if params.degenerate:
-        return 0.5
-    t = (score - params.lo) / (params.hi - params.lo)
-    return min(max(t, 0.0), 1.0)
+        return np.full(scores.shape, 0.5)
+    lo, hi = params.lo, params.hi
+    if math.isfinite(hi - lo):
+        t = (scores - lo) / (hi - lo)
+    else:
+        t = (scores / 2 - lo / 2) / (hi / 2 - lo / 2)
+    # the comparisons of min(max(t, 0.0), 1.0), which keep a -0.0
+    t[t < 0.0] = 0.0
+    t[t > 1.0] = 1.0
+    return t
 
 
 def fuse(a: ScoreSet, b: ScoreSet, w_a: float = 0.5, w_b: float = 0.5) -> ScoreSet:
@@ -96,15 +115,12 @@ def fuse(a: ScoreSet, b: ScoreSet, w_a: float = 0.5, w_b: float = 0.5) -> ScoreS
         raise WeightError(f"weights must be non-negative and finite, got {w_a!r}, {w_b!r}")
     if abs((w_a + w_b) - 1.0) > 1e-9:
         raise WeightError(f"weights must sum to 1, got {w_a!r} + {w_b!r}")
-    # ids are unique within each set, so equal sizes and a in b mean the same ids
-    b_index = {sid: k for k, sid in enumerate(b.sample_ids)}
-    if len(a) != len(b) or not all(sid in b_index for sid in a.sample_ids):
+    b_index = dict(zip(b.sample_ids, range(len(b))))
+    if b_index.keys() != set(a.sample_ids):
         odd = sorted(set(a.sample_ids).symmetric_difference(b_index))[0]
         raise IdMismatchError(f"score sets cover different samples (first difference: {odd!r})")
-    scores_a, scores_b = a.scores(), b.scores()
-    params_a, params_b = minmax_fit(scores_a), minmax_fit(scores_b)
-    values = [
-        w_a * minmax_apply(params_a, s) + w_b * minmax_apply(params_b, scores_b[b_index[sid]])
-        for sid, s in zip(a.sample_ids, scores_a)
-    ]
+    b_order = np.fromiter(map(b_index.__getitem__, a.sample_ids), dtype=np.intp, count=len(a))
+    norm_a = _normalise(minmax_fit(a.scores()), a.values)
+    norm_b = _normalise(minmax_fit(b.scores()), b.values)
+    values = w_a * norm_a + w_b * norm_b[b_order]
     return ScoreSet(sample_ids=a.sample_ids, labels=a.labels, values=values, polarity=a.polarity)

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .core import (
     ValidationError,
     _check_ids,
     _id_ok,
+    _ids_ok,
 )
 from .metrics import DetAxes, DetCurve, PadReport, VulnReport
 from .ocsvm import OcsvmDiagnostics, OcsvmModel
@@ -151,29 +152,89 @@ def _decode(data: Union[bytes, str], what: str) -> str:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
-def _csv_rows(text: str, what: str) -> list[tuple[int, list[str]]]:
-    """All non-blank CSV rows with one-based line numbers."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows: list[tuple[int, list[str]]] = []
+@dataclass
+class _Table:
+    """A CSV table read in one pass, blank lines skipped.
+
+    ``cells`` holds every cell of the data rows that are as wide as the
+    header, row after row, and ``lines`` their one-based line numbers.
+    ``ragged`` is the first data row of another width, as ``(number of
+    rows before it, line, fields)``, or None.
+    """
+
+    header: list[str]
+    header_line: int
+    cells: list[str]
+    lines: list[int]
+    ragged: tuple[int, int, list[str]] | None
+
+    def column(self, k: int) -> list[str]:
+        return self.cells[k :: len(self.header)]
+
+    def value_cells(self) -> list[str]:
+        """Every cell but those of the first (id or index) column, row after row."""
+        values = self.cells.copy()
+        del values[:: len(self.header)]
+        return values
+
+    def rows(self) -> Iterator[tuple[int, list[str]]]:
+        """The data rows with their line numbers in file order, up to the
+        first ragged row."""
+        width = len(self.header)
+        n = len(self.lines) if self.ragged is None else self.ragged[0]
+        for r in range(n):
+            yield self.lines[r], self.cells[r * width : (r + 1) * width]
+        if self.ragged is not None:
+            yield self.ragged[1], self.ragged[2]
+
+
+def _read_table(data: Union[bytes, str], what: str) -> _Table:
+    """Read a CSV table as one stream into a flat list of cells.
+
+    A CSV syntax error anywhere wins over every error in the rows, which
+    are checked only after the whole input has been read.
+    """
+    reader = csv.reader(io.StringIO(_decode(data, what), newline=""))
+    header: list[str] = []
+    header_line = 0
+    cells: list[str] = []
+    lines: list[int] = []
+    ragged = None
     try:
+        for header in reader:
+            if header:
+                break
+        header_line = reader.line_num
         for fields in reader:
-            if fields:
-                rows.append((reader.line_num, fields))
+            if len(fields) == len(header):
+                cells.extend(fields)
+                lines.append(reader.line_num)
+            elif fields and ragged is None:
+                ragged = (len(lines), reader.line_num, fields)
     except csv.Error as exc:
         raise ParseError(f"bad CSV: {exc}", line=reader.line_num) from None
-    if not rows:
+    if not header:
         raise EmptyFileError(f"{what} holds no content")
-    return rows
+    return _Table(header, header_line, cells, lines, ragged)
 
 
-def _check_header(rows: list[tuple[int, list[str]]], expected: list[str], what: str) -> None:
-    line, fields = rows[0]
-    if fields != expected:
-        raise ParseError(
-            f"expected {what} header {','.join(expected)!r}, got {','.join(fields)!r}", line=line
-        )
-    if len(rows) == 1:
+def _require_rows(table: _Table, what: str) -> None:
+    if not table.lines and table.ragged is None:
         raise EmptyFileError(f"{what} has a header but no data rows")
+
+
+def _check_header(table: _Table, expected: list[str], what: str) -> None:
+    if table.header != expected:
+        raise ParseError(
+            f"expected {what} header {','.join(expected)!r}, got {','.join(table.header)!r}",
+            line=table.header_line,
+        )
+    _require_rows(table, what)
+
+
+def _floats(tokens: list[str]) -> np.ndarray:
+    """Python's ``float`` of each token, as one float64 array; ValueError on a bad token."""
+    return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
 
 
 def _parse_float(token: str, line: int, what: str) -> float:
@@ -228,17 +289,33 @@ def parse_scores(data: Union[bytes, str], polarity: Polarity) -> ScoreSet:
     """
     if not isinstance(polarity, Polarity):
         raise ValidationError(f"polarity must be a Polarity, got {polarity!r}")
-    rows = _csv_rows(_decode(data, "scores CSV"), "scores CSV")
-    _check_header(rows, _SCORES_HEADER, "scores")
+    table = _read_table(data, "scores CSV")
+    _check_header(table, _SCORES_HEADER, "scores")
+    if table.ragged is None:
+        try:
+            return ScoreSet(
+                sample_ids=table.column(0),
+                labels=list(map(LABEL_BY_NAME.get, table.column(1))),
+                values=_floats(table.column(2)),
+                polarity=polarity,
+            )
+        except (ValueError, ValidationError):
+            pass  # some row is at fault: the row walk names the first one
+    ids, labels, values = _score_rows(table.rows())
+    return ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=polarity)
+
+
+def _score_rows(rows: Iterable[tuple[int, list[str]]]) -> tuple[list[str], list[Label], list[float]]:
+    """Check a scores table row by row; raises the first row error in file order."""
     seen: set[str] = set()
     ids, labels, scores = [], [], []
-    for line, fields in rows[1:]:
+    for line, fields in rows:
         if len(fields) != 3:
             raise RaggedRowError(f"expected 3 columns, got {len(fields)}", line=line)
         ids.append(_parse_id(fields[0], line, seen))
         labels.append(_parse_label(fields[1], line))
         scores.append(_parse_float(fields[2], line, "score"))
-    return ScoreSet(sample_ids=ids, labels=labels, values=scores, polarity=polarity)
+    return ids, labels, scores
 
 
 def write_scores(score_set: ScoreSet) -> str:
@@ -250,11 +327,20 @@ def write_scores(score_set: ScoreSet) -> str:
 
 def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
     """Read a ``sample_id,label`` table into an ordered mapping."""
-    rows = _csv_rows(_decode(data, "labels CSV"), "labels CSV")
-    _check_header(rows, _LABELS_HEADER, "labels")
+    table = _read_table(data, "labels CSV")
+    _check_header(table, _LABELS_HEADER, "labels")
+    if table.ragged is None:
+        ids, labels = table.column(0), list(map(LABEL_BY_NAME.get, table.column(1)))
+        if None not in labels and _ids_ok(ids):
+            return dict(zip(ids, labels))
+    return _label_rows(table.rows())
+
+
+def _label_rows(rows: Iterable[tuple[int, list[str]]]) -> dict[str, Label]:
+    """Check a labels table row by row; raises the first row error in file order."""
     seen: set[str] = set()
     labels: dict[str, Label] = {}
-    for line, fields in rows[1:]:
+    for line, fields in rows:
         if len(fields) != 2:
             raise RaggedRowError(f"expected 2 columns, got {len(fields)}", line=line)
         sid = _parse_id(fields[0], line, seen)
@@ -273,27 +359,37 @@ def _features_header(d: int) -> list[str]:
 
 def parse_features(data: Union[bytes, str]) -> FeatureMatrix:
     """Read a ``sample_id,f0,...,f{d-1}`` table."""
-    rows = _csv_rows(_decode(data, "features CSV"), "features CSV")
-    line0, header = rows[0]
+    table = _read_table(data, "features CSV")
+    header = table.header
     if len(header) < 2 or header != _features_header(len(header) - 1):
+        shown = ",".join(header[:4]) + (",..." if len(header) > 4 else "")
         raise ParseError(
-            "expected features header 'sample_id,f0,...,f{d-1}', got "
-            f"{','.join(header[:4])}{',...' if len(header) > 4 else ''!r}",
-            line=line0,
+            f"expected features header 'sample_id,f0,...,f{{d-1}}', got {shown!r}",
+            line=table.header_line,
         )
-    if len(rows) == 1:
-        raise EmptyFileError("features CSV has a header but no data rows")
+    _require_rows(table, "features CSV")
     d = len(header) - 1
+    if table.ragged is None:
+        try:
+            values = _floats(table.value_cells()).reshape(-1, d)
+            return FeatureMatrix(sample_ids=table.column(0), values=values)
+        except (ValueError, ValidationError):
+            pass  # some row is at fault: the row walk names the first one
+    ids, values = _feature_rows(table.rows(), d)
+    return FeatureMatrix(sample_ids=ids, values=values)
+
+
+def _feature_rows(rows: Iterable[tuple[int, list[str]]], d: int) -> tuple[list[str], np.ndarray]:
+    """Check a features table row by row; raises the first row error in file order."""
     seen: set[str] = set()
     ids: list[str] = []
-    values = np.empty((len(rows) - 1, d), dtype=np.float64)
-    for r, (line, fields) in enumerate(rows[1:]):
+    values: list[list[float]] = []
+    for line, fields in rows:
         if len(fields) != d + 1:
             raise RaggedRowError(f"expected {d + 1} columns, got {len(fields)}", line=line)
         ids.append(_parse_id(fields[0], line, seen))
-        for k in range(d):
-            values[r, k] = _parse_float(fields[k + 1], line, f"feature f{k}")
-    return FeatureMatrix(sample_ids=tuple(ids), values=values)
+        values.append([_parse_float(fields[k + 1], line, f"feature f{k}") for k in range(d)])
+    return ids, np.array(values, dtype=np.float64).reshape(-1, d)
 
 
 def write_features(features: FeatureMatrix) -> str:
@@ -303,10 +399,21 @@ def write_features(features: FeatureMatrix) -> str:
 
 def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
     """Read an ``index,x,y`` table; indices must run 0, 1, 2, ... in order."""
-    rows = _csv_rows(_decode(data, "landmarks CSV"), "landmarks CSV")
-    _check_header(rows, _LANDMARKS_HEADER, "landmarks")
-    points = np.empty((len(rows) - 1, 2), dtype=np.float64)
-    for r, (line, fields) in enumerate(rows[1:]):
+    table = _read_table(data, "landmarks CSV")
+    _check_header(table, _LANDMARKS_HEADER, "landmarks")
+    if table.ragged is None:
+        try:
+            if list(map(int, table.column(0))) == list(range(len(table.lines))):
+                return LandmarkSet(points=_floats(table.value_cells()).reshape(-1, 2))
+        except (ValueError, ValidationError):
+            pass  # some row is at fault: the row walk names the first one
+    return LandmarkSet(points=_landmark_rows(table.rows()))
+
+
+def _landmark_rows(rows: Iterable[tuple[int, list[str]]]) -> np.ndarray:
+    """Check a landmarks table row by row; raises the first row error in file order."""
+    points = []
+    for r, (line, fields) in enumerate(rows):
         if len(fields) != 3:
             raise RaggedRowError(f"expected 3 columns, got {len(fields)}", line=line)
         try:
@@ -315,9 +422,8 @@ def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
             raise ParseError(f"bad index {fields[0]!r}", line=line) from None
         if index != r:
             raise ParseError(f"landmark indices must increase from 0; expected {r}, got {index}", line=line)
-        points[r, 0] = _parse_float(fields[1], line, "x")
-        points[r, 1] = _parse_float(fields[2], line, "y")
-    return LandmarkSet(points=points)
+        points.append([_parse_float(fields[1], line, "x"), _parse_float(fields[2], line, "y")])
+    return np.array(points, dtype=np.float64)
 
 
 def write_landmarks(landmarks: LandmarkSet) -> str:
@@ -337,11 +443,11 @@ class ManifestRow:
 
 def parse_manifest(data: Union[bytes, str]) -> list[ManifestRow]:
     """Read a ``sample_id,depth,landmarks,label`` batch manifest."""
-    rows = _csv_rows(_decode(data, "manifest CSV"), "manifest CSV")
-    _check_header(rows, _MANIFEST_HEADER, "manifest")
+    table = _read_table(data, "manifest CSV")
+    _check_header(table, _MANIFEST_HEADER, "manifest")
     seen: set[str] = set()
     out = []
-    for line, fields in rows[1:]:
+    for line, fields in table.rows():
         if len(fields) != 4:
             raise RaggedRowError(f"expected 4 columns, got {len(fields)}", line=line)
         sid = _parse_id(fields[0], line, seen)

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from padeval.ingest import ParseError
+
 # ---------------------------------------------------------------------------
 # threshold-sweep metrics
 
@@ -99,6 +101,20 @@ def det_points(positives, negatives):
 # CSV tables
 
 
+def csv_rows(text):
+    """Every non-blank CSV row with its one-based line number, the whole
+    input read before any row is returned; a CSV syntax error raises."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = []
+    try:
+        for fields in reader:
+            if fields:
+                rows.append((reader.line_num, fields))
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV: {exc}", line=reader.line_num) from None
+    return rows
+
+
 def csv_lines(header, rows):
     """CSV text written line by line, each line through a writer of its own."""
     lines = []
@@ -143,6 +159,8 @@ def fuse_reference(ids_a, scores_a, ids_b, scores_b, w_a, w_b):
     def norm(s, lo, hi):
         if hi == lo:
             return 0.5
+        if math.isinf(hi - lo):  # the range overflows: map the halved values
+            return min(max((s / 2 - lo / 2) / (hi / 2 - lo / 2), 0.0), 1.0)
         return min(max((s - lo) / (hi - lo), 0.0), 1.0)
 
     by_id_b = dict(zip(ids_b, scores_b))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,6 +28,8 @@ from padeval import (
 finite_scores = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+# signed zeros, subnormals and ranges whose width overflows
+any_finite = st.one_of(finite_scores, st.floats(allow_nan=False, allow_infinity=False))
 
 
 class TestMinMax:
@@ -144,7 +147,7 @@ class TestFuse:
             fuse(a, b)
 
     @given(
-        st.lists(st.tuples(finite_scores, finite_scores), min_size=1, max_size=60),
+        st.lists(st.tuples(any_finite, any_finite), min_size=1, max_size=60),
         st.integers(min_value=0, max_value=1000),
     )
     def test_matches_reference_and_stays_bounded(self, pairs, w_millis):
@@ -155,8 +158,17 @@ class TestFuse:
         expected = oracles.fuse_reference(
             a.ids(), [p[0] for p in pairs], b.ids(), [p[1] for p in pairs], w_a, 1.0 - w_a
         )
-        assert fused.scores() == expected
+        assert fused.values.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
         assert all(0.0 <= s <= 1.0 for s in fused.scores())
+
+    def test_overflowing_range_maps_halved_values(self):
+        # hi - lo overflows to inf; the halved range still spans the scores
+        a = make_score_set([-1.7e308, 0.0, 1.7e308])
+        b = make_score_set([0.0, 1.0, 2.0])
+        assert fuse(a, b, w_a=1.0, w_b=0.0).scores() == [0.0, 0.5, 1.0]
+        assert minmax_apply(minmax_fit(a.scores()), 0.0) == 0.5
+        expected = oracles.fuse_reference(a.ids(), a.scores(), b.ids(), b.scores(), 0.5, 0.5)
+        assert fuse(a, b).scores() == expected == [0.0, 0.5, 1.0]
 
     @given(st.lists(st.tuples(finite_scores, finite_scores), min_size=2, max_size=40))
     def test_comonotone_inputs_fuse_monotonically(self, pairs):

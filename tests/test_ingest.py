@@ -36,6 +36,7 @@ from padeval import (
     gen_features,
     SynthFeatureSpec,
 )
+from padeval import ingest
 from padeval.ingest import (
     BadMagicError,
     BadMaxvalError,
@@ -72,11 +73,12 @@ sample_ids = st.text(min_size=1, max_size=30).filter(
 )
 any_label = st.sampled_from(list(PresentationLabel) + list(TrialLabel))
 # ids that need CSV quoting or carry non-ASCII text: delimiters, quotes,
-# tabs, edge spaces, accents, symbols outside the BMP
+# tabs, edge spaces, accents, symbols outside the BMP; no surrogates, which
+# no id may hold
 csv_ids = st.text(
     alphabet=st.one_of(
         st.sampled_from([",", '"', "\t", " ", "é", "€", "\u2028", "\U0001f600"]),
-        st.characters(exclude_characters="\x00\r\n"),
+        st.characters(exclude_characters="\x00\r\n", exclude_categories=("Cs",)),
     ),
     min_size=1,
     max_size=12,
@@ -209,6 +211,20 @@ class TestOneWriterTables:
         expected_labels = oracles.csv_lines(["sample_id", "label"], [[i, l.value] for i, l, _ in rows])
         assert write_labels(dict(zip(ids, labels))).encode("utf-8") == expected_labels.encode("utf-8")
 
+    def test_surrogate_ids_refused(self):
+        # a lone surrogate cannot be written as UTF-8
+        with pytest.raises(ValidationError, match="sample_id must be"):
+            ScoreSet(
+                sample_ids=("\ud800",),
+                labels=(PresentationLabel.ATTACK,),
+                values=(1.0,),
+                polarity=Polarity.HIGHER_IS_BONA_FIDE,
+            )
+        with pytest.raises(ValidationError, match="sample_id must be"):
+            FeatureMatrix(sample_ids=("\ud800",), values=[[1.0]])
+        with pytest.raises(ValidationError, match="sample_id must be"):
+            write_labels({"\ud800": PresentationLabel.ATTACK})
+
 
 class TestLabelsCsv:
     @given(
@@ -260,10 +276,202 @@ class TestFeaturesCsv:
         with pytest.raises(ParseError, match="header"):
             parse_features("sample_id\na\n")
 
+    def test_header_message_quotes_the_fragment(self):
+        with pytest.raises(ParseError) as err:
+            parse_features("a,b\nx,1\n")
+        assert str(err.value) == "line 1: expected features header 'sample_id,f0,...,f{d-1}', got 'a,b'"
+        with pytest.raises(ParseError) as err:
+            parse_features("a,b,c,d,e,f\nx,1,2,3,4,5\n")
+        assert str(err.value).endswith(", got 'a,b,c,d,...'")
+
     def test_ragged_row(self):
         with pytest.raises(RaggedRowError) as err:
             parse_features("sample_id,f0,f1\na,1.0,2.0\nb,3.0\n")
         assert err.value.line == 3
+
+
+# ---------------------------------------------------------------------------
+# the column parsers against the row walk they fall back to
+
+_HEADERS = {
+    "scores": ["sample_id", "label", "score"],
+    "labels": ["sample_id", "label"],
+    "landmarks": ["index", "x", "y"],
+}
+# floats as written, and other spellings Python's float accepts
+_float_tokens = st.one_of(
+    finite_floats.map(repr), st.sampled_from([" 1.5", "1_000", "+.5", "1E3", "\u0661", "-0.0"])
+)
+_label_tokens = any_label.map(lambda lab: lab.value)
+# each fault as (what, how): a bad or repeated id, a bad cell, a row of the
+# wrong width, a field beyond the CSV size limit, or a blank line (no fault)
+_FAULTS = [
+    ("id", ""),
+    ("id", "a\nb"),
+    ("id", "nul\x00"),
+    ("id", "\ud800"),
+    ("id", None),  # the id of another row
+    ("cell", "genuine"),
+    ("cell", "abc"),
+    ("cell", ""),
+    ("cell", "inf"),
+    ("cell", "nan"),
+    ("cell", "1e999"),
+    ("ragged", "extra"),
+    ("ragged", None),
+    ("syntax", "x" * 131073),
+    ("blank", None),
+]
+
+
+def _header(kind, d):
+    return _HEADERS.get(kind) or ["sample_id"] + [f"f{k}" for k in range(d)]
+
+
+@st.composite
+def _tables(draw, kind):
+    d = draw(st.integers(min_value=1, max_value=4))
+    ids = draw(st.lists(csv_ids, min_size=1, max_size=10, unique=True))
+    if kind == "labels":
+        rows = [[sid, draw(_label_tokens)] for sid in ids]
+    elif kind == "landmarks":
+        spellings = [lambda k: str(k), lambda k: f" {k}", lambda k: f"+{k}", lambda k: f"0{k}"]
+        rows = [[draw(st.sampled_from(spellings))(k), draw(_float_tokens), draw(_float_tokens)]
+                for k in range(len(ids))]
+    elif kind == "scores":
+        rows = [[sid, draw(_label_tokens), draw(_float_tokens)] for sid in ids]
+    else:
+        rows = [[sid, *draw(st.lists(_float_tokens, min_size=d, max_size=d))] for sid in ids]
+    return _header(kind, d), rows
+
+
+def _inject(rows, faults):
+    """A copy of ``rows`` with each ``((what, how), row index, column)`` applied."""
+    rows = [list(row) for row in rows]
+    blanks = []
+    for (what, how), r, c in faults:
+        row = rows[r]
+        if what == "id":
+            row[0] = rows[(r + 1) % len(rows)][0] if how is None else how
+        elif what == "cell" and len(row) > 1:
+            row[1 + c % (len(row) - 1)] = how
+        elif what == "ragged" and how is not None:
+            row.append(how)
+        elif what == "ragged" and len(row) > 1:
+            row.pop()
+        elif what == "syntax":
+            row[c % len(row)] = how
+        else:
+            blanks.append(r)
+    for r in sorted(blanks, reverse=True):
+        rows.insert(r, [])  # the writer puts out a bare line break
+    return rows
+
+
+_PARSERS = {
+    "scores": lambda text: parse_scores(text, Polarity.HIGHER_IS_BONA_FIDE),
+    "labels": parse_labels,
+    "features": parse_features,
+    "landmarks": parse_landmarks,
+}
+_WALKS = {
+    "scores": "_score_rows",
+    "labels": "_label_rows",
+    "features": "_feature_rows",
+    "landmarks": "_landmark_rows",
+}
+_KINDS = list(_WALKS)
+
+
+def _parse(kind, text):
+    return _PARSERS[kind](text)
+
+
+def _parse_by_rows(kind, text, walk):
+    """The table read whole, then checked and converted row by row."""
+    header, *rows = oracles.csv_rows(text)
+    if kind == "scores":
+        ids, labels, values = walk(rows)
+        return ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=Polarity.HIGHER_IS_BONA_FIDE)
+    if kind == "labels":
+        return walk(rows)
+    if kind == "landmarks":
+        return LandmarkSet(points=walk(rows))
+    ids, values = walk(rows, len(header[1]) - 1)
+    return FeatureMatrix(sample_ids=ids, values=values)
+
+
+def _columns(parsed):
+    if isinstance(parsed, dict):
+        return list(parsed.items())
+    if isinstance(parsed, LandmarkSet):
+        return parsed.points.view(np.uint64).tolist()
+    labels = getattr(parsed, "labels", None)
+    return parsed.sample_ids, labels, parsed.values.view(np.uint64).tolist()
+
+
+def _outcome(parse, *args):
+    try:
+        return _columns(parse(*args))
+    except PadevalError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestColumnParsersMatchRowWalk:
+    @given(st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(st.just(kind), _tables(kind))),
+           st.lists(st.integers(min_value=0, max_value=9), max_size=3))
+    def test_valid_tables_never_enter_the_row_walk(self, kind_table, blank_rows):
+        kind, (header, rows) = kind_table
+        blanks = [(("blank", None), r % len(rows), 0) for r in blank_rows]
+        text = oracles.csv_lines(header, _inject(rows, blanks))
+        walk = getattr(ingest, _WALKS[kind])
+        expected = _columns(_parse_by_rows(kind, text, walk))
+
+        def entered(*args):
+            raise AssertionError("the row walk ran on a valid table")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, _WALKS[kind], entered)
+            assert _columns(_parse(kind, text)) == expected
+
+    @given(
+        st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(st.just(kind), _tables(kind))),
+        st.lists(
+            st.tuples(st.sampled_from(_FAULTS), st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=2
+        ),
+    )
+    def test_faulty_tables_fail_like_the_row_walk(self, kind_table, faults):
+        kind, (header, rows) = kind_table
+        faults = [(fault, r % len(rows), c) for fault, r, c in faults]
+        text = oracles.csv_lines(header, _inject(rows, faults))
+        walk = getattr(ingest, _WALKS[kind])
+        assert _outcome(_parse, kind, text) == _outcome(_parse_by_rows, kind, text, walk)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize(
+        "faults, line",
+        [
+            pytest.param([(("cell", "abc"), 0, 0), (("syntax", "x" * 131073), 2, 1)], 4,
+                         id="csv-syntax-error-after-a-row-error"),
+            pytest.param([(("id", ""), 1, 0), (("ragged", "extra"), 2, 0)], 3,
+                         id="ragged-row-after-a-bad-id"),
+            pytest.param([(("ragged", "extra"), 1, 0), (("ragged", None), 3, 0)], 3,
+                         id="ragged-row-after-a-ragged-row"),
+            pytest.param([(("cell", "inf"), 1, 0), (("id", None), 2, 0)], 3,
+                         id="duplicate-id-after-a-non-finite-score"),
+            pytest.param([(("blank", None), 0, 0), (("blank", None), 2, 0), (("cell", "nan"), 2, 0)], 6,
+                         id="blank-lines"),
+            pytest.param([(("cell", "1e999"), 3, 0)], 5, id="quoted-ids-with-commas"),
+        ],
+    )
+    def test_fault_orders(self, kind, faults, line):
+        ids = ["a,b", '"q", r', "c", "d,e,", "f"] if kind != "landmarks" else list("01234")
+        cells = {"scores": ["attack", "0.5"], "labels": ["bonafide"]}.get(kind, ["0.5", "-1.5"])
+        rows = [[sid, *cells] for sid in ids]
+        text = oracles.csv_lines(_header(kind, 2), _inject(rows, faults))
+        outcome = _outcome(_parse, kind, text)
+        assert outcome == _outcome(_parse_by_rows, kind, text, getattr(ingest, _WALKS[kind]))
+        assert issubclass(outcome[0], ParseError) and outcome[2] == line
 
 
 class TestLandmarksCsv:
