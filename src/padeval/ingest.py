@@ -16,9 +16,10 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -47,8 +48,6 @@ __all__ = [
     "TruncatedError",
     "UnsupportedVersionError",
     "EmptyFileError",
-    "FormatVersion",
-    "FORMAT",
     "DEFAULTS",
     "ManifestRow",
     "fmt_float",
@@ -106,13 +105,8 @@ class EmptyFileError(ParseError):
     """The input holds no content (or no data rows)."""
 
 
-@dataclass(frozen=True)
-class FormatVersion:
-    magic: str = "PADEVAL"
-    version: int = 1
-
-
-FORMAT = FormatVersion()
+_MAGIC = "PADEVAL"
+_VERSION = 1
 
 #: Package-wide parameter defaults, echoed into every report for provenance.
 DEFAULTS: dict[str, object] = {
@@ -127,6 +121,8 @@ _LABELS_HEADER = ["sample_id", "label"]
 _LANDMARKS_HEADER = ["index", "x", "y"]
 _MANIFEST_HEADER = ["sample_id", "depth", "landmarks", "label"]
 _DET_HEADER = "threshold,apcer_or_fmr,bpcer_or_fnmr"
+#: The JSON type of each count and flag in a model's diagnostics block.
+_DIAGNOSTIC_TYPES = {"iterations": int, "n_support": int, "n_margin_errors": int, "degenerate_data": bool}
 
 
 def fmt_float(value: float) -> str:
@@ -237,28 +233,37 @@ def _floats(tokens: list[str]) -> np.ndarray:
     return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
 
 
-def _parse_float(token: str, line: int, what: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"bad {what} {token!r}", line=line) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{what} must be finite, got {token!r}", line=line)
-    return value
+def _walk(table: _Table, cells: Sequence[Callable[[str, int, int], object]]) -> list[list]:
+    """One list per column, each cell converted by its column's ``cell(token,
+    line, row_index)``; raises at the first row of the wrong width or else
+    the leftmost faulty cell, whichever comes first in file order."""
+    columns: list[list] = [[] for _ in cells]
+    for r, (line, fields) in enumerate(table.rows()):
+        if len(fields) != len(cells):
+            raise RaggedRowError(f"expected {len(cells)} columns, got {len(fields)}", line=line)
+        for column, cell, token in zip(columns, cells, fields):
+            column.append(cell(token, line, r))
+    return columns
 
 
-def _parse_id(token: str, line: int, seen: set[str]) -> str:
-    # ids are line-atomic: a quoted CSV field could smuggle in a line break,
-    # which the single-line writers could not reproduce
-    if not _id_ok(token):
-        raise ParseError(f"bad sample_id {token!r}", line=line)
-    if token in seen:
-        raise ParseError(f"duplicate sample_id {token!r}", line=line)
-    seen.add(token)
-    return token
+def _id_cell() -> Callable[[str, int, int], str]:
+    """A sample-id converter with its own record of the ids seen so far."""
+    seen: set[str] = set()
+
+    def cell(token: str, line: int, r: int) -> str:
+        # ids are line-atomic: a quoted CSV field could smuggle in a line break,
+        # which the single-line writers could not reproduce
+        if not _id_ok(token):
+            raise ParseError(f"bad sample_id {token!r}", line=line)
+        if token in seen:
+            raise ParseError(f"duplicate sample_id {token!r}", line=line)
+        seen.add(token)
+        return token
+
+    return cell
 
 
-def _parse_label(token: str, line: int) -> Label:
+def _label_cell(token: str, line: int, r: int) -> Label:
     label = LABEL_BY_NAME.get(token)
     if label is None:
         raise ParseError(
@@ -266,6 +271,37 @@ def _parse_label(token: str, line: int) -> Label:
             line=line,
         )
     return label
+
+
+def _float_cell(what: str) -> Callable[[str, int, int], float]:
+    """A converter to a finite float; ``what`` names the column in errors."""
+
+    def cell(token: str, line: int, r: int) -> float:
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(f"bad {what} {token!r}", line=line) from None
+        if not math.isfinite(value):
+            raise ParseError(f"{what} must be finite, got {token!r}", line=line)
+        return value
+
+    return cell
+
+
+def _index_cell(token: str, line: int, r: int) -> int:
+    try:
+        index = int(token)
+    except ValueError:
+        raise ParseError(f"bad index {token!r}", line=line) from None
+    if index != r:
+        raise ParseError(f"landmark indices must increase from 0; expected {r}, got {index}", line=line)
+    return index
+
+
+def _path_cell(token: str, line: int, r: int) -> str:
+    if token == "":
+        raise ParseError("depth and landmarks paths must be non-empty", line=line)
+    return token
 
 
 def _csv_table(header: Sequence[str], rows) -> str:
@@ -301,21 +337,8 @@ def parse_scores(data: Union[bytes, str], polarity: Polarity) -> ScoreSet:
             )
         except (ValueError, ValidationError):
             pass  # some row is at fault: the row walk names the first one
-    ids, labels, values = _score_rows(table.rows())
+    ids, labels, values = _walk(table, [_id_cell(), _label_cell, _float_cell("score")])
     return ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=polarity)
-
-
-def _score_rows(rows: Iterable[tuple[int, list[str]]]) -> tuple[list[str], list[Label], list[float]]:
-    """Check a scores table row by row; raises the first row error in file order."""
-    seen: set[str] = set()
-    ids, labels, scores = [], [], []
-    for line, fields in rows:
-        if len(fields) != 3:
-            raise RaggedRowError(f"expected 3 columns, got {len(fields)}", line=line)
-        ids.append(_parse_id(fields[0], line, seen))
-        labels.append(_parse_label(fields[1], line))
-        scores.append(_parse_float(fields[2], line, "score"))
-    return ids, labels, scores
 
 
 def write_scores(score_set: ScoreSet) -> str:
@@ -333,19 +356,7 @@ def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
         ids, labels = table.column(0), list(map(LABEL_BY_NAME.get, table.column(1)))
         if None not in labels and _ids_ok(ids):
             return dict(zip(ids, labels))
-    return _label_rows(table.rows())
-
-
-def _label_rows(rows: Iterable[tuple[int, list[str]]]) -> dict[str, Label]:
-    """Check a labels table row by row; raises the first row error in file order."""
-    seen: set[str] = set()
-    labels: dict[str, Label] = {}
-    for line, fields in rows:
-        if len(fields) != 2:
-            raise RaggedRowError(f"expected 2 columns, got {len(fields)}", line=line)
-        sid = _parse_id(fields[0], line, seen)
-        labels[sid] = _parse_label(fields[1], line)
-    return labels
+    return dict(zip(*_walk(table, [_id_cell(), _label_cell])))
 
 
 def write_labels(labels: Mapping[str, Label]) -> str:
@@ -375,21 +386,8 @@ def parse_features(data: Union[bytes, str]) -> FeatureMatrix:
             return FeatureMatrix(sample_ids=table.column(0), values=values)
         except (ValueError, ValidationError):
             pass  # some row is at fault: the row walk names the first one
-    ids, values = _feature_rows(table.rows(), d)
-    return FeatureMatrix(sample_ids=ids, values=values)
-
-
-def _feature_rows(rows: Iterable[tuple[int, list[str]]], d: int) -> tuple[list[str], np.ndarray]:
-    """Check a features table row by row; raises the first row error in file order."""
-    seen: set[str] = set()
-    ids: list[str] = []
-    values: list[list[float]] = []
-    for line, fields in rows:
-        if len(fields) != d + 1:
-            raise RaggedRowError(f"expected {d + 1} columns, got {len(fields)}", line=line)
-        ids.append(_parse_id(fields[0], line, seen))
-        values.append([_parse_float(fields[k + 1], line, f"feature f{k}") for k in range(d)])
-    return ids, np.array(values, dtype=np.float64).reshape(-1, d)
+    ids, *values = _walk(table, [_id_cell(), *(_float_cell(f"feature f{k}") for k in range(d))])
+    return FeatureMatrix(sample_ids=ids, values=np.column_stack(values))
 
 
 def write_features(features: FeatureMatrix) -> str:
@@ -407,23 +405,8 @@ def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
                 return LandmarkSet(points=_floats(table.value_cells()).reshape(-1, 2))
         except (ValueError, ValidationError):
             pass  # some row is at fault: the row walk names the first one
-    return LandmarkSet(points=_landmark_rows(table.rows()))
-
-
-def _landmark_rows(rows: Iterable[tuple[int, list[str]]]) -> np.ndarray:
-    """Check a landmarks table row by row; raises the first row error in file order."""
-    points = []
-    for r, (line, fields) in enumerate(rows):
-        if len(fields) != 3:
-            raise RaggedRowError(f"expected 3 columns, got {len(fields)}", line=line)
-        try:
-            index = int(fields[0])
-        except ValueError:
-            raise ParseError(f"bad index {fields[0]!r}", line=line) from None
-        if index != r:
-            raise ParseError(f"landmark indices must increase from 0; expected {r}, got {index}", line=line)
-        points.append([_parse_float(fields[1], line, "x"), _parse_float(fields[2], line, "y")])
-    return np.array(points, dtype=np.float64)
+    _, xs, ys = _walk(table, [_index_cell, _float_cell("x"), _float_cell("y")])
+    return LandmarkSet(points=np.column_stack([xs, ys]))
 
 
 def write_landmarks(landmarks: LandmarkSet) -> str:
@@ -445,23 +428,7 @@ def parse_manifest(data: Union[bytes, str]) -> list[ManifestRow]:
     """Read a ``sample_id,depth,landmarks,label`` batch manifest."""
     table = _read_table(data, "manifest CSV")
     _check_header(table, _MANIFEST_HEADER, "manifest")
-    seen: set[str] = set()
-    out = []
-    for line, fields in table.rows():
-        if len(fields) != 4:
-            raise RaggedRowError(f"expected 4 columns, got {len(fields)}", line=line)
-        sid = _parse_id(fields[0], line, seen)
-        if fields[1] == "" or fields[2] == "":
-            raise ParseError("depth and landmarks paths must be non-empty", line=line)
-        out.append(
-            ManifestRow(
-                sample_id=sid,
-                depth_path=fields[1],
-                landmarks_path=fields[2],
-                label=_parse_label(fields[3], line),
-            )
-        )
-    return out
+    return list(map(ManifestRow, *_walk(table, [_id_cell(), _path_cell, _path_cell, _label_cell])))
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +513,11 @@ def _load_versioned_json(data: Union[bytes, str], kind: str) -> dict:
         raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"{kind} must be a JSON object")
-    if obj.get("magic") != FORMAT.magic:
-        raise BadMagicError(f"missing or wrong magic (expected {FORMAT.magic!r})")
-    if obj.get("version") != FORMAT.version:
+    if obj.get("magic") != _MAGIC:
+        raise BadMagicError(f"missing or wrong magic (expected {_MAGIC!r})")
+    if obj.get("version") != _VERSION:
         raise UnsupportedVersionError(
-            f"unsupported format version {obj.get('version')!r} (this build reads {FORMAT.version})"
+            f"unsupported format version {obj.get('version')!r} (this build reads {_VERSION})"
         )
     return obj
 
@@ -616,8 +583,8 @@ def write_report(report: Union[PadReport, VulnReport], config: Mapping[str, obje
         raise ValidationError(f"cannot serialize report of type {type(report).__name__}")
     return _dump_json(
         {
-            "magic": FORMAT.magic,
-            "version": FORMAT.version,
+            "magic": _MAGIC,
+            "version": _VERSION,
             "kind": kind,
             "metrics": metrics,
             "summary": _summary(report),
@@ -651,8 +618,8 @@ def write_model(model: OcsvmModel) -> str:
     """Serialize a fitted model (weights, offset, standardizer, diagnostics)."""
     diag = model.diagnostics
     payload: dict[str, object] = {
-        "magic": FORMAT.magic,
-        "version": FORMAT.version,
+        "magic": _MAGIC,
+        "version": _VERSION,
         "kind": "ocsvm-model",
         "d": model.d,
         "nu": model.nu,
@@ -702,17 +669,18 @@ def parse_model(data: Union[bytes, str]) -> OcsvmModel:
     if diag_obj is not None:
         if not isinstance(diag_obj, dict):
             raise ParseError("diagnostics must be an object")
-        try:
-            diagnostics = OcsvmDiagnostics(
-                kkt_residual=float(diag_obj["kkt_residual"]),
-                iterations=int(diag_obj["iterations"]),
-                n_support=int(diag_obj["n_support"]),
-                n_margin_errors=int(diag_obj["n_margin_errors"]),
-                degenerate_data=bool(diag_obj["degenerate_data"]),
-                objective_trace=tuple(float(v) for v in diag_obj["objective_trace"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad diagnostics block: {exc}") from None
+        residual = diag_obj.get("kkt_residual")
+        if type(residual) not in (int, float) or not abs(residual) <= sys.float_info.max:
+            raise ParseError(f"bad diagnostics kkt_residual {residual!r}")
+        for name, kind in _DIAGNOSTIC_TYPES.items():
+            if type(diag_obj.get(name)) is not kind or diag_obj[name] < 0:
+                raise ParseError(f"bad diagnostics {name} {diag_obj.get(name)!r}")
+        trace = _float_list(diag_obj.get("objective_trace"), "diagnostics objective_trace")
+        diagnostics = OcsvmDiagnostics(
+            kkt_residual=float(residual),
+            objective_trace=tuple(trace.tolist()),
+            **{name: diag_obj[name] for name in _DIAGNOSTIC_TYPES},
+        )
     return OcsvmModel(
         w=w, rho=float(rho), nu=float(nu), dual_alphas=alphas, mean=mean, scale=scale, diagnostics=diagnostics
     )

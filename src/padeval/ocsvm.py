@@ -252,16 +252,6 @@ def _smo(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, int, float, list[float]]:
-    n = x.shape[0]
-    columns: dict[int, np.ndarray] = {}
-
-    def q_column(k: int) -> np.ndarray:
-        col = columns.get(k)
-        if col is None:
-            col = x @ x[k]
-            columns[k] = col
-        return col
-
     diag = np.einsum("ij,ij->i", x, x)
     iterations = 0
     trace: list[float] = []
@@ -276,7 +266,7 @@ def _smo(
                 break
             if iterations >= max_iter:
                 raise NotConvergedError(kkt_residual=residual, iterations=iterations)
-            col_i = q_column(i)
+            col_i = x @ x[i]
             # Second-order partner choice: the most-violating j (used for the
             # stopping test above) can zigzag, so step instead with the
             # shrinkable row promising the largest objective decrease
@@ -286,7 +276,7 @@ def _smo(
             pair_eta = np.maximum(diag[i] + diag - 2.0 * col_i, _ETA_FLOOR)
             gain = np.where((alpha > 0.0) & (gap > 0.0), gap * gap / pair_eta, -np.inf)
             j = int(np.argmax(gain))
-            col_j = q_column(j)
+            col_j = x @ x[j]
             step = float(gap[j]) / float(pair_eta[j])
             room_i = c_box - alpha[i]
             step = min(step, room_i, alpha[j])

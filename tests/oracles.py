@@ -18,7 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from padeval.ingest import ParseError
+from padeval.core import LABEL_BY_NAME, Label, _id_ok
+from padeval.ingest import ManifestRow, ParseError, RaggedRowError
+from padeval.ocsvm import _ETA_FLOOR, NotConvergedError
 
 # ---------------------------------------------------------------------------
 # threshold-sweep metrics
@@ -123,6 +125,115 @@ def csv_lines(header, rows):
         csv.writer(buf, lineterminator="\n").writerow(fields)
         lines.append(buf.getvalue())
     return "".join(lines)
+
+
+# The per-table row walks that checked each kind of table before one walk
+# driven by per-column converters served them all, kept unchanged as the
+# reference for the parsers' error precedence, messages and line numbers.
+
+
+def _parse_float(token: str, line: int, what: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"bad {what} {token!r}", line=line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {token!r}", line=line)
+    return value
+
+
+def _parse_id(token: str, line: int, seen: set[str]) -> str:
+    if not _id_ok(token):
+        raise ParseError(f"bad sample_id {token!r}", line=line)
+    if token in seen:
+        raise ParseError(f"duplicate sample_id {token!r}", line=line)
+    seen.add(token)
+    return token
+
+
+def _parse_label(token: str, line: int) -> Label:
+    label = LABEL_BY_NAME.get(token)
+    if label is None:
+        raise ParseError(
+            f"unknown label {token!r} (expected one of {', '.join(sorted(LABEL_BY_NAME))})",
+            line=line,
+        )
+    return label
+
+
+def score_rows(rows):
+    """Check a scores table row by row; raises the first row error in file order."""
+    seen: set[str] = set()
+    ids, labels, scores = [], [], []
+    for line, fields in rows:
+        if len(fields) != 3:
+            raise RaggedRowError(f"expected 3 columns, got {len(fields)}", line=line)
+        ids.append(_parse_id(fields[0], line, seen))
+        labels.append(_parse_label(fields[1], line))
+        scores.append(_parse_float(fields[2], line, "score"))
+    return ids, labels, scores
+
+
+def label_rows(rows):
+    """Check a labels table row by row; raises the first row error in file order."""
+    seen: set[str] = set()
+    labels: dict[str, Label] = {}
+    for line, fields in rows:
+        if len(fields) != 2:
+            raise RaggedRowError(f"expected 2 columns, got {len(fields)}", line=line)
+        sid = _parse_id(fields[0], line, seen)
+        labels[sid] = _parse_label(fields[1], line)
+    return labels
+
+
+def feature_rows(rows, d):
+    """Check a features table row by row; raises the first row error in file order."""
+    seen: set[str] = set()
+    ids: list[str] = []
+    values: list[list[float]] = []
+    for line, fields in rows:
+        if len(fields) != d + 1:
+            raise RaggedRowError(f"expected {d + 1} columns, got {len(fields)}", line=line)
+        ids.append(_parse_id(fields[0], line, seen))
+        values.append([_parse_float(fields[k + 1], line, f"feature f{k}") for k in range(d)])
+    return ids, np.array(values, dtype=np.float64).reshape(-1, d)
+
+
+def landmark_rows(rows):
+    """Check a landmarks table row by row; raises the first row error in file order."""
+    points = []
+    for r, (line, fields) in enumerate(rows):
+        if len(fields) != 3:
+            raise RaggedRowError(f"expected 3 columns, got {len(fields)}", line=line)
+        try:
+            index = int(fields[0])
+        except ValueError:
+            raise ParseError(f"bad index {fields[0]!r}", line=line) from None
+        if index != r:
+            raise ParseError(f"landmark indices must increase from 0; expected {r}, got {index}", line=line)
+        points.append([_parse_float(fields[1], line, "x"), _parse_float(fields[2], line, "y")])
+    return np.array(points, dtype=np.float64)
+
+
+def manifest_rows(rows):
+    """Check a manifest row by row; raises the first row error in file order."""
+    seen: set[str] = set()
+    out = []
+    for line, fields in rows:
+        if len(fields) != 4:
+            raise RaggedRowError(f"expected 4 columns, got {len(fields)}", line=line)
+        sid = _parse_id(fields[0], line, seen)
+        if fields[1] == "" or fields[2] == "":
+            raise ParseError("depth and landmarks paths must be non-empty", line=line)
+        out.append(
+            ManifestRow(
+                sample_id=sid,
+                depth_path=fields[1],
+                landmarks_path=fields[2],
+                label=_parse_label(fields[3], line),
+            )
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +392,75 @@ def ocsvm_dual_oracle(x, nu, max_steps=30000):
         if pol_obj < best_obj:
             return polished, pol_obj
     return best, best_obj
+
+
+def _kkt_residual(grad, alpha, c_box):
+    """Most-violating pair and its KKT gap (non-positive means optimal)."""
+    up = alpha < c_box
+    low = alpha > 0.0
+    if not up.any() or not low.any():
+        return -np.inf, -1, -1
+    grow = np.where(up, grad, np.inf)
+    shrink = np.where(low, grad, -np.inf)
+    i = int(np.argmin(grow))
+    j = int(np.argmax(shrink))
+    return float(grad[j] - grad[i]), i, j
+
+
+def smo_cached(x, alpha, c_box, tol, max_iter):
+    """The SMO loop as it was with a cache of every Gram column it computed,
+    kept as the bit-for-bit reference for the solver without the cache."""
+    columns: dict[int, np.ndarray] = {}
+
+    def q_column(k: int) -> np.ndarray:
+        col = columns.get(k)
+        if col is None:
+            col = x @ x[k]
+            columns[k] = col
+        return col
+
+    diag = np.einsum("ij,ij->i", x, x)
+    iterations = 0
+    trace: list[float] = []
+    for _refresh in range(3):
+        grad = x @ (x.T @ alpha)
+        while True:
+            residual, i, j = _kkt_residual(grad, alpha, c_box)
+            trace.append(0.5 * float(alpha @ grad))
+            if residual <= tol:
+                break
+            if iterations >= max_iter:
+                raise NotConvergedError(kkt_residual=residual, iterations=iterations)
+            col_i = q_column(i)
+            gap = grad - grad[i]
+            pair_eta = np.maximum(diag[i] + diag - 2.0 * col_i, _ETA_FLOOR)
+            gain = np.where((alpha > 0.0) & (gap > 0.0), gap * gap / pair_eta, -np.inf)
+            j = int(np.argmax(gain))
+            col_j = q_column(j)
+            step = float(gap[j]) / float(pair_eta[j])
+            room_i = c_box - alpha[i]
+            step = min(step, room_i, alpha[j])
+            pair_sum = alpha[i] + alpha[j]
+            if step == room_i:
+                new_i, new_j = c_box, pair_sum - c_box
+            elif step == alpha[j]:
+                new_i, new_j = min(pair_sum, c_box), 0.0
+            else:
+                new_i = alpha[i] + step
+                new_j = pair_sum - new_i
+            new_i = min(max(new_i, 0.0), c_box)
+            new_j = min(max(new_j, 0.0), c_box)
+            delta_i = new_i - alpha[i]
+            delta_j = new_j - alpha[j]
+            alpha[i] = new_i
+            alpha[j] = new_j
+            grad += delta_i * col_i + delta_j * col_j
+            iterations += 1
+        grad = x @ (x.T @ alpha)
+        residual, _, _ = _kkt_residual(grad, alpha, c_box)
+        if residual <= tol:
+            return alpha, grad, iterations, max(residual, 0.0), trace
+    raise NotConvergedError(kkt_residual=residual, iterations=iterations)
 
 
 def dual_grid_search_2d(x, nu, steps=100001):

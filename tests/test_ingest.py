@@ -297,6 +297,7 @@ _HEADERS = {
     "scores": ["sample_id", "label", "score"],
     "labels": ["sample_id", "label"],
     "landmarks": ["index", "x", "y"],
+    "manifest": ["sample_id", "depth", "landmarks", "label"],
 }
 # floats as written, and other spellings Python's float accepts
 _float_tokens = st.one_of(
@@ -340,6 +341,8 @@ def _tables(draw, kind):
                 for k in range(len(ids))]
     elif kind == "scores":
         rows = [[sid, draw(_label_tokens), draw(_float_tokens)] for sid in ids]
+    elif kind == "manifest":
+        rows = [[sid, draw(csv_ids), draw(csv_ids), draw(_label_tokens)] for sid in ids]
     else:
         rows = [[sid, *draw(st.lists(_float_tokens, min_size=d, max_size=d))] for sid in ids]
     return _header(kind, d), rows
@@ -373,27 +376,32 @@ _PARSERS = {
     "labels": parse_labels,
     "features": parse_features,
     "landmarks": parse_landmarks,
+    "manifest": parse_manifest,
 }
+# the per-table row walks as they were before one walk served every table
 _WALKS = {
-    "scores": "_score_rows",
-    "labels": "_label_rows",
-    "features": "_feature_rows",
-    "landmarks": "_landmark_rows",
+    "scores": oracles.score_rows,
+    "labels": oracles.label_rows,
+    "features": oracles.feature_rows,
+    "landmarks": oracles.landmark_rows,
+    "manifest": oracles.manifest_rows,
 }
 _KINDS = list(_WALKS)
+_COLUMN_KINDS = ["scores", "labels", "features", "landmarks"]  # the kinds with a column fast path
 
 
 def _parse(kind, text):
     return _PARSERS[kind](text)
 
 
-def _parse_by_rows(kind, text, walk):
+def _parse_by_rows(kind, text):
     """The table read whole, then checked and converted row by row."""
     header, *rows = oracles.csv_rows(text)
+    walk = _WALKS[kind]
     if kind == "scores":
         ids, labels, values = walk(rows)
         return ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=Polarity.HIGHER_IS_BONA_FIDE)
-    if kind == "labels":
+    if kind in ("labels", "manifest"):
         return walk(rows)
     if kind == "landmarks":
         return LandmarkSet(points=walk(rows))
@@ -402,6 +410,8 @@ def _parse_by_rows(kind, text, walk):
 
 
 def _columns(parsed):
+    if isinstance(parsed, list):
+        return parsed
     if isinstance(parsed, dict):
         return list(parsed.items())
     if isinstance(parsed, LandmarkSet):
@@ -418,20 +428,19 @@ def _outcome(parse, *args):
 
 
 class TestColumnParsersMatchRowWalk:
-    @given(st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(st.just(kind), _tables(kind))),
+    @given(st.sampled_from(_COLUMN_KINDS).flatmap(lambda kind: st.tuples(st.just(kind), _tables(kind))),
            st.lists(st.integers(min_value=0, max_value=9), max_size=3))
     def test_valid_tables_never_enter_the_row_walk(self, kind_table, blank_rows):
         kind, (header, rows) = kind_table
         blanks = [(("blank", None), r % len(rows), 0) for r in blank_rows]
         text = oracles.csv_lines(header, _inject(rows, blanks))
-        walk = getattr(ingest, _WALKS[kind])
-        expected = _columns(_parse_by_rows(kind, text, walk))
+        expected = _columns(_parse_by_rows(kind, text))
 
         def entered(*args):
             raise AssertionError("the row walk ran on a valid table")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, _WALKS[kind], entered)
+            mp.setattr(ingest, "_walk", entered)
             assert _columns(_parse(kind, text)) == expected
 
     @given(
@@ -444,33 +453,36 @@ class TestColumnParsersMatchRowWalk:
         kind, (header, rows) = kind_table
         faults = [(fault, r % len(rows), c) for fault, r, c in faults]
         text = oracles.csv_lines(header, _inject(rows, faults))
-        walk = getattr(ingest, _WALKS[kind])
-        assert _outcome(_parse, kind, text) == _outcome(_parse_by_rows, kind, text, walk)
+        assert _outcome(_parse, kind, text) == _outcome(_parse_by_rows, kind, text)
 
+    # a cell fault at column 2 hits the first value column of the tables with
+    # one or two of them, and the label of the manifest, whose paths take
+    # any token but the empty one
     @pytest.mark.parametrize("kind", _KINDS)
     @pytest.mark.parametrize(
         "faults, line",
         [
-            pytest.param([(("cell", "abc"), 0, 0), (("syntax", "x" * 131073), 2, 1)], 4,
+            pytest.param([(("cell", "abc"), 0, 2), (("syntax", "x" * 131073), 2, 1)], 4,
                          id="csv-syntax-error-after-a-row-error"),
             pytest.param([(("id", ""), 1, 0), (("ragged", "extra"), 2, 0)], 3,
                          id="ragged-row-after-a-bad-id"),
             pytest.param([(("ragged", "extra"), 1, 0), (("ragged", None), 3, 0)], 3,
                          id="ragged-row-after-a-ragged-row"),
-            pytest.param([(("cell", "inf"), 1, 0), (("id", None), 2, 0)], 3,
+            pytest.param([(("cell", "inf"), 1, 2), (("id", None), 2, 0)], 3,
                          id="duplicate-id-after-a-non-finite-score"),
-            pytest.param([(("blank", None), 0, 0), (("blank", None), 2, 0), (("cell", "nan"), 2, 0)], 6,
+            pytest.param([(("blank", None), 0, 0), (("blank", None), 2, 0), (("cell", "nan"), 2, 2)], 6,
                          id="blank-lines"),
-            pytest.param([(("cell", "1e999"), 3, 0)], 5, id="quoted-ids-with-commas"),
+            pytest.param([(("cell", "1e999"), 3, 2)], 5, id="quoted-ids-with-commas"),
+            pytest.param([(("cell", ""), 1, 0)], 3, id="empty-first-value-cell"),
         ],
     )
     def test_fault_orders(self, kind, faults, line):
         ids = ["a,b", '"q", r', "c", "d,e,", "f"] if kind != "landmarks" else list("01234")
-        cells = {"scores": ["attack", "0.5"], "labels": ["bonafide"]}.get(kind, ["0.5", "-1.5"])
-        rows = [[sid, *cells] for sid in ids]
+        cells = {"scores": ["attack", "0.5"], "labels": ["bonafide"], "manifest": ["d.pgm", "l.csv", "attack"]}
+        rows = [[sid, *cells.get(kind, ["0.5", "-1.5"])] for sid in ids]
         text = oracles.csv_lines(_header(kind, 2), _inject(rows, faults))
         outcome = _outcome(_parse, kind, text)
-        assert outcome == _outcome(_parse_by_rows, kind, text, getattr(ingest, _WALKS[kind]))
+        assert outcome == _outcome(_parse_by_rows, kind, text)
         assert issubclass(outcome[0], ParseError) and outcome[2] == line
 
 
@@ -684,6 +696,43 @@ class TestModels:
         payload[field] = value
         with pytest.raises(ParseError, match=match):
             parse_model(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "field,token",
+        [
+            ("kkt_residual", "1e400"),
+            pytest.param("kkt_residual", "1" + "0" * 400, id="kkt_residual-int-past-the-float-range"),
+            ("kkt_residual", "true"),
+            ("iterations", "2.7"),
+            ("iterations", None),
+            ("n_support", "-1"),
+            ("n_margin_errors", "false"),
+            ("degenerate_data", '"no"'),
+            ("degenerate_data", "0"),
+            ("objective_trace", '"123"'),
+        ],
+    )
+    def test_diagnostics_field_validation(self, field, token):
+        payload = json.loads(write_model(fit(np.random.default_rng(1).normal(0, 1, (10, 3)) + 5)))
+        if token is None:
+            del payload["diagnostics"][field]
+        else:
+            payload["diagnostics"][field] = "@"
+        with pytest.raises(ParseError, match=field):
+            parse_model(json.dumps(payload).replace('"@"', token or ""))
+
+    @pytest.mark.parametrize(
+        "x,config",
+        [
+            (np.full((4, 2), 3.0), OcsvmConfig(nu=0.5)),
+            (np.random.default_rng(2).normal(0, 1, (7, 3)), OcsvmConfig(nu=1.0)),
+            (np.random.default_rng(3).normal(0, 1, (30, 4)) + 5, OcsvmConfig(nu=0.2, standardize=False)),
+        ],
+        ids=["degenerate", "nu-one", "raw"],
+    )
+    def test_written_diagnostics_load(self, x, config):
+        model = fit(x, config)
+        assert parse_model(write_model(model)).diagnostics == model.diagnostics
 
     def test_non_positive_scale_rejected(self):
         payload = json.loads(write_model(fit(np.random.default_rng(1).normal(0, 1, (10, 3)) + 5)))

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import oracles
+from padeval import ocsvm
 from padeval import (
     DimensionMismatchError,
     FeatureMatrix,
@@ -153,6 +158,53 @@ class TestDeterminismAndScaling:
         raw = [decision_value(model_raw, p) for p in probes]
         scaled = [decision_value(model_scaled, p * scales + offsets) for p in probes]
         assert np.argsort(raw).tolist() == np.argsort(scaled).tolist()
+
+
+def _fit_bits(x, config):
+    """Every output of a fit as exact bits, or the error it raised."""
+    try:
+        model = fit(x, config)
+    except NotConvergedError as exc:
+        return type(exc), str(exc)
+    diag = model.diagnostics
+    return (
+        model.w.view(np.uint64).tolist(),
+        np.float64(model.rho).view(np.uint64),
+        model.dual_alphas.view(np.uint64).tolist(),
+        np.asarray(diag.objective_trace, dtype=np.float64).view(np.uint64).tolist(),
+        diag.iterations,
+    )
+
+
+class TestSolverWithoutColumnCache:
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["normal", "lattice"]),
+        st.floats(min_value=0.05, max_value=1.0),
+        st.booleans(),
+    )
+    def test_matches_the_cached_solver_bit_for_bit(self, n, d, seed, draw, nu, standardize):
+        assume(nu * n >= 1.0)
+        rng = np.random.default_rng(seed)
+        # lattice rows repeat and tie, which exercises the lowest-index tie breaks
+        x = rng.normal(3.0, 1.0, (n, d)) if draw == "normal" else rng.integers(-2, 3, (n, d)).astype(np.float64)
+        config = OcsvmConfig(nu=nu, standardize=standardize)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ocsvm, "_smo", oracles.smo_cached)
+            expected = _fit_bits(x, config)
+        assert _fit_bits(x, config) == expected
+
+    def test_fit_memory_is_linear_in_the_rows(self):
+        x = gaussian_cloud(3000, 8, seed=8)
+        tracemalloc.start()
+        try:
+            fit(x, OcsvmConfig(standardize=False))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * x.nbytes
 
 
 class TestValidation:
