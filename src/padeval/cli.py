@@ -165,7 +165,8 @@ def _write_evaluation(args, report, config, report_name, positive, negative, axe
     formats = set(args.format) if args.format else {"csv", "json", "svg"}
     if "json" in formats:
         _write_text(_out_path(args, report_name), ingest.write_report(report, config=config))
-    curve = det_curve(positive.values, negative.values, axes)
+    if formats & {"csv", "svg"}:
+        curve = det_curve(positive.values, negative.values, axes)
     if "csv" in formats:
         _write_text(_out_path(args, "det.csv"), ingest.write_det(curve))
     if "svg" in formats:
@@ -174,9 +175,24 @@ def _write_evaluation(args, report, config, report_name, positive, negative, axe
         print(line)
 
 
+def _score_parser(polarity: Polarity):
+    """A parser of score files that reads each distinct path once, so that a
+    file named by two roles is parsed once; errors keep their path prefix and
+    come in the order of the roles."""
+    parsed: dict[str, ScoreSet] = {}
+
+    def parse(path: str) -> ScoreSet:
+        if path not in parsed:
+            parsed[path] = _parse_file(ingest.parse_scores, path, polarity)
+        return parsed[path]
+
+    return parse
+
+
 def _cmd_eval_pad(args) -> None:
-    full_bona = _parse_file(ingest.parse_scores, args.bonafide, Polarity.HIGHER_IS_BONA_FIDE)
-    full_attack = _parse_file(ingest.parse_scores, args.attack, Polarity.HIGHER_IS_BONA_FIDE)
+    scores = _score_parser(Polarity.HIGHER_IS_BONA_FIDE)
+    full_bona = scores(args.bonafide)
+    full_attack = scores(args.attack)
     bona = full_bona.with_label(PresentationLabel.BONA_FIDE)
     attack = full_attack.with_label(PresentationLabel.ATTACK)
     config = {
@@ -190,15 +206,10 @@ def _cmd_eval_pad(args) -> None:
 
 
 def _cmd_eval_vuln(args) -> None:
-    mated = _parse_file(ingest.parse_scores, args.mated, Polarity.HIGHER_IS_MATCH).with_label(
-        TrialLabel.MATED
-    )
-    nonmated = _parse_file(ingest.parse_scores, args.nonmated, Polarity.HIGHER_IS_MATCH).with_label(
-        TrialLabel.NONMATED
-    )
-    attack = _parse_file(ingest.parse_scores, args.attack, Polarity.HIGHER_IS_MATCH).with_label(
-        TrialLabel.ATTACK_MATED
-    )
+    scores = _score_parser(Polarity.HIGHER_IS_MATCH)
+    mated = scores(args.mated).with_label(TrialLabel.MATED)
+    nonmated = scores(args.nonmated).with_label(TrialLabel.NONMATED)
+    attack = scores(args.attack).with_label(TrialLabel.ATTACK_MATED)
     targets = args.fmr if args.fmr else [0.001, 0.01]
     config = {
         "mated": args.mated,

@@ -130,6 +130,11 @@ def fmt_float(value: float) -> str:
     return repr(float(value))
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """:func:`fmt_float` of every value of a float array, in one pass."""
+    return list(map(repr, values.tolist()))
+
+
 def percent(rate: float, decimals: int) -> str:
     """Render a rate in [0, 1] as a fixed-decimal percentage (no sign)."""
     return f"{float(rate) * 100.0:.{decimals}f}"
@@ -304,13 +309,24 @@ def _path_cell(token: str, line: int, r: int) -> str:
     return token
 
 
-def _csv_table(header: Sequence[str], rows) -> str:
-    """The header and every row as CSV text, written through one writer."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _quoted(cell: str) -> str:
+    """One id as csv.writer's minimal quoting writes it: wrapped in quotes, its
+    quotes doubled, if it holds ``,`` or ``"``."""
+    if "," in cell or '"' in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_table(header: Sequence[str], first_column: Sequence[str], *columns: Sequence[str]) -> str:
+    """The header and every row as CSV text, joined from columns of formatted cells.
+
+    Only the first (id) column can need quoting: ids cannot hold CR, LF or
+    NUL, and float reprs, ints and label names never hold ``,`` or ``"``.
+    """
+    joined = "".join(first_column)
+    if "," in joined or '"' in joined:
+        first_column = list(map(_quoted, first_column))
+    return "\n".join([",".join(header), *map(",".join, zip(first_column, *columns))]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +358,8 @@ def parse_scores(data: Union[bytes, str], polarity: Polarity) -> ScoreSet:
 
 
 def write_scores(score_set: ScoreSet) -> str:
-    labels = (lab.value for lab in score_set.labels)
-    return _csv_table(
-        _SCORES_HEADER, zip(score_set.sample_ids, labels, map(fmt_float, score_set.values.tolist()))
-    )
+    labels = [lab.value for lab in score_set.labels]
+    return _csv_table(_SCORES_HEADER, score_set.sample_ids, labels, _reprs(score_set.values))
 
 
 def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
@@ -361,7 +375,7 @@ def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
 
 def write_labels(labels: Mapping[str, Label]) -> str:
     _check_ids(tuple(labels))
-    return _csv_table(_LABELS_HEADER, ((sid, lab.value) for sid, lab in labels.items()))
+    return _csv_table(_LABELS_HEADER, list(labels), [lab.value for lab in labels.values()])
 
 
 def _features_header(d: int) -> list[str]:
@@ -391,8 +405,7 @@ def parse_features(data: Union[bytes, str]) -> FeatureMatrix:
 
 
 def write_features(features: FeatureMatrix) -> str:
-    rows = ([sid, *map(fmt_float, row)] for sid, row in zip(features.sample_ids, features.values.tolist()))
-    return _csv_table(_features_header(features.d), rows)
+    return _csv_table(_features_header(features.d), features.sample_ids, *map(_reprs, features.values.T))
 
 
 def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
@@ -410,8 +423,8 @@ def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
 
 
 def write_landmarks(landmarks: LandmarkSet) -> str:
-    rows = ((str(k), fmt_float(x), fmt_float(y)) for k, (x, y) in enumerate(landmarks.points.tolist()))
-    return _csv_table(_LANDMARKS_HEADER, rows)
+    points = landmarks.points
+    return _csv_table(_LANDMARKS_HEADER, list(map(str, range(len(points)))), *map(_reprs, points.T))
 
 
 @dataclass(frozen=True)
@@ -509,7 +522,7 @@ def _load_versioned_json(data: Union[bytes, str], kind: str) -> dict:
         raise EmptyFileError(f"{kind} holds no content")
     try:
         obj = json.loads(text, parse_constant=_reject_const)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, an int too long to convert, deep nesting
         raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"{kind} must be a JSON object")
@@ -605,10 +618,23 @@ def parse_report(data: Union[bytes, str]) -> dict:
     return obj
 
 
+def _is_number(value: object) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float)
+
+
+def _is_finite_float(value: object) -> bool:
+    """A JSON number that converts to a finite float (no int past the float range)."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
 def _float_list(obj: object, what: str) -> np.ndarray:
-    if not isinstance(obj, list) or not all(isinstance(v, (int, float)) for v in obj):
+    if not isinstance(obj, list) or not all(map(_is_number, obj)):
         raise ParseError(f"{what} must be a list of numbers")
-    arr = np.asarray(obj, dtype=np.float64)
+    try:
+        arr = np.asarray(obj, dtype=np.float64)
+    except OverflowError:  # an int past the float range
+        raise ParseError(f"{what} contains non-finite values") from None
     if not np.isfinite(arr).all():
         raise ParseError(f"{what} contains non-finite values")
     return arr
@@ -647,13 +673,13 @@ def parse_model(data: Union[bytes, str]) -> OcsvmModel:
     if obj.get("kind") != "ocsvm-model":
         raise ParseError(f"expected an ocsvm-model artifact, got kind {obj.get('kind')!r}")
     w = _float_list(obj.get("w"), "w")
-    if not isinstance(obj.get("d"), int) or obj["d"] != w.shape[0]:
+    if type(obj.get("d")) is not int or obj["d"] != w.shape[0]:
         raise ParseError("model d does not match the length of w")
     nu = obj.get("nu")
     rho = obj.get("rho")
-    if not isinstance(nu, (int, float)) or not 0 < float(nu) <= 1:
+    if not _is_number(nu) or not 0 < nu <= 1:
         raise ParseError(f"bad model nu {nu!r}")
-    if not isinstance(rho, (int, float)) or not math.isfinite(float(rho)):
+    if not _is_finite_float(rho):
         raise ParseError(f"bad model rho {rho!r}")
     mean = scale = None
     if obj.get("mean") is not None or obj.get("scale") is not None:
@@ -670,7 +696,7 @@ def parse_model(data: Union[bytes, str]) -> OcsvmModel:
         if not isinstance(diag_obj, dict):
             raise ParseError("diagnostics must be an object")
         residual = diag_obj.get("kkt_residual")
-        if type(residual) not in (int, float) or not abs(residual) <= sys.float_info.max:
+        if not _is_finite_float(residual):
             raise ParseError(f"bad diagnostics kkt_residual {residual!r}")
         for name, kind in _DIAGNOSTIC_TYPES.items():
             if type(diag_obj.get(name)) is not kind or diag_obj[name] < 0:
@@ -697,10 +723,8 @@ _PROBIT = NormalDist().inv_cdf
 
 def write_det(curve: DetCurve) -> str:
     """DET sweep as CSV: one row per threshold, rates as exact decimals."""
-    lines = [_DET_HEADER]
-    for tau, x, y in zip(curve.thresholds, curve.x_rates, curve.y_rates):
-        lines.append(f"{fmt_float(tau)},{fmt_float(x)},{fmt_float(y)}")
-    return "\n".join(lines) + "\n"
+    columns = (curve.thresholds.tolist(), curve.x_rates.tolist(), curve.y_rates.tolist())
+    return _DET_HEADER + "\n" + "".join([f"{t!r},{x!r},{y!r}\n" for t, x, y in zip(*columns)])
 
 
 def write_det_svg(curve: DetCurve) -> str:
@@ -718,6 +742,13 @@ def write_det_svg(curve: DetCurve) -> str:
     def y_px(rate: float) -> float:
         q = _PROBIT(min(max(rate, _DET_LO), _DET_HI))
         return height - mb - (q - lo_q) / span * plot_h
+
+    def pixels(rates: np.ndarray, to_px: Callable[[float], float]) -> list[str]:
+        # rates are counts over a class size, so a long sweep repeats each one
+        # many times: every distinct clamped rate is mapped and formatted once
+        distinct, inverse = np.unique(np.clip(rates, _DET_LO, _DET_HI), return_inverse=True)
+        cells = np.array([f"{to_px(rate):.2f}" for rate in distinct.tolist()], dtype=object)
+        return cells[inverse].tolist()
 
     if curve.axes is DetAxes.APCER_BPCER:
         x_name, y_name = "APCER (%)", "BPCER (%)"
@@ -751,9 +782,7 @@ def write_det_svg(curve: DetCurve) -> str:
             f'<text x="{ml - 8}" y="{gy:.2f}" font-size="13" text-anchor="end" '
             f'dominant-baseline="middle" font-family="sans-serif">{label}</text>'
         )
-    points = " ".join(
-        f"{x_px(x):.2f},{y_px(y):.2f}" for x, y in zip(curve.x_rates, curve.y_rates)
-    )
+    points = " ".join(map("{},{}".format, pixels(curve.x_rates, x_px), pixels(curve.y_rates, y_px)))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="1.6"/>'
     )

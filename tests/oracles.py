@@ -20,6 +20,7 @@ import numpy as np
 
 from padeval.core import LABEL_BY_NAME, Label, _id_ok
 from padeval.ingest import ManifestRow, ParseError, RaggedRowError
+from padeval.metrics import DetAxes
 from padeval.ocsvm import _ETA_FLOOR, NotConvergedError
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,119 @@ def csv_lines(header, rows):
         csv.writer(buf, lineterminator="\n").writerow(fields)
         lines.append(buf.getvalue())
     return "".join(lines)
+
+
+# The writers as they were before the tables and the DET exports were joined
+# from columns of preformatted strings, kept unchanged as the byte-for-byte
+# reference of the new writers.
+
+
+def csv_table(header, rows):
+    """The header and every row as CSV text, written through one csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _fmt_float(value):
+    return repr(float(value))
+
+
+def scores_table(score_set):
+    labels = (lab.value for lab in score_set.labels)
+    return csv_table(
+        ["sample_id", "label", "score"],
+        zip(score_set.sample_ids, labels, map(_fmt_float, score_set.values.tolist())),
+    )
+
+
+def features_table(features):
+    header = ["sample_id"] + [f"f{k}" for k in range(features.d)]
+    rows = ([sid, *map(_fmt_float, row)] for sid, row in zip(features.sample_ids, features.values.tolist()))
+    return csv_table(header, rows)
+
+
+def landmarks_table(landmarks):
+    rows = ((str(k), _fmt_float(x), _fmt_float(y)) for k, (x, y) in enumerate(landmarks.points.tolist()))
+    return csv_table(["index", "x", "y"], rows)
+
+
+def det_csv(curve):
+    """DET sweep as CSV, three float formattings per row on numpy scalars."""
+    lines = ["threshold,apcer_or_fmr,bpcer_or_fnmr"]
+    for tau, x, y in zip(curve.thresholds, curve.x_rates, curve.y_rates):
+        lines.append(f"{_fmt_float(tau)},{_fmt_float(x)},{_fmt_float(y)}")
+    return "\n".join(lines) + "\n"
+
+
+def det_svg(curve):
+    """DET curve on probit axes as SVG, two probits per polyline vertex."""
+    det_lo, det_hi = 1e-3, 0.5
+    probit = statistics.NormalDist().inv_cdf
+    width, height = 720, 720
+    ml, mr, mt, mb = 96, 30, 30, 72
+    plot_w, plot_h = width - ml - mr, height - mt - mb
+    lo_q, hi_q = probit(det_lo), probit(det_hi)
+    span = hi_q - lo_q
+
+    def x_px(rate):
+        q = probit(min(max(rate, det_lo), det_hi))
+        return ml + (q - lo_q) / span * plot_w
+
+    def y_px(rate):
+        q = probit(min(max(rate, det_lo), det_hi))
+        return height - mb - (q - lo_q) / span * plot_h
+
+    if curve.axes is DetAxes.APCER_BPCER:
+        x_name, y_name = "APCER (%)", "BPCER (%)"
+    else:
+        x_name, y_name = "FMR (%)", "FNMR (%)"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
+        'fill="none" stroke="black" stroke-width="1"/>',
+    ]
+    for tick in (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4):
+        gx = x_px(tick)
+        gy = y_px(tick)
+        label = f"{tick * 100:g}"
+        parts.append(
+            f'<line x1="{gx:.2f}" y1="{mt}" x2="{gx:.2f}" y2="{height - mb}" '
+            'stroke="#cccccc" stroke-width="0.5"/>'
+        )
+        parts.append(
+            f'<line x1="{ml}" y1="{gy:.2f}" x2="{width - mr}" y2="{gy:.2f}" '
+            'stroke="#cccccc" stroke-width="0.5"/>'
+        )
+        parts.append(
+            f'<text x="{gx:.2f}" y="{height - mb + 20}" font-size="13" '
+            f'text-anchor="middle" font-family="sans-serif">{label}</text>'
+        )
+        parts.append(
+            f'<text x="{ml - 8}" y="{gy:.2f}" font-size="13" text-anchor="end" '
+            f'dominant-baseline="middle" font-family="sans-serif">{label}</text>'
+        )
+    points = " ".join(
+        f"{x_px(x):.2f},{y_px(y):.2f}" for x, y in zip(curve.x_rates, curve.y_rates)
+    )
+    parts.append(
+        f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="1.6"/>'
+    )
+    parts.append(
+        f'<text x="{ml + plot_w / 2:.2f}" y="{height - 24}" font-size="15" '
+        f'text-anchor="middle" font-family="sans-serif">{x_name}</text>'
+    )
+    parts.append(
+        f'<text x="24" y="{mt + plot_h / 2:.2f}" font-size="15" text-anchor="middle" '
+        f'font-family="sans-serif" transform="rotate(-90 24 {mt + plot_h / 2:.2f})">{y_name}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 # The per-table row walks that checked each kind of table before one walk

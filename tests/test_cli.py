@@ -10,8 +10,10 @@ import pytest
 from padeval import (
     DepthKind,
     OcsvmConfig,
+    PadevalError,
     Polarity,
     PresentationLabel,
+    ScoreSet,
     SynthDepthSpec,
     SynthFeatureSpec,
     decision_value,
@@ -338,6 +340,16 @@ class TestEvalPad:
         report = json.loads((out / "pad_report.json").read_text())
         assert report["config"]["bonafide"].endswith("bona.csv")
 
+    def test_json_alone_skips_the_det_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("det_curve called without a DET output")
+
+        monkeypatch.setattr("padeval.cli.det_curve", no_sweep)
+        code, out, stdout = self.run_eval(tmp_path, capsys, extra=("--format", "json"))
+        assert code == 0
+        assert sorted(os.listdir(out)) == ["pad_report.json"]
+        assert stdout.splitlines() == parse_report((out / "pad_report.json").read_bytes())["summary"]
+
     def test_missing_positive_rows_is_data_error(self, tmp_path, capsys):
         attack_only = scores_csv(tmp_path, "atk.csv", [0.0, 1.0], label=PresentationLabel.ATTACK)
         assert run(["eval-pad", "--bonafide", attack_only, "--attack", attack_only,
@@ -383,6 +395,129 @@ class TestEvalVuln:
         assert run(["eval-vuln", "--mated", mated, "--nonmated", nonmated, "--attack", attack,
                     "--output-dir", str(tmp_path / "v"), "--fmr", "0.05"]) == 0
         assert capsys.readouterr().out.splitlines()[0].startswith("FMR=5%: ")
+
+
+def mixed_scores_text(labels_and_values, polarity):
+    ids = [f"r{k:03d}" for k in range(len(labels_and_values))]
+    labels, values = zip(*labels_and_values)
+    return write_scores(ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=polarity))
+
+
+def counting_parse_scores(monkeypatch):
+    """Count the calls of ingest.parse_scores, which still does the parsing."""
+    import padeval.ingest as ingest
+
+    calls = []
+    real = ingest.parse_scores
+
+    def parse_scores(data, polarity):
+        calls.append(len(data))
+        return real(data, polarity)
+
+    monkeypatch.setattr(ingest, "parse_scores", parse_scores)
+    return calls
+
+
+def run_and_capture(argv, out, capsys):
+    code = run([*argv, "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    files = {f.name: (out / f.name).read_bytes() for f in out.iterdir()} if out.exists() else {}
+    return code, captured.out, captured.err, files
+
+
+def without_config_paths(files, report_name, roles):
+    """The output tree with the report's echo of the input paths taken out."""
+    files = dict(files)
+    report = json.loads(files.pop(report_name))
+    for role in roles:
+        del report["config"][role]
+    return files, report
+
+
+class TestSharedScoreFiles:
+    """eval-pad and eval-vuln parse a file named by two roles once."""
+
+    PAD_ROWS = [
+        (PresentationLabel.BONA_FIDE, 0.9), (PresentationLabel.ATTACK, 0.2), (PresentationLabel.BONA_FIDE, 0.4),
+        (PresentationLabel.ATTACK, 0.4), (PresentationLabel.BONA_FIDE, 0.7), (PresentationLabel.ATTACK, 0.6),
+    ]
+
+    def vuln_files(self, tmp_path):
+        from padeval import TrialLabel
+
+        mixed = mixed_scores_text(
+            [(TrialLabel.MATED, 3.0), (TrialLabel.ATTACK_MATED, 2.0), (TrialLabel.MATED, 2.5),
+             (TrialLabel.ATTACK_MATED, 0.5), (TrialLabel.MATED, 1.0)],
+            Polarity.HIGHER_IS_MATCH,
+        )
+        nonmated = scores_csv(tmp_path, "nonmated.csv", [0.0, 0.5, 1.5], label=TrialLabel.NONMATED, prefix="n")
+        return mixed, nonmated
+
+    def test_eval_pad_parses_a_shared_file_once(self, tmp_path, capsys, monkeypatch):
+        text = mixed_scores_text(self.PAD_ROWS, Polarity.HIGHER_IS_BONA_FIDE)
+        shared = write_file(tmp_path / "mixed.csv", text)
+        copies = [write_file(tmp_path / name, text) for name in ("bona.csv", "atk.csv")]
+        calls = counting_parse_scores(monkeypatch)
+        once = run_and_capture(["eval-pad", "--bonafide", shared, "--attack", shared], tmp_path / "once", capsys)
+        assert len(calls) == 1
+        twice = run_and_capture(
+            ["eval-pad", "--bonafide", copies[0], "--attack", copies[1]], tmp_path / "twice", capsys
+        )
+        assert len(calls) == 3
+        assert once[:3] == twice[:3] == (0, once[1], "")
+        assert once[1].splitlines()[-1] == "bona fide: 3, attacks: 3"
+        roles = ("bonafide", "attack")
+        assert without_config_paths(once[3], "pad_report.json", roles) == without_config_paths(
+            twice[3], "pad_report.json", roles
+        )
+        assert set(once[3]) == {"pad_report.json", "det.csv", "det.svg"}
+
+    def test_eval_vuln_parses_a_shared_file_once(self, tmp_path, capsys, monkeypatch):
+        mixed, nonmated = self.vuln_files(tmp_path)
+        shared = write_file(tmp_path / "mixed.csv", mixed)
+        copies = [write_file(tmp_path / name, mixed) for name in ("mated.csv", "attack.csv")]
+        calls = counting_parse_scores(monkeypatch)
+        once = run_and_capture(
+            ["eval-vuln", "--mated", shared, "--nonmated", nonmated, "--attack", shared], tmp_path / "once", capsys
+        )
+        assert len(calls) == 2
+        twice = run_and_capture(
+            ["eval-vuln", "--mated", copies[0], "--nonmated", nonmated, "--attack", copies[1]],
+            tmp_path / "twice",
+            capsys,
+        )
+        assert len(calls) == 5
+        assert once[:3] == twice[:3] == (0, once[1], "")
+        assert once[1].splitlines()[-1] == "mated: 3, non-mated: 3, attack-mated: 2"
+        roles = ("mated", "attack")
+        assert without_config_paths(once[3], "vuln_report.json", roles) == without_config_paths(
+            twice[3], "vuln_report.json", roles
+        )
+
+    @pytest.mark.parametrize("fault", ["r000,bonafide,x\n", "r000,bonafide,1.0\nr000,attack,2.0\n", ""])
+    def test_a_faulty_shared_file_fails_as_when_read_twice(self, tmp_path, capsys, fault):
+        text = "sample_id,label,score\n" + fault
+        shared = write_file(tmp_path / "bad.csv", text)
+        with pytest.raises(PadevalError) as parsed:
+            parse_scores(text.encode(), Polarity.HIGHER_IS_BONA_FIDE)
+        expected = f"error: {shared}: {parsed.value}\n"
+        assert run_and_capture(["eval-pad", "--bonafide", shared, "--attack", shared], tmp_path / "p", capsys)[
+            :3
+        ] == (2, "", expected)
+        nonmated = scores_csv(tmp_path, "nonmated.csv", [0.0], prefix="n")
+        assert run_and_capture(
+            ["eval-vuln", "--mated", shared, "--nonmated", nonmated, "--attack", shared], tmp_path / "v", capsys
+        )[:3] == (2, "", expected)
+
+    def test_a_shared_file_without_the_first_role_fails_before_the_next_file_is_read(self, tmp_path, capsys):
+        from padeval import TrialLabel
+
+        shared = scores_csv(tmp_path, "attack_only.csv", [1.0, 2.0], label=TrialLabel.ATTACK_MATED, prefix="x")
+        missing = str(tmp_path / "missing.csv")
+        code, stdout, stderr, _ = run_and_capture(
+            ["eval-vuln", "--mated", shared, "--nonmated", missing, "--attack", shared], tmp_path / "v", capsys
+        )
+        assert (code, stdout, stderr) == (2, "", "error: score set holds no records\n")
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -17,6 +17,7 @@ from padeval import (
     DepthKind,
     DepthMap,
     DetAxes,
+    DetCurve,
     FeatureMatrix,
     LandmarkSet,
     OcsvmConfig,
@@ -72,6 +73,8 @@ sample_ids = st.text(min_size=1, max_size=30).filter(
     lambda s: not any(ch in s for ch in "\x00\r\n")
 )
 any_label = st.sampled_from(list(PresentationLabel) + list(TrialLabel))
+# ids that never need CSV quoting
+plain_ids = st.text(alphabet="abcxyz0123456789_-.", min_size=1, max_size=12)
 # ids that need CSV quoting or carry non-ASCII text: delimiters, quotes,
 # tabs, edge spaces, accents, symbols outside the BMP; no surrogates, which
 # no id may hold
@@ -193,23 +196,70 @@ class TestScoresCsv:
             parse_scores(b"\xff\xfe\x00bad", Polarity.HIGHER_IS_BONA_FIDE)
 
 
+# columns of ids where either no id or some ids need CSV quoting
+table_rows = st.lists(
+    st.tuples(st.one_of(plain_ids, csv_ids), any_label, finite_floats, finite_floats),
+    min_size=1,
+    max_size=30,
+    unique_by=lambda t: t[0],
+)
+
+
 class TestOneWriterTables:
-    @given(
-        st.lists(
-            st.tuples(csv_ids, any_label, finite_floats), min_size=1, max_size=30, unique_by=lambda t: t[0]
-        )
-    )
+    @given(table_rows)
+    @example([("a", PresentationLabel.ATTACK, 1.0, -0.0), ("b", TrialLabel.MATED, 2.5, 1e300)])
+    @example([('x,"y"', PresentationLabel.ATTACK, 1.0, 2.0), ("z", TrialLabel.MATED, 0.1, 5e-324)])
     def test_bytes_match_the_per_line_writer(self, rows):
-        ids, labels, scores = zip(*rows)
+        ids, labels, scores, extra = zip(*rows)
         score_set = ScoreSet(
             sample_ids=ids, labels=labels, values=scores, polarity=Polarity.HIGHER_IS_BONA_FIDE
         )
         expected_scores = oracles.csv_lines(
-            ["sample_id", "label", "score"], [[i, l.value, repr(s)] for i, l, s in rows]
+            ["sample_id", "label", "score"], [[i, l.value, repr(s)] for i, l, s, _ in rows]
         )
         assert write_scores(score_set).encode("utf-8") == expected_scores.encode("utf-8")
-        expected_labels = oracles.csv_lines(["sample_id", "label"], [[i, l.value] for i, l, _ in rows])
+        expected_labels = oracles.csv_lines(["sample_id", "label"], [[i, l.value] for i, l, _, _ in rows])
         assert write_labels(dict(zip(ids, labels))).encode("utf-8") == expected_labels.encode("utf-8")
+        features = FeatureMatrix(sample_ids=ids, values=np.column_stack([scores, extra]))
+        expected_features = oracles.csv_lines(
+            ["sample_id", "f0", "f1"], [[i, repr(s), repr(e)] for i, _, s, e in rows]
+        )
+        assert write_features(features).encode("utf-8") == expected_features.encode("utf-8")
+        landmarks = LandmarkSet(points=np.column_stack([scores, extra]))
+        expected_landmarks = oracles.csv_lines(
+            ["index", "x", "y"], [[str(k), repr(s), repr(e)] for k, (_, _, s, e) in enumerate(rows)]
+        )
+        assert write_landmarks(landmarks).encode("utf-8") == expected_landmarks.encode("utf-8")
+
+    @given(table_rows, st.integers(min_value=1, max_value=4))
+    def test_bytes_match_the_frozen_writer(self, rows, d):
+        ids, labels, scores, extra = zip(*rows)
+        score_set = ScoreSet(
+            sample_ids=ids, labels=labels, values=scores, polarity=Polarity.HIGHER_IS_MATCH
+        )
+        assert write_scores(score_set) == oracles.scores_table(score_set)
+        labels_map = dict(zip(ids, labels))
+        assert write_labels(labels_map) == oracles.csv_table(
+            ["sample_id", "label"], ((sid, lab.value) for sid, lab in labels_map.items())
+        )
+        features = FeatureMatrix(sample_ids=ids, values=np.column_stack([scores, extra] * d)[:, :d])
+        assert write_features(features) == oracles.features_table(features)
+        landmarks = LandmarkSet(points=np.column_stack([extra, scores]))
+        assert write_landmarks(landmarks) == oracles.landmarks_table(landmarks)
+
+    def test_only_ids_that_need_it_are_quoted(self):
+        score_set = ScoreSet(
+            sample_ids=("plain", "a,b", 'say "hi"', "tab\there"),
+            labels=(PresentationLabel.ATTACK,) * 4,
+            values=(1.0, 2.0, 3.0, 4.0),
+            polarity=Polarity.HIGHER_IS_BONA_FIDE,
+        )
+        assert write_scores(score_set).splitlines()[1:] == [
+            "plain,attack,1.0",
+            '"a,b",attack,2.0',
+            '"say ""hi""",attack,3.0',
+            "tab\there,attack,4.0",
+        ]
 
     def test_surrogate_ids_refused(self):
         # a lone surrogate cannot be written as UTF-8
@@ -676,6 +726,13 @@ class TestModels:
         clone = parse_model(write_model(model))
         assert clone.mean is None and clone.scale is None
 
+    def test_boolean_dimension_refused(self):
+        payload = json.loads(write_model(fit(np.random.default_rng(1).normal(0, 1, (10, 1)) + 5)))
+        assert parse_model(json.dumps(payload)).d == 1
+        payload["d"] = True
+        with pytest.raises(ParseError, match="d does not match"):
+            parse_model(json.dumps(payload))
+
     def test_dimension_consistency_enforced(self):
         payload = json.loads(write_model(fit(np.random.default_rng(1).normal(0, 1, (10, 3)) + 5)))
         payload["d"] = 7
@@ -689,6 +746,19 @@ class TestModels:
             ("rho", "x", "rho"),
             ("w", [1.0, None], "w"),
             ("kind", "pad-report", "kind"),
+            # booleans are not numbers, and an int past the float range is a ParseError
+            ("nu", True, "nu"),
+            ("rho", True, "rho"),
+            ("rho", False, "rho"),
+            ("w", [True, 1.0, 1.0], "w"),
+            ("mean", [1.0, False, 1.0], "mean"),
+            ("dual_alphas", [True], "dual_alphas"),
+            pytest.param("nu", 10**400, "nu", id="nu-int-past-the-float-range"),
+            pytest.param("rho", 10**400, "rho", id="rho-int-past-the-float-range"),
+            pytest.param("rho", -(10**400), "rho", id="rho-negative-int-past-the-float-range"),
+            pytest.param("w", [1.0, 10**400, 1.0], "w", id="w-int-past-the-float-range"),
+            pytest.param("scale", [1.0, 1.0, 10**400], "scale", id="scale-int-past-the-float-range"),
+            pytest.param("dual_alphas", [10**400], "dual_alphas", id="dual_alphas-int-past-the-float-range"),
         ],
     )
     def test_field_validation(self, field, value, match):
@@ -710,6 +780,8 @@ class TestModels:
             ("degenerate_data", '"no"'),
             ("degenerate_data", "0"),
             ("objective_trace", '"123"'),
+            ("objective_trace", "[1.0, true]"),
+            pytest.param("objective_trace", "[1" + "0" * 400 + "]", id="objective_trace-int-past-the-float-range"),
         ],
     )
     def test_diagnostics_field_validation(self, field, token):
@@ -733,6 +805,17 @@ class TestModels:
     def test_written_diagnostics_load(self, x, config):
         model = fit(x, config)
         assert parse_model(write_model(model)).diagnostics == model.diagnostics
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"magic": "PADEVAL", "version": 1' + "0" * 5000 + "}"],
+        ids=["nested-past-the-recursion-limit", "int-past-the-digit-limit"],
+    )
+    def test_json_the_decoder_refuses_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="bad JSON"):
+            parse_model(text)
+        with pytest.raises(ParseError, match="bad JSON"):
+            parse_report(text)
 
     def test_non_positive_scale_rejected(self):
         payload = json.loads(write_model(fit(np.random.default_rng(1).normal(0, 1, (10, 3)) + 5)))
@@ -779,6 +862,47 @@ class TestDetExports:
 
     def test_svg_is_deterministic(self):
         assert write_det_svg(self.make_curve()) == write_det_svg(self.make_curve())
+
+    # scores on a coarse grid, so that the classes tie within and across each other
+    tied_scores = st.lists(st.integers(min_value=-6, max_value=6).map(lambda k: k / 4), min_size=1, max_size=40)
+    any_scores = st.lists(finite_floats, min_size=1, max_size=40)
+
+    @given(
+        st.one_of(tied_scores, any_scores),
+        st.one_of(tied_scores, any_scores),
+        st.sampled_from(list(DetAxes)),
+    )
+    @example([0.5], [0.5], DetAxes.APCER_BPCER)
+    @example([1.0], [0.0], DetAxes.FMR_FNMR)
+    def test_bytes_match_the_frozen_writers(self, positives, negatives, axes):
+        curve = det_curve(positives, negatives, axes)
+        assert write_det(curve) == oracles.det_csv(curve)
+        assert write_det_svg(curve) == oracles.det_svg(curve)
+
+    @pytest.mark.parametrize("axes", list(DetAxes))
+    def test_rates_at_and_beyond_the_plotted_window(self, axes):
+        # 1000 negatives and 2 positives: x runs through 0.001 and 0.5 exactly, and y is 0, 0.5 or 1
+        curve = det_curve([250.0, 750.0], np.arange(1000.0), axes)
+        assert {0.0, 0.001, 0.5, 1.0} <= set(curve.x_rates.tolist())
+        assert set(curve.y_rates.tolist()) == {0.0, 0.5, 1.0}
+        assert write_det(curve) == oracles.det_csv(curve)
+        assert write_det_svg(curve) == oracles.det_svg(curve)
+
+    edge_rates = st.one_of(
+        st.sampled_from([0.0, 5e-324, 0.0005, 0.001, 0.5, 1.0, math.nextafter(0.001, 0.0),
+                         math.nextafter(0.001, 1.0), math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+
+    @given(
+        st.lists(st.tuples(finite_floats, edge_rates, edge_rates), min_size=1, max_size=40),
+        st.sampled_from(list(DetAxes)),
+    )
+    def test_any_rates_match_the_frozen_writers(self, rows, axes):
+        thresholds, xs, ys = zip(*rows)
+        curve = DetCurve(thresholds, xs, ys, axes)
+        assert write_det(curve) == oracles.det_csv(curve)
+        assert write_det_svg(curve) == oracles.det_svg(curve)
 
 
 class TestParserRobustnessSmoke:

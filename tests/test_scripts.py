@@ -22,3 +22,20 @@ def test_separation_sweep_chain_separates_distant_clusters():
     # held-out clusters four sigmas apart: far below chance (0.5); 0.0225 at this seed
     assert 0.0 <= rate < 0.1
     assert sweep.chain_d_eer(4.0, 1000) == rate  # seeded: the chain is deterministic
+
+
+def test_bench_pairs_summary_on_fixed_numbers():
+    pairs = load_script("bench_pairs")
+    parent, change = [4.0, 5.0, 6.0, 7.0], [3.0, 4.0, 5.0, 8.0]
+    lower = pairs.summarise(parent, change, "lower")
+    assert lower["parent"] == (4.75, 5.5, 6.25)
+    assert lower["change"] == (3.75, 4.5, 5.75)
+    assert (lower["wins"], lower["pairs"]) == (3, 4)
+    # the medians differ by 1.0, less than the parent's IQR of 1.5
+    assert lower["gap_exceeds_parent_iqr"] is False
+    higher = pairs.summarise(parent, change, "higher")
+    assert higher["wins"] == 1 and higher["gap_exceeds_parent_iqr"] is False
+    tight = pairs.summarise([4.5, 4.6, 4.4], [3.4, 3.5, 3.3], "lower")
+    assert tight["wins"] == 3 and tight["gap_exceeds_parent_iqr"] is True
+    assert pairs.summarise([2.0], [2.0], "lower")["wins"] == 0  # a tie is no win
+    assert pairs.quartiles([1.0]) == (1.0, 1.0, 1.0)
