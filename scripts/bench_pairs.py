@@ -6,10 +6,11 @@ archive``, removed on exit), then for each of ``--pairs`` seeds from
 
     python3 perfbench/run.py --workload W --seed s --seconds S --trace 0
 
-once in that tree and once in the working tree, alternating which of the two
-runs first.  For each end-to-end metric of ``BENCHMARK.json`` it prints both
-sides' median and quartiles, the number of pairs the change won, and whether
-the gap between the medians exceeds the parent's interquartile range.
+where S is the ``run_seconds`` of ``BENCHMARK.json``, once in that tree and
+once in the working tree, alternating which of the two runs first.  For each
+end-to-end metric of ``BENCHMARK.json`` it prints both sides' median and
+quartiles, the number of pairs the change won, and whether the gap between the
+medians exceeds the parent's interquartile range.
 
 Run from the repository root:
 
@@ -61,7 +62,12 @@ def export_tree(rev: str, dest: str) -> None:
     """Write the committed files of ``rev`` under ``dest``."""
     blob = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
-        tar.extractall(dest, filter="data")
+        # The ``filter`` keyword is missing before Python 3.12 (3.10.12, 3.11.4 with the
+        # security backports); the archive is the repository's own, so plain extraction is safe.
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -80,10 +86,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="revision to compare the working tree with")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-start", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     failed = {"parent": 0, "change": 0}
@@ -94,7 +100,7 @@ def main(argv=None) -> int:
             seed = args.seed_start + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(trees[side], args.workload, seed, args.seconds)
+                result = run_once(trees[side], args.workload, seed, seconds)
                 runs[side].append(result["metrics"])
                 failed[side] += result["failed"]
             shown = "  ".join(
@@ -104,7 +110,7 @@ def main(argv=None) -> int:
             print(f"pair {k + 1} seed {seed} ({order[0]} first): {shown}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed_start}-{args.seed_start + args.pairs - 1}, "
-          f"{args.seconds:g} s each; failed ops: parent {failed['parent']}, change {failed['change']}")
+          f"{seconds:g} s each; failed ops: parent {failed['parent']}, change {failed['change']}")
     print(f"{'metric':<12} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} {'won':<7} gap > parent IQR")
     for m in metrics:
         name = m["name"]
