@@ -37,6 +37,18 @@ class DvScore:
     n_valid: int
 
 
+def _landmark_pixels(depth: DepthMap, landmarks: LandmarkSet) -> tuple[np.ndarray, np.ndarray]:
+    """Which landmarks round onto the grid, and the depth under each of those.
+
+    Returns the in-bounds mask over the landmarks and the ``uint16`` depths
+    at the in-bounds landmarks, in landmark order, zeros included.
+    """
+    cols = np.floor(landmarks.points[:, 0] + 0.5).astype(np.int64)
+    rows = np.floor(landmarks.points[:, 1] + 0.5).astype(np.int64)
+    inside = (cols >= 0) & (cols < depth.width) & (rows >= 0) & (rows < depth.height)
+    return inside, depth.values[rows[inside], cols[inside]]
+
+
 def sample_depths(depth: DepthMap, landmarks: LandmarkSet) -> list[tuple[int, int | None]]:
     """Depth value under each landmark, or ``None`` where unmeasurable.
 
@@ -49,17 +61,10 @@ def sample_depths(depth: DepthMap, landmarks: LandmarkSet) -> list[tuple[int, in
         One ``(landmark_index, depth_mm_or_None)`` pair per landmark, in
         landmark order.
     """
-    cols = np.floor(landmarks.points[:, 0] + 0.5).astype(np.int64)
-    rows = np.floor(landmarks.points[:, 1] + 0.5).astype(np.int64)
-    in_bounds = (cols >= 0) & (cols < depth.width) & (rows >= 0) & (rows < depth.height)
-    out: list[tuple[int, int | None]] = []
-    for k in range(len(landmarks)):
-        if not in_bounds[k]:
-            out.append((k, None))
-            continue
-        value = int(depth.values[rows[k], cols[k]])
-        out.append((k, value if value != 0 else None))
-    return out
+    inside, picked = _landmark_pixels(depth, landmarks)
+    depths = np.zeros(len(landmarks), dtype=np.int64)  # 0 off the grid, as unmeasured
+    depths[inside] = picked
+    return [(k, value or None) for k, value in enumerate(depths.tolist())]
 
 
 def dv_score(depth: DepthMap, landmarks: LandmarkSet, min_valid: int = DEFAULT_MIN_VALID) -> DvScore:
@@ -83,8 +88,8 @@ def dv_score(depth: DepthMap, landmarks: LandmarkSet, min_valid: int = DEFAULT_M
     """
     if min_valid < 2:
         raise ValidationError(f"min_valid must be at least 2, got {min_valid}")
-    sampled = sample_depths(depth, landmarks)
-    values = np.asarray([v for _, v in sampled if v is not None], dtype=np.float64)
+    _, picked = _landmark_pixels(depth, landmarks)
+    values = picked[picked != 0].astype(np.float64)
     if values.size < min_valid:
         raise TooFewValidLandmarksError(int(values.size), min_valid)
     # the score is a function of the depth multiset: sort so that landmark

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from statistics import NormalDist
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -158,7 +159,8 @@ class _Table:
     """A CSV table read in one pass, blank lines skipped.
 
     ``cells`` holds every cell of the data rows that are as wide as the
-    header, row after row, and ``lines`` their one-based line numbers.
+    header, row after row, and ``lines`` their one-based line numbers, as
+    any sequence of ints (a list, or a range when no line was skipped).
     ``ragged`` is the first data row of another width, as ``(number of
     rows before it, line, fields)``, or None.
     """
@@ -166,7 +168,7 @@ class _Table:
     header: list[str]
     header_line: int
     cells: list[str]
-    lines: list[int]
+    lines: Sequence[int]
     ragged: tuple[int, int, list[str]] | None
 
     def column(self, k: int) -> list[str]:
@@ -189,13 +191,45 @@ class _Table:
             yield self.ragged[1], self.ragged[2]
 
 
+def _split_plain(text: str) -> _Table | None:
+    """The table of plain CSV, split with ``str.split``; None for any other text.
+
+    Plain means: no ``"``, CR or NUL, no blank line (a final line break
+    aside), no line longer than ``csv.field_size_limit()``, and as many
+    commas on every line as on the header.  With the excel dialect and no
+    quotes, csv.reader splits fields on ``,`` and rows on ``\\n`` only, so
+    for such text it reads this same table.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = (text[:-1] if text.endswith("\n") else text).split("\n")
+    commas = lines[0].count(",")
+    limit = csv.field_size_limit()
+    if (
+        "" in lines
+        or len(text) > limit and max(map(len, lines)) > limit
+        or set(map(str.count, lines, repeat(","))) != {commas}
+    ):
+        return None
+    cells = ",".join(lines).split(",")
+    header = cells[: commas + 1]
+    del cells[: commas + 1]
+    return _Table(header, 1, cells, range(2, len(lines) + 1), None)
+
+
 def _read_table(data: Union[bytes, str], what: str) -> _Table:
     """Read a CSV table as one stream into a flat list of cells.
 
-    A CSV syntax error anywhere wins over every error in the rows, which
-    are checked only after the whole input has been read.
+    Plain CSV is split with ``str.split`` (see :func:`_split_plain`), every
+    other input goes through csv.reader.  A CSV syntax error anywhere wins
+    over every error in the rows, which are checked only after the whole
+    input has been read.
     """
-    reader = csv.reader(io.StringIO(_decode(data, what), newline=""))
+    text = _decode(data, what)
+    table = _split_plain(text)
+    if table is not None:
+        return table
+    reader = csv.reader(io.StringIO(text, newline=""))
     header: list[str] = []
     header_line = 0
     cells: list[str] = []
@@ -499,8 +533,8 @@ def parse_depth_pgm(data: bytes) -> DepthMap:
         raise TruncatedError(f"PGM raster holds {len(raster)} bytes, expected {expected}")
     if len(raster) > expected:
         raise ParseError(f"{len(raster) - expected} trailing bytes after PGM raster")
-    values = np.frombuffer(raster, dtype=">u2").reshape(height, width)
-    return DepthMap(values=values.astype(np.uint16))
+    # DepthMap converts the big-endian view to native uint16, its one copy
+    return DepthMap(values=np.frombuffer(raster, dtype=">u2").reshape(height, width))
 
 
 def write_depth_pgm(depth: DepthMap) -> bytes:

@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from padeval.core import LABEL_BY_NAME, Label, _id_ok
-from padeval.ingest import ManifestRow, ParseError, RaggedRowError
+from padeval.depth_variance import DvScore, TooFewValidLandmarksError
+from padeval.ingest import EmptyFileError, ManifestRow, ParseError, RaggedRowError, _Table, _decode
 from padeval.metrics import DetAxes
 from padeval.ocsvm import _ETA_FLOOR, NotConvergedError
 
@@ -116,6 +117,33 @@ def csv_rows(text):
     except csv.Error as exc:
         raise ParseError(f"bad CSV: {exc}", line=reader.line_num) from None
     return rows
+
+
+def read_table(data, what):
+    """The table reader as it was before plain CSV was split with ``str.split``:
+    every input goes through csv.reader, one row at a time."""
+    reader = csv.reader(io.StringIO(_decode(data, what), newline=""))
+    header: list[str] = []
+    header_line = 0
+    cells: list[str] = []
+    lines: list[int] = []
+    ragged = None
+    try:
+        for header in reader:
+            if header:
+                break
+        header_line = reader.line_num
+        for fields in reader:
+            if len(fields) == len(header):
+                cells.extend(fields)
+                lines.append(reader.line_num)
+            elif fields and ragged is None:
+                ragged = (len(lines), reader.line_num, fields)
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV: {exc}", line=reader.line_num) from None
+    if not header:
+        raise EmptyFileError(f"{what} holds no content")
+    return _Table(header, header_line, cells, lines, ragged)
 
 
 def csv_lines(header, rows):
@@ -352,6 +380,35 @@ def manifest_rows(rows):
 
 # ---------------------------------------------------------------------------
 # depth variance
+
+
+# The depth-variance score as it was before the landmark pixels were gathered
+# with one fancy index, kept as the bit-for-bit reference.
+
+
+def sample_depths_loop(depth, landmarks):
+    """``(landmark_index, depth_or_None)`` per landmark, one landmark at a time."""
+    cols = np.floor(landmarks.points[:, 0] + 0.5).astype(np.int64)
+    rows = np.floor(landmarks.points[:, 1] + 0.5).astype(np.int64)
+    in_bounds = (cols >= 0) & (cols < depth.width) & (rows >= 0) & (rows < depth.height)
+    out = []
+    for k in range(len(landmarks)):
+        if not in_bounds[k]:
+            out.append((k, None))
+            continue
+        value = int(depth.values[rows[k], cols[k]])
+        out.append((k, value if value != 0 else None))
+    return out
+
+
+def dv_score_loop(depth, landmarks, min_valid):
+    """The sorted float64 ``np.std`` of the depths :func:`sample_depths_loop` found."""
+    sampled = sample_depths_loop(depth, landmarks)
+    values = np.asarray([v for _, v in sampled if v is not None], dtype=np.float64)
+    if values.size < min_valid:
+        raise TooFewValidLandmarksError(int(values.size), min_valid)
+    values.sort()
+    return DvScore(value=float(np.std(values)), n_valid=int(values.size))
 
 
 def dv_reference(depth_values, landmark_points, min_valid):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -119,6 +119,38 @@ def test_matches_stdlib_reference(flat_values, points):
         assert score.value == pytest.approx(expected[0], rel=1e-12, abs=1e-12)
         sampled = sample_depths(depth, lms)
         assert len(sampled) == len(points)
+
+
+# coordinates around grids of 1x1 to 5x5: exact halves (x.5, -0.5), values
+# just past them, and points well outside
+edge_coords = st.one_of(
+    st.integers(-2, 5).map(lambda k: k + 0.5),
+    st.sampled_from([-0.5, -0.51, -0.49, 0.49, 4.4999999999999995, -40.0, 1e9]),
+    st.floats(min_value=-1.5, max_value=5.5, allow_nan=False),
+)
+
+
+def _dv_outcome(score, *args):
+    try:
+        result = score(*args)
+    except TooFewValidLandmarksError as exc:
+        return "too few", exc.n_valid, exc.min_valid
+    return result.value.hex(), result.n_valid
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.lists(st.one_of(st.just(0), st.sampled_from([1, 65535]), st.integers(1, 65535)), min_size=25, max_size=25),
+    st.lists(st.tuples(edge_coords, edge_coords), min_size=8, max_size=60),
+    st.integers(2, 8),
+)
+@example(1, 1, [7] * 25, [(0.0, 0.0), (-0.5, -0.5), (0.5, 0.0), (0.49, 0.49)], 2)
+def test_matches_the_per_landmark_loop(height, width, flat_values, points, min_valid):
+    depth = grid_map(np.asarray(flat_values[: height * width], dtype=np.int64).reshape(height, width))
+    lms = LandmarkSet(points=points)
+    assert sample_depths(depth, lms) == oracles.sample_depths_loop(depth, lms)
+    assert _dv_outcome(dv_score, depth, lms, min_valid) == _dv_outcome(oracles.dv_score_loop, depth, lms, min_valid)
 
 
 @given(st.permutations(list(range(12))))

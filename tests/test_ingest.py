@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -380,9 +381,9 @@ def _header(kind, d):
 
 
 @st.composite
-def _tables(draw, kind):
+def _tables(draw, kind, id_texts=csv_ids):
     d = draw(st.integers(min_value=1, max_value=4))
-    ids = draw(st.lists(csv_ids, min_size=1, max_size=10, unique=True))
+    ids = draw(st.lists(id_texts, min_size=1, max_size=10, unique=True))
     if kind == "labels":
         rows = [[sid, draw(_label_tokens)] for sid in ids]
     elif kind == "landmarks":
@@ -392,7 +393,7 @@ def _tables(draw, kind):
     elif kind == "scores":
         rows = [[sid, draw(_label_tokens), draw(_float_tokens)] for sid in ids]
     elif kind == "manifest":
-        rows = [[sid, draw(csv_ids), draw(csv_ids), draw(_label_tokens)] for sid in ids]
+        rows = [[sid, draw(id_texts), draw(id_texts), draw(_label_tokens)] for sid in ids]
     else:
         rows = [[sid, *draw(st.lists(_float_tokens, min_size=d, max_size=d))] for sid in ids]
     return _header(kind, d), rows
@@ -534,6 +535,147 @@ class TestColumnParsersMatchRowWalk:
         outcome = _outcome(_parse, kind, text)
         assert outcome == _outcome(_parse_by_rows, kind, text)
         assert issubclass(outcome[0], ParseError) and outcome[2] == line
+
+
+# ---------------------------------------------------------------------------
+# the str.split reading of plain CSV against csv.reader
+
+_LIMIT = csv.field_size_limit()
+
+
+def _shift_comma(text, k):
+    """``text`` with its k-th comma moved to the end of another line, so the
+    rows turn ragged while the total number of cells stays the same."""
+    commas = [i for i, ch in enumerate(text) if ch == ","]
+    if not commas:
+        return text
+    i = commas[k % len(commas)]
+    text = text[:i] + text[i + 1 :]
+    ends = [j for j, ch in enumerate(text) if ch == "\n"] + [len(text)]
+    j = ends[(k + 1) % len(ends)]
+    return text[:j] + "," + text[j:]
+
+
+# each edit as (what, argument): one character inserted, every line break
+# written as CRLF, blank lines before, inside and after the table, the final
+# line break dropped, a field at or beyond the field size limit, a comma moved
+_EDITS = [
+    ("insert", '"'),
+    ("insert", "\r"),
+    ("insert", "\x00"),
+    ("insert", "\n"),
+    ("insert", ","),
+    ("insert", "x" * _LIMIT),
+    ("insert", "x" * (_LIMIT + 1)),
+    ("crlf", None),
+    ("lead", None),
+    ("trail", None),
+    ("chop", None),
+    ("shift", None),
+]
+
+
+def _edit(text, edits):
+    for (what, arg), k in edits:
+        if what == "insert":
+            at = k % (len(text) + 1)
+            text = text[:at] + arg + text[at:]
+        elif what == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif what == "lead":
+            text = "\n" + text
+        elif what == "trail":
+            text = text + "\n"
+        elif what == "chop":
+            text = text[:-1]
+        else:
+            text = _shift_comma(text, k)
+    return text
+
+
+def _table_outcome(read, text):
+    try:
+        table = read(text, "some CSV")
+    except PadevalError as exc:
+        return type(exc), str(exc), exc.line
+    return table.header, table.header_line, table.cells, list(table.lines), table.ragged
+
+
+def _parse_outcomes(kind, text):
+    """The parse outcome with this reader and with the csv.reader-only one."""
+    outcome = _outcome(_parse, kind, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_read_table", oracles.read_table)
+        return outcome, _outcome(_parse, kind, text)
+
+
+class TestPlainSplitMatchesCsvReader:
+    @given(
+        st.sampled_from(_KINDS).flatmap(
+            lambda kind: st.tuples(st.just(kind), st.sampled_from([plain_ids, csv_ids]).flatmap(
+                lambda id_texts: _tables(kind, id_texts)))
+        ),
+        st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 10**6)), max_size=3),
+    )
+    def test_same_table_and_parse(self, kind_table, edits):
+        kind, (header, rows) = kind_table
+        text = _edit(oracles.csv_lines(header, rows), edits)
+        assert _table_outcome(ingest._read_table, text) == _table_outcome(oracles.read_table, text)
+        new, old = _parse_outcomes(kind, text)
+        assert new == old
+
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            pytest.param("index,x,y\n0,1.5,2\n1,3,4\n", True, id="plain"),
+            pytest.param("index,x,y\n0,1.5,2\n1,3,4", True, id="no-final-newline"),
+            pytest.param("index,x,y\n", True, id="header-only"),
+            pytest.param("index,x,y", True, id="header-only-no-newline"),
+            pytest.param("index,x,y\n0, 1.5 ,\u2028\n", True, id="spaces-and-unicode-separators"),
+            pytest.param("index,x,y\n" + "0,1,2\n" * (_LIMIT // 6 + 1), True, id="file-beyond-the-limit"),
+            pytest.param('index,x,y\n"0",1.5,2\n', False, id="quotes"),
+            pytest.param("index,x,y\n0,1.5,2\r1,3,4\n", False, id="bare-cr"),
+            pytest.param("index,x,y\r\n0,1.5,2\r\n", False, id="crlf"),
+            pytest.param("index,x,y\n0,1.5,2\x00\n", False, id="nul"),
+            pytest.param("\nindex,x,y\n0,1.5,2\n", False, id="leading-blank-line"),
+            pytest.param("index,x,y\n\n0,1.5,2\n", False, id="interior-blank-line"),
+            pytest.param("index,x,y\n0,1.5,2\n\n", False, id="trailing-blank-line"),
+            pytest.param("", False, id="empty"),
+            pytest.param("\n", False, id="one-line-break"),
+            pytest.param("index,x,y\n0,1.5," + "1" * _LIMIT + "\n", False, id="line-beyond-the-limit"),
+            pytest.param("index,x,y\n0,1.5," + "1" * (_LIMIT + 1) + "\n", False, id="field-beyond-the-limit"),
+            pytest.param("index\n" + "1" * _LIMIT + "\n", True, id="field-at-the-limit"),
+            pytest.param("index\n" + "1" * (_LIMIT + 1) + "\n", False, id="lone-field-beyond-the-limit"),
+            pytest.param("index,x,y\n0,1,2,1\n1,2\n", False, id="ragged-rows-adding-up"),
+            pytest.param("index,x,y\n0,1\n", False, id="short-row"),
+        ],
+    )
+    def test_each_fallback_trigger(self, text, plain):
+        assert (ingest._split_plain(text) is not None) == plain
+        assert _table_outcome(ingest._read_table, text) == _table_outcome(oracles.read_table, text)
+        for kind in _KINDS:
+            new, old = _parse_outcomes(kind, text)
+            assert new == old
+
+    def test_plain_files_never_construct_a_csv_reader(self):
+        depth, landmarks = gen_depth(SynthDepthSpec(kind=DepthKind.CURVED_FACE, width=32, height=32, seed=3))
+        scores = ScoreSet(
+            sample_ids=["a", "b.1", "c-2"],
+            labels=[PresentationLabel.BONA_FIDE, PresentationLabel.ATTACK, PresentationLabel.ATTACK],
+            values=[0.25, -1e-300, 3.0],
+            polarity=Polarity.HIGHER_IS_BONA_FIDE,
+        )
+        landmarks_csv, scores_csv = write_landmarks(landmarks), write_scores(scores)
+
+        def constructed(*args, **kwargs):
+            raise AssertionError("csv.reader ran on a plain file")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest.csv, "reader", constructed)
+            parsed_landmarks = parse_landmarks(landmarks_csv)
+            parsed_scores = parse_scores(scores_csv, Polarity.HIGHER_IS_BONA_FIDE)
+        assert parsed_landmarks.points.tolist() == landmarks.points.tolist()
+        assert parsed_scores.ids() == scores.ids() and parsed_scores.scores() == scores.scores()
 
 
 class TestLandmarksCsv:
