@@ -50,24 +50,18 @@ class MinMaxParams:
 def minmax_fit(scores: Sequence[float]) -> MinMaxParams:
     """Range of the given scores.
 
+    ``argmin`` and ``argmax`` pick the first extreme, as ``min`` and ``max``
+    do, so a ``-0.0`` next to a ``0.0`` keeps the sign of whichever comes first.
+
     Raises:
         EmptySetError: no scores.
         ValidationError: a score is non-finite.
     """
-    values = list(map(float, scores))
-    if not values:
+    values = np.asarray(scores, dtype=np.float64)
+    if values.size == 0:
         raise EmptySetError("cannot fit min-max parameters on no scores")
-    if not all(map(math.isfinite, values)):
+    if not np.isfinite(values).all():
         raise ValidationError("scores contain a non-finite value")
-    return MinMaxParams(lo=min(values), hi=max(values))
-
-
-def _fit(values: np.ndarray) -> MinMaxParams:
-    """:func:`minmax_fit` of a validated score column, read off the array.
-
-    ``argmin`` and ``argmax`` pick the first extreme, as ``min`` and ``max``
-    do, so a ``-0.0`` next to a ``0.0`` keeps the sign of whichever comes first.
-    """
     return MinMaxParams(lo=float(values[values.argmin()]), hi=float(values[values.argmax()]))
 
 
@@ -129,7 +123,7 @@ def fuse(a: ScoreSet, b: ScoreSet, w_a: float = 0.5, w_b: float = 0.5) -> ScoreS
         odd = sorted(set(a.sample_ids).symmetric_difference(b_index))[0]
         raise IdMismatchError(f"score sets cover different samples (first difference: {odd!r})")
     b_order = np.fromiter(map(b_index.__getitem__, a.sample_ids), dtype=np.intp, count=len(a))
-    norm_a = _normalise(_fit(a.values), a.values)
-    norm_b = _normalise(_fit(b.values), b.values)
+    norm_a = _normalise(minmax_fit(a.values), a.values)
+    norm_b = _normalise(minmax_fit(b.values), b.values)
     values = w_a * norm_a + w_b * norm_b[b_order]
     return ScoreSet(sample_ids=a.sample_ids, labels=a.labels, values=values, polarity=a.polarity)

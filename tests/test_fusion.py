@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_score_set
-from padeval import fusion
 from padeval import (
     EmptySetError,
     IdMismatchError,
@@ -50,6 +49,12 @@ class TestMinMax:
             minmax_fit([])
         with pytest.raises(ValidationError):
             minmax_fit([1.0, math.inf])
+
+    @given(st.lists(st.one_of(any_finite, st.sampled_from([0.0, -0.0])), min_size=1, max_size=300))
+    def test_fit_matches_python_min_max(self, scores):
+        # the first of equal extremes is kept, so a zero range end has the sign min/max give it
+        params = minmax_fit(scores)
+        assert (params.lo.hex(), params.hi.hex()) == (min(scores).hex(), max(scores).hex())
 
     def test_apply_maps_midpoint(self):
         assert minmax_apply(MinMaxParams(0.0, 10.0), 5.0) == 0.5
@@ -170,13 +175,6 @@ class TestFuse:
         assert minmax_apply(minmax_fit(a.scores()), 0.0) == 0.5
         expected = oracles.fuse_reference(a.ids(), a.scores(), b.ids(), b.scores(), 0.5, 0.5)
         assert fuse(a, b).scores() == expected == [0.0, 0.5, 1.0]
-
-    @given(st.lists(st.one_of(any_finite, st.sampled_from([0.0, -0.0])), min_size=1, max_size=300))
-    def test_column_range_matches_minmax_fit(self, scores):
-        # the first of equal extremes is kept, so the sign of a zero range end is minmax_fit's
-        expected = minmax_fit(scores)
-        params = fusion._fit(make_score_set(scores).values)
-        assert (params.lo.hex(), params.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
 
     @given(st.lists(st.tuples(finite_scores, finite_scores), min_size=2, max_size=40))
     def test_comonotone_inputs_fuse_monotonically(self, pairs):
