@@ -1,13 +1,15 @@
 """Alternating parent/change pairs of benchmark runs, summarised per metric.
 
-Exports the tree of ``--parent REV`` into a temporary directory (``git
-archive``, removed on exit), then for each of ``--pairs`` seeds from
-``--seed-start`` runs
+Exports the tree of ``--parent REV`` (``git archive``) and the working tree
+(its tracked files and the untracked ones git does not ignore) into two
+temporary directories, removed on exit, so that both sides run from the same
+kind of place.  Then for each of ``--pairs`` seeds from ``--seed-start`` it
+runs
 
     python3 perfbench/run.py --workload W --seed s --seconds S --trace 0
 
-where S is the ``run_seconds`` of ``BENCHMARK.json``, once in that tree and
-once in the working tree, alternating which of the two runs first.  For each
+where S is the ``run_seconds`` of ``BENCHMARK.json``, once in each tree,
+alternating which of the two runs first.  For each
 end-to-end metric of ``BENCHMARK.json`` it prints both sides' median and
 quartiles, the number of pairs the change won, and whether the gap between the
 medians exceeds the parent's interquartile range.
@@ -23,6 +25,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -70,6 +73,21 @@ def export_tree(rev: str, dest: str) -> None:
             tar.extractall(dest)
 
 
+def export_worktree(dest: str) -> None:
+    """Copy the working tree's tracked files, and its untracked files that git
+    does not ignore, under ``dest``; a tracked file deleted from the working
+    tree is left out."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout
+    for rel in filter(None, os.fsdecode(listed).split("\0")):
+        src = os.path.join(ROOT, rel)
+        if os.path.lexists(src):
+            os.makedirs(os.path.dirname(os.path.join(dest, rel)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, rel), follow_symlinks=False)
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run from ``tree``; its result JSON."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -93,9 +111,11 @@ def main(argv=None) -> int:
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     failed = {"parent": 0, "change": 0}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tree:
         export_tree(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        export_worktree(change_tree)
+        trees = {"parent": parent_tree, "change": change_tree}
         for k in range(args.pairs):
             seed = args.seed_start + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -122,11 +123,45 @@ class ScoreRecord:
     score: float
 
 
-@dataclass(frozen=True, eq=False)
+# ScoreSet.label_codes index the labels in LABEL_BY_NAME order: by code, the
+# label and its serialized name; by name, the code
+_LABEL_ARRAY = np.array(list(LABEL_BY_NAME.values()), dtype=object)
+_LABEL_NAMES = np.array(list(LABEL_BY_NAME), dtype=object)
+_CODE_BY_NAME = {name: code for code, name in enumerate(LABEL_BY_NAME)}
+# enum members are singletons, so a label is one of the five exactly when its id is
+_CODE_BY_ID = {id(label): code for code, label in enumerate(LABEL_BY_NAME.values())}
+
+
+def _label_code(label: object) -> int | None:
+    """The code of ``label``, or None for anything that is not a :data:`Label`."""
+    return _CODE_BY_ID.get(id(label))
+
+
+def _label_codes(labels: Sequence[object]) -> np.ndarray:
+    """The uint8 code of each label; ValidationError at the first foreign one."""
+    codes = list(map(_CODE_BY_ID.get, map(id, labels)))
+    if None in codes:
+        bad = labels[codes.index(None)]
+        raise ValidationError(f"label must be a PresentationLabel or TrialLabel, got {bad!r}")
+    return np.array(codes, dtype=np.uint8)
+
+
+def _check_finite(ids: Sequence[str], values: np.ndarray) -> None:
+    """NonFiniteScoreError for the first NaN or infinite score, naming its id."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteScoreError(ids[k], float(values[k]))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ScoreSet:
     """Aligned score columns with a declared polarity, checked when built.
 
-    ``sample_ids[k]``, ``labels[k]`` and ``values[k]`` describe sample ``k``;
+    ``sample_ids[k]``, ``labels[k]`` and ``values[k]`` describe sample ``k``.
+    Labels are stored as ``label_codes``, a read-only uint8 array whose
+    entries index the five labels in ``LABEL_BY_NAME`` order; ``labels`` is
+    the tuple of :data:`Label` they stand for, built on each access.
     ``values`` is a read-only float64 array.
 
     Raises:
@@ -139,17 +174,23 @@ class ScoreSet:
     """
 
     sample_ids: tuple[str, ...]
-    labels: tuple[Label, ...]
+    label_codes: np.ndarray
     values: np.ndarray
     polarity: Polarity
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.polarity, Polarity):
-            raise ValidationError(f"polarity must be a Polarity, got {self.polarity!r}")
-        ids, labels = tuple(self.sample_ids), tuple(self.labels)
+    def __init__(
+        self,
+        sample_ids: Sequence[str],
+        labels: Sequence[Label],
+        values: Sequence[float] | np.ndarray,
+        polarity: Polarity,
+    ) -> None:
+        if not isinstance(polarity, Polarity):
+            raise ValidationError(f"polarity must be a Polarity, got {polarity!r}")
+        ids, labels = tuple(sample_ids), tuple(labels)
         if not ids:
             raise EmptySetError("score set holds no records")
-        values = np.asarray(self.values)
+        values = np.asarray(values)
         if values.dtype.kind not in "iuf":
             raise ValidationError(f"scores must be real numbers, got dtype {values.dtype}")
         values = values.astype(np.float64)  # a copy: the caller's array stays writeable
@@ -158,16 +199,33 @@ class ScoreSet:
                 f"{len(ids)} sample_ids, {len(labels)} labels and {values.shape} scores are not aligned"
             )
         _check_ids(ids)
-        if not set(map(type, labels)) <= {PresentationLabel, TrialLabel}:
-            bad = next(lab for lab in labels if not isinstance(lab, (PresentationLabel, TrialLabel)))
-            raise ValidationError(f"label must be a PresentationLabel or TrialLabel, got {bad!r}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise NonFiniteScoreError(ids[k], float(values[k]))
+        codes = _label_codes(labels)
+        _check_finite(ids, values)
+        self._fill(ids, codes, values, polarity)
+
+    @classmethod
+    def _trusted(
+        cls, sample_ids: tuple[str, ...], codes: np.ndarray, values: np.ndarray, polarity: Polarity
+    ) -> "ScoreSet":
+        """A set from columns that already hold every invariant; nothing is checked.
+
+        ``codes`` and ``values`` are taken as they are and made read-only, so
+        the caller hands over arrays that nobody else writes to.
+        """
+        score_set = object.__new__(cls)
+        score_set._fill(sample_ids, codes, values, polarity)
+        return score_set
+
+    def _fill(self, ids: tuple[str, ...], codes: np.ndarray, values: np.ndarray, polarity: Polarity) -> None:
         object.__setattr__(self, "sample_ids", ids)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "label_codes", _read_only(codes))
         object.__setattr__(self, "values", _read_only(values))
+        object.__setattr__(self, "polarity", polarity)
+
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        """The label of each sample, built on each access."""
+        return tuple(_LABEL_ARRAY[self.label_codes].tolist())
 
     @property
     def records(self) -> tuple[ScoreRecord, ...]:
@@ -187,13 +245,19 @@ class ScoreSet:
         return list(self.sample_ids)
 
     def with_label(self, label: Label) -> "ScoreSet":
-        """Sub-set holding only the samples carrying ``label``."""
-        keep = [k for k, lab in enumerate(self.labels) if lab is label]
-        return ScoreSet(
-            sample_ids=[self.sample_ids[k] for k in keep],
-            labels=[label] * len(keep),
-            values=self.values[keep],
-            polarity=self.polarity,
+        """Sub-set holding only the samples carrying ``label``.
+
+        Raises:
+            EmptySetError: no sample carries ``label``.
+        """
+        keep = self.label_codes == _label_code(label)  # all False for a foreign label
+        if not keep.any():
+            raise EmptySetError("score set holds no records")
+        return ScoreSet._trusted(
+            tuple(compress(self.sample_ids, keep.tolist())),
+            self.label_codes[keep],
+            self.values[keep],
+            self.polarity,
         )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -119,11 +120,14 @@ def fuse(a: ScoreSet, b: ScoreSet, w_a: float = 0.5, w_b: float = 0.5) -> ScoreS
     if abs((w_a + w_b) - 1.0) > 1e-9:
         raise WeightError(f"weights must sum to 1, got {w_a!r} + {w_b!r}")
     b_index = dict(zip(b.sample_ids, range(len(b))))
-    if b_index.keys() != set(a.sample_ids):
+    # -1 marks an id of ``a`` that ``b`` lacks; ids are unique within each set,
+    # so equal lengths and no -1 mean that both cover the same ids
+    b_order = np.fromiter(map(b_index.get, a.sample_ids, repeat(-1)), dtype=np.intp, count=len(a))
+    if len(a) != len(b) or (b_order < 0).any():
         odd = sorted(set(a.sample_ids).symmetric_difference(b_index))[0]
         raise IdMismatchError(f"score sets cover different samples (first difference: {odd!r})")
-    b_order = np.fromiter(map(b_index.__getitem__, a.sample_ids), dtype=np.intp, count=len(a))
     norm_a = _normalise(minmax_fit(a.values), a.values)
     norm_b = _normalise(minmax_fit(b.values), b.values)
+    # convex weights of values in [0, 1]: the sum is finite, and the columns of a are valid
     values = w_a * norm_a + w_b * norm_b[b_order]
-    return ScoreSet(sample_ids=a.sample_ids, labels=a.labels, values=values, polarity=a.polarity)
+    return ScoreSet._trusted(a.sample_ids, a.label_codes, values, a.polarity)

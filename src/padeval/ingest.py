@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from statistics import NormalDist
 from typing import Callable, Iterator, Mapping, Sequence, Union
@@ -34,6 +35,8 @@ from .core import (
     Polarity,
     ScoreSet,
     ValidationError,
+    _CODE_BY_NAME,
+    _LABEL_NAMES,
     _check_ids,
     _id_ok,
     _ids_ok,
@@ -378,21 +381,21 @@ def parse_scores(data: Union[bytes, str], polarity: Polarity) -> ScoreSet:
     table = _read_table(data, "scores CSV")
     _check_header(table, _SCORES_HEADER, "scores")
     if table.ragged is None:
+        ids, codes = table.column(0), list(map(_CODE_BY_NAME.get, table.column(1)))
         try:
-            return ScoreSet(
-                sample_ids=table.column(0),
-                labels=list(map(LABEL_BY_NAME.get, table.column(1))),
-                values=_floats(table.column(2)),
-                polarity=polarity,
-            )
-        except (ValueError, ValidationError):
-            pass  # some row is at fault: the row walk names the first one
+            values = _floats(table.column(2))
+        except ValueError:
+            pass
+        else:
+            if None not in codes and _ids_ok(ids) and np.isfinite(values).all():
+                return ScoreSet._trusted(tuple(ids), np.array(codes, dtype=np.uint8), values, polarity)
+    # some row is at fault: the row walk names the first one
     ids, labels, values = _walk(table, [_id_cell(), _label_cell, _float_cell("score")])
     return ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=polarity)
 
 
 def write_scores(score_set: ScoreSet) -> str:
-    labels = [lab.value for lab in score_set.labels]
+    labels = _LABEL_NAMES[score_set.label_codes].tolist()
     return _csv_table(_SCORES_HEADER, score_set.sample_ids, labels, _reprs(score_set.values))
 
 
@@ -442,13 +445,28 @@ def write_features(features: FeatureMatrix) -> str:
     return _csv_table(_features_header(features.d), features.sample_ids, *map(_reprs, features.values.T))
 
 
+@lru_cache(maxsize=4)
+def _index_tokens(n: int) -> list[str]:
+    """The canonical index column ``"0", "1", ..., str(n - 1)``; callers only compare with it."""
+    return list(map(str, range(n)))
+
+
+def _indices_from_zero(tokens: list[str]) -> bool:
+    """Whether the index tokens read 0, 1, 2, ... as ints; ValueError on a token that is no int.
+
+    The canonical tokens ``str(k)`` are compared first, so only a column
+    spelled otherwise (``+1``, ``01``, `` 1``) pays for ``int`` of each token.
+    """
+    return tokens == _index_tokens(len(tokens)) or list(map(int, tokens)) == list(range(len(tokens)))
+
+
 def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
     """Read an ``index,x,y`` table; indices must run 0, 1, 2, ... in order."""
     table = _read_table(data, "landmarks CSV")
     _check_header(table, _LANDMARKS_HEADER, "landmarks")
     if table.ragged is None:
         try:
-            if list(map(int, table.column(0))) == list(range(len(table.lines))):
+            if _indices_from_zero(table.column(0)):
                 return LandmarkSet(points=_floats(table.value_cells()).reshape(-1, 2))
         except (ValueError, ValidationError):
             pass  # some row is at fault: the row walk names the first one
@@ -755,10 +773,21 @@ _DET_TICKS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
 _PROBIT = NormalDist().inv_cdf
 
 
+def _distinct_reprs(values: np.ndarray) -> list[str]:
+    """:func:`_reprs` of a float array, each distinct value formatted once.
+
+    Values are told apart by their bits, so ``0.0`` and ``-0.0`` keep their
+    own reprs.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(_reprs(bits.view(np.float64)), dtype=object)[inverse].tolist()
+
+
 def write_det(curve: DetCurve) -> str:
     """DET sweep as CSV: one row per threshold, rates as exact decimals."""
-    columns = (curve.thresholds.tolist(), curve.x_rates.tolist(), curve.y_rates.tolist())
-    return _DET_HEADER + "\n" + "".join([f"{t!r},{x!r},{y!r}\n" for t, x, y in zip(*columns)])
+    # rates are counts over a class size, so a long sweep repeats each one many times
+    columns = (_reprs(curve.thresholds), _distinct_reprs(curve.x_rates), _distinct_reprs(curve.y_rates))
+    return _DET_HEADER + "\n" + "".join([f"{t},{x},{y}\n" for t, x, y in zip(*columns)])
 
 
 def write_det_svg(curve: DetCurve) -> str:
@@ -769,19 +798,20 @@ def write_det_svg(curve: DetCurve) -> str:
     lo_q, hi_q = _PROBIT(_DET_LO), _PROBIT(_DET_HI)
     span = hi_q - lo_q
 
-    def x_px(rate: float) -> float:
-        q = _PROBIT(min(max(rate, _DET_LO), _DET_HI))
+    # x_px and y_px map the probit q of a clamped rate, a float or a float64
+    # array alike: the same operations in the same order give the same bits
+    def x_px(q):
         return ml + (q - lo_q) / span * plot_w
 
-    def y_px(rate: float) -> float:
-        q = _PROBIT(min(max(rate, _DET_LO), _DET_HI))
+    def y_px(q):
         return height - mb - (q - lo_q) / span * plot_h
 
-    def pixels(rates: np.ndarray, to_px: Callable[[float], float]) -> list[str]:
+    def pixels(rates: np.ndarray, to_px: Callable[[np.ndarray], np.ndarray]) -> list[str]:
         # rates are counts over a class size, so a long sweep repeats each one
         # many times: every distinct clamped rate is mapped and formatted once
         distinct, inverse = np.unique(np.clip(rates, _DET_LO, _DET_HI), return_inverse=True)
-        cells = np.array([f"{to_px(rate):.2f}" for rate in distinct.tolist()], dtype=object)
+        q = np.fromiter(map(_PROBIT, distinct.tolist()), dtype=np.float64, count=distinct.size)
+        cells = np.array([f"{v:.2f}" for v in to_px(q).tolist()], dtype=object)
         return cells[inverse].tolist()
 
     if curve.axes is DetAxes.APCER_BPCER:
@@ -797,8 +827,8 @@ def write_det_svg(curve: DetCurve) -> str:
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
     for tick in _DET_TICKS:
-        gx = x_px(tick)
-        gy = y_px(tick)
+        gx = x_px(_PROBIT(tick))
+        gy = y_px(_PROBIT(tick))
         label = f"{tick * 100:g}"
         parts.append(
             f'<line x1="{gx:.2f}" y1="{mt}" x2="{gx:.2f}" y2="{height - mb}" '

@@ -31,6 +31,7 @@ results are reproducible bit-for-bit across platforms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -46,6 +47,7 @@ from .core import (
     ScoreSet,
     TrialLabel,
     ValidationError,
+    _label_code,
 )
 
 __all__ = [
@@ -190,7 +192,17 @@ def _floor_times(target: float, n: int) -> int:
 
 
 def _grid(sorted_scores: np.ndarray) -> np.ndarray:
-    """The candidate grid (see :func:`candidate_thresholds`) of sorted scores."""
+    """The candidate grid (see :func:`candidate_thresholds`) of sorted scores.
+
+    Raises:
+        ValidationError: the largest score is the largest finite float, so
+            no finite threshold lies above it.
+    """
+    if sorted_scores[-1] == sys.float_info.max:
+        raise ValidationError(
+            f"score {sys.float_info.max!r} is the largest finite float: "
+            "no finite threshold lies above it"
+        )
     distinct = sorted_scores[np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))]
     lower, upper = distinct[:-1], distinct[1:]
     with np.errstate(over="ignore"):
@@ -345,11 +357,11 @@ def _checked_scores(score_set: ScoreSet, expected_label, expected_polarity: Pola
             f"{role} scores must declare polarity {expected_polarity.value!r}, "
             f"got {score_set.polarity.value!r}"
         )
-    off_label = [sid for sid, lab in zip(score_set.sample_ids, score_set.labels) if lab is not expected_label]
-    if off_label:
+    off_label = score_set.label_codes != _label_code(expected_label)
+    if off_label.any():
         raise ValidationError(
             f"{role} set must contain only {expected_label.value!r} records; "
-            f"found other labels (first: {off_label[0]!r})"
+            f"found other labels (first: {score_set.sample_ids[int(off_label.argmax())]!r})"
         )
     return np.sort(score_set.values)
 

@@ -43,6 +43,8 @@ from .core import (
     ScoreSet,
     TrialLabel,
     ValidationError,
+    _check_finite,
+    _label_codes,
 )
 
 __all__ = [
@@ -365,6 +367,9 @@ def score_matrix(
         if missing:
             raise ValidationError(f"no label for sample_id {missing[0]!r}")
         per_row = [labels[sid] for sid in features.sample_ids]
-    return ScoreSet(
-        sample_ids=features.sample_ids, labels=per_row, values=values, polarity=Polarity.HIGHER_IS_BONA_FIDE
-    )
+    # the feature matrix vouches for its ids; the labels and the scores
+    # (a product can overflow) are checked as the ScoreSet constructor would
+    codes = _label_codes(per_row)
+    values = np.array(values)
+    _check_finite(features.sample_ids, values)
+    return ScoreSet._trusted(features.sample_ids, codes, values, Polarity.HIGHER_IS_BONA_FIDE)

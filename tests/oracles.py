@@ -14,13 +14,36 @@ import io
 import math
 import statistics
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from padeval.core import LABEL_BY_NAME, Label, _id_ok
+from padeval.core import (
+    LABEL_BY_NAME,
+    EmptySetError,
+    Label,
+    NonFiniteScoreError,
+    Polarity,
+    PolarityMismatchError,
+    PresentationLabel,
+    TrialLabel,
+    ValidationError,
+    _check_ids,
+    _id_ok,
+)
 from padeval.depth_variance import DvScore, TooFewValidLandmarksError
-from padeval.ingest import EmptyFileError, ManifestRow, ParseError, RaggedRowError, _Table, _decode
+from padeval.fusion import IdMismatchError, WeightError, _normalise, minmax_fit
+from padeval.ingest import (
+    EmptyFileError,
+    ManifestRow,
+    ParseError,
+    RaggedRowError,
+    _csv_table,
+    _decode,
+    _reprs,
+    _Table,
+)
 from padeval.metrics import DetAxes
 from padeval.ocsvm import _ETA_FLOOR, NotConvergedError
 
@@ -341,6 +364,12 @@ def feature_rows(rows, d):
     return ids, np.array(values, dtype=np.float64).reshape(-1, d)
 
 
+def indices_from_zero(tokens):
+    """The landmark index check of the column parser before canonical tokens
+    were compared first: ``int`` of every token."""
+    return list(map(int, tokens)) == list(range(len(tokens)))
+
+
 def landmark_rows(rows):
     """Check a landmarks table row by row; raises the first row error in file order."""
     points = []
@@ -450,6 +479,109 @@ def fuse_reference(ids_a, scores_a, ids_b, scores_b, w_a, w_b):
         w_a * norm(sa, lo_a, hi_a) + w_b * norm(by_id_b[i], lo_b, hi_b)
         for i, sa in zip(ids_a, scores_a)
     ]
+
+
+# ---------------------------------------------------------------------------
+# score sets with a tuple of labels
+
+
+# ScoreSet, with_label, the label check of the set-level evaluations, fuse and
+# write_scores as they were before ScoreSet stored its labels as a code
+# column, kept unchanged as the reference of the columnar code: every derived
+# set is built through the checking constructor again.
+
+
+@dataclass(frozen=True, eq=False)
+class TupleScoreSet:
+    """Aligned score columns with a declared polarity, checked when built."""
+
+    sample_ids: tuple[str, ...]
+    labels: tuple[Label, ...]
+    values: np.ndarray
+    polarity: Polarity
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.polarity, Polarity):
+            raise ValidationError(f"polarity must be a Polarity, got {self.polarity!r}")
+        ids, labels = tuple(self.sample_ids), tuple(self.labels)
+        if not ids:
+            raise EmptySetError("score set holds no records")
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "iuf":
+            raise ValidationError(f"scores must be real numbers, got dtype {values.dtype}")
+        values = values.astype(np.float64)  # a copy: the caller's array stays writeable
+        if values.shape != (len(ids),) or len(labels) != len(ids):
+            raise ValidationError(
+                f"{len(ids)} sample_ids, {len(labels)} labels and {values.shape} scores are not aligned"
+            )
+        _check_ids(ids)
+        if not set(map(type, labels)) <= {PresentationLabel, TrialLabel}:
+            bad = next(lab for lab in labels if not isinstance(lab, (PresentationLabel, TrialLabel)))
+            raise ValidationError(f"label must be a PresentationLabel or TrialLabel, got {bad!r}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise NonFiniteScoreError(ids[k], float(values[k]))
+        values.flags.writeable = False
+        object.__setattr__(self, "sample_ids", ids)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.sample_ids)
+
+    def with_label(self, label: Label) -> "TupleScoreSet":
+        keep = [k for k, lab in enumerate(self.labels) if lab is label]
+        return TupleScoreSet(
+            sample_ids=[self.sample_ids[k] for k in keep],
+            labels=[label] * len(keep),
+            values=self.values[keep],
+            polarity=self.polarity,
+        )
+
+
+def checked_scores(score_set, expected_label, expected_polarity, role):
+    """The sorted scores of a set that fits its role, found by a walk over its labels."""
+    if score_set.polarity is not expected_polarity:
+        raise PolarityMismatchError(
+            f"{role} scores must declare polarity {expected_polarity.value!r}, "
+            f"got {score_set.polarity.value!r}"
+        )
+    off_label = [sid for sid, lab in zip(score_set.sample_ids, score_set.labels) if lab is not expected_label]
+    if off_label:
+        raise ValidationError(
+            f"{role} set must contain only {expected_label.value!r} records; "
+            f"found other labels (first: {off_label[0]!r})"
+        )
+    return np.sort(score_set.values)
+
+
+def fuse_tuple(a, b, w_a=0.5, w_b=0.5):
+    """fuse with its id check on two Python sets, building a TupleScoreSet."""
+    if a.polarity is not b.polarity:
+        raise PolarityMismatchError(
+            f"cannot fuse polarity {a.polarity.value!r} with {b.polarity.value!r}"
+        )
+    w_a, w_b = float(w_a), float(w_b)
+    if not (math.isfinite(w_a) and math.isfinite(w_b)) or w_a < 0.0 or w_b < 0.0:
+        raise WeightError(f"weights must be non-negative and finite, got {w_a!r}, {w_b!r}")
+    if abs((w_a + w_b) - 1.0) > 1e-9:
+        raise WeightError(f"weights must sum to 1, got {w_a!r} + {w_b!r}")
+    b_index = dict(zip(b.sample_ids, range(len(b))))
+    if b_index.keys() != set(a.sample_ids):
+        odd = sorted(set(a.sample_ids).symmetric_difference(b_index))[0]
+        raise IdMismatchError(f"score sets cover different samples (first difference: {odd!r})")
+    b_order = np.fromiter(map(b_index.__getitem__, a.sample_ids), dtype=np.intp, count=len(a))
+    norm_a = _normalise(minmax_fit(a.values), a.values)
+    norm_b = _normalise(minmax_fit(b.values), b.values)
+    values = w_a * norm_a + w_b * norm_b[b_order]
+    return TupleScoreSet(sample_ids=a.sample_ids, labels=a.labels, values=values, polarity=a.polarity)
+
+
+def write_scores_tuple(score_set):
+    """write_scores with the label column built by one ``.value`` per sample."""
+    labels = [lab.value for lab in score_set.labels]
+    return _csv_table(["sample_id", "label", "score"], score_set.sample_ids, labels, _reprs(score_set.values))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -301,6 +302,22 @@ class TestFuseCommand:
 
 
 class TestEvalPad:
+    @pytest.mark.parametrize(
+        "rows",
+        ["a,bonafide,1.7976931348623157e308\nb,attack,0.0\n", "a,bonafide,1.0\nb,attack,1.7976931348623157e308\n"],
+    )
+    def test_largest_finite_score_is_data_error(self, tmp_path, capsys, rows):
+        path = write_file(tmp_path / "scores.csv", "sample_id,label,score\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning from numpy would raise
+            code = run(["eval-pad", "--bonafide", path, "--attack", path, "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: score 1.7976931348623157e+308 is the largest finite float: "
+            "no finite threshold lies above it\n"
+        )
+
     def run_eval(self, tmp_path, capsys, extra=()):
         bona = scores_csv(tmp_path, "bona.csv", [3.0, 4.0, 5.0, 6.0], label=PresentationLabel.BONA_FIDE, prefix="b")
         attack = scores_csv(tmp_path, "atk.csv", [0.0, 1.0, 2.0], label=PresentationLabel.ATTACK, prefix="a")

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from padeval import (
     DepthMap,
     DuplicateIdError,
@@ -14,14 +15,19 @@ from padeval import (
     FeatureMatrix,
     LandmarkSet,
     NonFiniteScoreError,
+    PadevalError,
     Polarity,
     PresentationLabel,
     ScoreRecord,
     ScoreSet,
     TrialLabel,
     ValidationError,
+    fuse,
 )
 from conftest import make_score_set
+from padeval import core, metrics
+from padeval.core import LABEL_BY_NAME
+from padeval.ingest import write_scores
 
 
 class TestScoreSet:
@@ -223,3 +229,140 @@ def test_any_finite_scores_validate(scores):
     score_set = make_score_set(scores, label=TrialLabel.NONMATED, polarity=Polarity.HIGHER_IS_MATCH)
     assert score_set.scores() == [float(s) for s in scores]
     assert [r.score for r in score_set] == [float(s) for s in scores]
+
+
+# ---------------------------------------------------------------------------
+# the code column against the tuple of labels it replaced
+
+all_labels = st.sampled_from(list(LABEL_BY_NAME.values()))
+foreign_labels = st.sampled_from(["bonafide", None, 0, PresentationLabel])
+# a small alphabet, so that drawn ids collide; "," and '"' need quoting in CSV
+plain_ids = st.text(alphabet='ab,"', min_size=1, max_size=3)
+bad_ids = st.sampled_from(["", "nul\x00", "line\nbreak", "cr\r", "\ud800", 7])
+any_scores = st.floats(allow_nan=False, allow_infinity=False)
+non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def columns(draw, unique=False):
+    """Keyword arguments of a ScoreSet: valid ones, or with a fault here and there."""
+    ids = draw(st.lists(plain_ids, max_size=12, unique=unique))
+    n = len(ids)
+    labels = draw(st.lists(all_labels, min_size=n, max_size=n))
+    values = draw(st.lists(any_scores, min_size=n, max_size=n))
+    polarity = draw(st.sampled_from(list(Polarity)))
+    if not unique:
+        for column, faults in ((ids, bad_ids), (labels, foreign_labels), (values, non_finite)):
+            if column and draw(st.booleans()):
+                column[draw(st.integers(0, len(column) - 1))] = draw(faults)
+        if draw(st.integers(0, 9)) == 0:  # columns of different lengths
+            column = draw(st.sampled_from([ids, labels, values]))
+            if column:
+                column.pop()
+        if draw(st.integers(0, 9)) == 0:
+            values = [str(v) for v in values]
+        if draw(st.integers(0, 9)) == 0:
+            polarity = polarity.value
+    return dict(sample_ids=ids, labels=labels, values=values, polarity=polarity)
+
+
+def outcome(build):
+    """A built set's ids, labels, value bits and polarity, or its error's type and message."""
+    try:
+        score_set = build()
+    except PadevalError as exc:
+        return type(exc), str(exc)
+    return score_set.sample_ids, score_set.labels, score_set.values.view(np.int64).tolist(), score_set.polarity
+
+
+def both(kwargs):
+    """The same columns as a ScoreSet and as the frozen tuple-label set."""
+    return ScoreSet(**kwargs), oracles.TupleScoreSet(**kwargs)
+
+
+class TestLabelCodesMatchTupleSet:
+    @given(columns())
+    @example(dict(sample_ids=["a"], labels=["bonafide"], values=[0.5], polarity=Polarity.HIGHER_IS_MATCH))
+    @example(dict(sample_ids=["a", "a"], labels=[0, 0], values=[float("nan")] * 2,
+                  polarity=Polarity.HIGHER_IS_MATCH))
+    def test_constructor(self, kwargs):
+        assert outcome(lambda: ScoreSet(**kwargs)) == outcome(lambda: oracles.TupleScoreSet(**kwargs))
+
+    @given(columns(unique=True).filter(lambda kw: kw["sample_ids"]), st.one_of(all_labels, foreign_labels))
+    def test_with_label(self, kwargs, label):
+        new, old = both(kwargs)
+        assert outcome(lambda: new.with_label(label)) == outcome(lambda: old.with_label(label))
+
+    @given(
+        columns(unique=True).filter(lambda kw: kw["sample_ids"]),
+        all_labels,
+        st.sampled_from(list(Polarity)),
+        st.sampled_from(["bonafide", "attack", "mated"]),
+    )
+    def test_checked_scores(self, kwargs, label, polarity, role):
+        new, old = both(kwargs)
+
+        def sorted_bits(check, score_set):
+            try:
+                return check(score_set, label, polarity, role).view(np.int64).tolist()
+            except PadevalError as exc:
+                return type(exc), str(exc)
+
+        assert sorted_bits(metrics._checked_scores, new) == sorted_bits(oracles.checked_scores, old)
+
+    @given(
+        columns(unique=True).filter(lambda kw: kw["sample_ids"]),
+        st.randoms(use_true_random=False),
+        st.sampled_from(["same", "drop", "add", "swap"]),
+        st.sampled_from([(0.5, 0.5), (0.3, 0.7), (1.0, 0.0), (0.5, 0.6)]),
+        st.booleans(),
+    )
+    def test_fuse(self, kwargs, rnd, edit, weights, same_polarity):
+        ids_b = list(kwargs["sample_ids"])
+        rnd.shuffle(ids_b)
+        if edit == "drop" and len(ids_b) > 1:
+            ids_b.pop()
+        elif edit == "add":
+            ids_b.append("zz")
+        elif edit == "swap":
+            ids_b[0] = "zz"
+        polarity_b = kwargs["polarity"] if same_polarity else Polarity.HIGHER_IS_MATCH
+        kwargs_b = dict(
+            sample_ids=ids_b,
+            labels=[PresentationLabel.ATTACK] * len(ids_b),
+            values=[rnd.uniform(-5.0, 5.0) for _ in ids_b],
+            polarity=polarity_b,
+        )
+        (a, a_old), (b, b_old) = both(kwargs), both(kwargs_b)
+        assert outcome(lambda: fuse(a, b, *weights)) == outcome(lambda: oracles.fuse_tuple(a_old, b_old, *weights))
+
+    @given(columns(unique=True).filter(lambda kw: kw["sample_ids"]))
+    def test_write_scores(self, kwargs):
+        new, old = both(kwargs)
+        assert write_scores(new) == oracles.write_scores_tuple(old)
+
+    def test_labels_are_a_view_of_read_only_codes(self):
+        labels = (TrialLabel.ATTACK_MATED, PresentationLabel.BONA_FIDE, TrialLabel.MATED)
+        score_set = ScoreSet(sample_ids=("a", "b", "c"), labels=labels, values=(1.0, 2.0, 3.0),
+                             polarity=Polarity.HIGHER_IS_MATCH)
+        assert score_set.labels == labels
+        # codes index the labels in LABEL_BY_NAME order
+        assert score_set.label_codes.dtype == np.uint8
+        assert score_set.label_codes.tolist() == [list(LABEL_BY_NAME.values()).index(lab) for lab in labels]
+        with pytest.raises(ValueError):
+            score_set.label_codes[0] = 0
+
+    def test_derived_sets_skip_the_id_check(self, monkeypatch):
+        both_labels = ScoreSet(
+            sample_ids=("a", "b", "c"),
+            labels=(PresentationLabel.BONA_FIDE, PresentationLabel.ATTACK, PresentationLabel.BONA_FIDE),
+            values=(0.9, 0.2, 0.8),
+            polarity=Polarity.HIGHER_IS_BONA_FIDE,
+        )
+        calls = []
+        monkeypatch.setattr(core, "_ids_ok", lambda ids: calls.append(ids) or True)
+        bona = both_labels.with_label(PresentationLabel.BONA_FIDE)
+        fused = fuse(both_labels, both_labels)
+        assert calls == []
+        assert bona.ids() == ["a", "c"] and bona.labels == (PresentationLabel.BONA_FIDE,) * 2
+        assert fused.labels == both_labels.labels and fused.scores() == pytest.approx([1.0, 0.0, 6 / 7])

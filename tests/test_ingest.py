@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -693,6 +694,44 @@ class TestLandmarksCsv:
         with pytest.raises(ParseError, match="bad index"):
             parse_landmarks("index,x,y\nzero,1.0,2.0\n")
 
+    index_tokens = st.lists(
+        st.one_of(
+            st.integers(-2, 30).map(str),
+            st.integers(0, 30).flatmap(lambda k: st.sampled_from([f"+{k}", f"0{k}", f" {k}", f"{k} ", f"{k:_}"])),
+            st.sampled_from(["", "x", "1.0", "\u0661", "١٢", "0x1", "-0"]),
+        ),
+        max_size=30,
+    )
+
+    @given(st.integers(0, 30), index_tokens)
+    @example(12, ["+0", "01", " 2"])
+    def test_index_check_matches_int_comparison(self, n, prefix):
+        # a column of n canonical tokens whose first ones are spelled as drawn
+        tokens = prefix[:n] + [str(k) for k in range(len(prefix), n)]
+
+        def outcome(check):
+            try:
+                return check(tokens)
+            except ValueError:
+                return ValueError
+
+        assert outcome(ingest._indices_from_zero) == outcome(oracles.indices_from_zero)
+
+    @given(index_tokens)
+    def test_landmarks_with_any_index_spelling_parse_as_before(self, tokens):
+        text = "index,x,y\n" + "".join(f"{t},1.5,{k}.0\n" for k, t in enumerate(tokens))
+
+        def outcome():
+            try:
+                return parse_landmarks(text).points.tolist()
+            except ParseError as exc:
+                return type(exc), str(exc)
+
+        new = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_indices_from_zero", oracles.indices_from_zero)
+            assert new == outcome()
+
 
 class TestManifestCsv:
     def test_parses_rows(self):
@@ -1017,6 +1056,11 @@ class TestDetExports:
     @example([0.5], [0.5], DetAxes.APCER_BPCER)
     @example([1.0], [0.0], DetAxes.FMR_FNMR)
     def test_bytes_match_the_frozen_writers(self, positives, negatives, axes):
+        if sys.float_info.max in positives + negatives:
+            # no finite threshold lies above the largest finite float
+            with pytest.raises(ValidationError, match="no finite threshold lies above it"):
+                det_curve(positives, negatives, axes)
+            return
         curve = det_curve(positives, negatives, axes)
         assert write_det(curve) == oracles.det_csv(curve)
         assert write_det_svg(curve) == oracles.det_svg(curve)
@@ -1045,6 +1089,24 @@ class TestDetExports:
         curve = DetCurve(thresholds, xs, ys, axes)
         assert write_det(curve) == oracles.det_csv(curve)
         assert write_det_svg(curve) == oracles.det_svg(curve)
+
+
+    # few distinct rates, so that each repeats, with both signed zeros
+    repeated_rates = st.sampled_from([0.0, -0.0, 5e-324, 0.001, 0.25, 1 / 3, 0.5, 1.0])
+
+    @given(
+        st.lists(st.tuples(finite_floats, repeated_rates, repeated_rates), min_size=1, max_size=80),
+        st.sampled_from(list(DetAxes)),
+    )
+    @example([(0.0, -0.0, 0.0), (1.0, 0.0, -0.0), (2.0, -0.0, -0.0)], DetAxes.APCER_BPCER)
+    def test_repeated_rates_match_the_frozen_writers(self, rows, axes):
+        thresholds, xs, ys = zip(*rows)
+        curve = DetCurve(thresholds, xs, ys, axes)
+        text = write_det(curve)
+        assert text == oracles.det_csv(curve)
+        assert write_det_svg(curve) == oracles.det_svg(curve)
+        # 0.0 and -0.0 are told apart by their bits, not merged by value
+        assert [line.split(",")[1:] for line in text.splitlines()[1:]] == [[repr(x), repr(y)] for x, y in zip(xs, ys)]
 
 
 class TestParserRobustnessSmoke:

@@ -15,6 +15,7 @@ from padeval import (
     DimensionMismatchError,
     FeatureMatrix,
     InfeasibleNuError,
+    NonFiniteScoreError,
     NotConvergedError,
     OcsvmConfig,
     OcsvmModel,
@@ -282,3 +283,12 @@ class TestScoring:
         probes = FeatureMatrix(sample_ids=("a", "b"), values=gaussian_cloud(2, 2, seed=4))
         with pytest.raises(ValidationError):
             score_matrix(model, probes, {"a": TrialLabel.MATED})
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_foreign_labels_and_overflowing_scores_fail_as_in_the_constructor(self):
+        model = OcsvmModel(w=np.array([1e300, 0.0]), rho=0.0, nu=0.5, dual_alphas=np.array([1.0]))
+        probes = FeatureMatrix(sample_ids=("a", "b"), values=[[1.0, 0.0], [1e10, 0.0]])
+        with pytest.raises(ValidationError, match="^label must be a PresentationLabel or TrialLabel, got 'mated'$"):
+            score_matrix(model, probes, {"a": TrialLabel.MATED, "b": "mated"})
+        with pytest.raises(NonFiniteScoreError, match="^non-finite score inf for sample_id 'b'$"):
+            score_matrix(model, probes, PresentationLabel.ATTACK)

@@ -73,16 +73,46 @@ def test_bench_pairs_runs_for_the_declared_seconds_alternating_sides(monkeypatch
         benchmark = json.load(fh)
     runs = []
 
+    trees = {}
+
     def fake_run_once(tree, workload, seed, seconds):
-        side = "change" if tree == pairs.ROOT else "parent"
+        side = {path: name for name, path in trees.items()}[tree]
         runs.append((side, seed, seconds))
         value = 2.0 if side == "change" else 3.0
         return {"failed": 0, "metrics": {m["name"]: {"value": value} for m in benchmark["end_to_end"]}}
 
-    monkeypatch.setattr(pairs, "export_tree", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "export_tree", lambda rev, dest: trees.setdefault("parent", dest))
+    monkeypatch.setattr(pairs, "export_worktree", lambda dest: trees.setdefault("change", dest))
     monkeypatch.setattr(pairs, "run_once", fake_run_once)
     assert pairs.main(["--workload", "eval_scale", "--parent", "HEAD", "--pairs", "2", "--seed-start", "5"]) == 0
     seconds = benchmark["run_seconds"]
     assert runs == [("parent", 5, seconds), ("change", 5, seconds), ("change", 6, seconds), ("parent", 6, seconds)]
+    # both sides run from exported copies, neither from the checkout itself
+    assert len(set(trees.values())) == 2 and pairs.ROOT not in trees.values()
     out = capsys.readouterr().out
     assert f"{seconds:g} s each" in out and "pass_s" in out
+
+
+def test_bench_pairs_exports_the_working_tree(tmp_path, monkeypatch):
+    import subprocess
+
+    pairs = load_script("bench_pairs")
+    repo, dest = tmp_path / "repo", tmp_path / "dest"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / ".gitignore").write_text("/perfbench/_work/\n")
+    (repo / "perfbench" / "run.py").write_text("committed\n")
+    (repo / "gone.txt").write_text("deleted after the commit\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=repo, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "c"], cwd=repo, check=True)
+    (repo / "perfbench" / "run.py").write_text("edited\n")
+    (repo / "new.py").write_text("untracked\n")
+    (repo / "perfbench" / "_work").mkdir()
+    (repo / "perfbench" / "_work" / "out.csv").write_text("ignored\n")
+    (repo / "gone.txt").unlink()
+    monkeypatch.setattr(pairs, "ROOT", str(repo))
+    pairs.export_worktree(str(dest))
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "new.py", "perfbench/run.py"]
+    assert (dest / "perfbench" / "run.py").read_text() == "edited\n"
