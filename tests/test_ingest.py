@@ -1090,7 +1090,6 @@ class TestDetExports:
         assert write_det(curve) == oracles.det_csv(curve)
         assert write_det_svg(curve) == oracles.det_svg(curve)
 
-
     # few distinct rates, so that each repeats, with both signed zeros
     repeated_rates = st.sampled_from([0.0, -0.0, 5e-324, 0.001, 0.25, 1 / 3, 0.5, 1.0])
 
