@@ -11,8 +11,9 @@ runs
 where S is the ``run_seconds`` of ``BENCHMARK.json``, once in each tree,
 alternating which of the two runs first.  For each
 end-to-end metric of ``BENCHMARK.json`` it prints both sides' median and
-quartiles, the number of pairs the change won, and whether the gap between the
-medians exceeds the parent's interquartile range.
+quartiles, the number of pairs the change won, whether the gap between the
+medians exceeds the parent's interquartile range, and whether the change's
+median is worse than the parent's by more than the metric's relative ``bound``.
 
 Run from the repository root:
 
@@ -43,8 +44,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarise(parent: list[float], change: list[float], better: str) -> dict:
-    """Both sides' quartiles over paired runs, and how many pairs the change won.
+def summarise(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Both sides' quartiles over paired runs, how many pairs the change won,
+    and whether its median is worse than the parent's by more than ``bound``,
+    relative to the parent's median.
 
     ``better`` is ``"lower"`` or ``"higher"``; a tie is no win.
     """
@@ -58,6 +61,7 @@ def summarise(parent: list[float], change: list[float], better: str) -> dict:
         "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
         "pairs": len(parent),
         "gap_exceeds_parent_iqr": sign * (c_q[1] - p_q[1]) < 0 and abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0],
+        "worse_beyond_bound": sign * (c_q[1] - p_q[1]) > bound * abs(p_q[1]),
     }
 
 
@@ -131,14 +135,16 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed_start}-{args.seed_start + args.pairs - 1}, "
           f"{seconds:g} s each; failed ops: parent {failed['parent']}, change {failed['change']}")
-    print(f"{'metric':<12} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} {'won':<7} gap > parent IQR")
+    print(f"{'metric':<12} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} {'won':<7} "
+          f"{'gap > parent IQR':<17} worse by > bound")
     for m in metrics:
         name = m["name"]
         s = summarise([r[name]["value"] for r in runs["parent"]], [r[name]["value"] for r in runs["change"]],
-                      m["better"])
+                      m["better"], m["bound"])
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (s["parent"], s["change"])]
         won = f"{s['wins']}/{s['pairs']}"
-        print(f"{name:<12} {cells[0]:<34} {cells[1]:<34} {won:<7} {'yes' if s['gap_exceeds_parent_iqr'] else 'no'}")
+        gap, worse = ("yes" if s[key] else "no" for key in ("gap_exceeds_parent_iqr", "worse_beyond_bound"))
+        print(f"{name:<12} {cells[0]:<34} {cells[1]:<34} {won:<7} {gap:<17} {worse} ({m['bound']:g})")
     return 0
 
 

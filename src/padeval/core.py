@@ -288,24 +288,35 @@ def _id_ok(sample_id: object) -> bool:
     return _ids_ok((sample_id,))
 
 
-def _check_ids(ids: Sequence[str]) -> None:
-    """Apply the id rule to every id and require them to be unique.
+def _first_bad_id(ids: Sequence[object]) -> tuple[int, bool] | None:
+    """The first id that breaks the id rule or repeats an earlier one, as
+    ``(index, repeated)``, or None when the column is valid.
 
-    The column is checked at once; only a failing column is walked id by id
-    to name the first offender.
+    The column is checked at once; only a failing column is walked id by id.
     """
     if _ids_ok(ids):
-        return
-    seen: set[str] = set()
-    for sid in ids:
+        return None
+    seen: set[object] = set()
+    for k, sid in enumerate(ids):
         if not _id_ok(sid):
-            raise ValidationError(
-                "sample_id must be a non-empty single-line string without NUL or "
-                f"surrogates, got {sid!r}"
-            )
+            return k, False
         if sid in seen:
-            raise DuplicateIdError(sid)
+            return k, True
         seen.add(sid)
+    return None  # not reached: a column that fails _ids_ok has a faulty id
+
+
+def _check_ids(ids: Sequence[str]) -> None:
+    """Apply the id rule to every id and require them to be unique."""
+    bad = _first_bad_id(ids)
+    if bad is None:
+        return
+    k, repeated = bad
+    if repeated:
+        raise DuplicateIdError(ids[k])
+    raise ValidationError(
+        f"sample_id must be a non-empty single-line string without NUL or surrogates, got {ids[k]!r}"
+    )
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from statistics import NormalDist
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .core import (
     _CODE_BY_NAME,
     _LABEL_NAMES,
     _check_ids,
-    _id_ok,
-    _ids_ok,
+    _first_bad_id,
 )
 from .metrics import DetAxes, DetCurve, PadReport, VulnReport
 from .ocsvm import OcsvmDiagnostics, OcsvmModel
@@ -183,16 +182,6 @@ class _Table:
         del values[:: len(self.header)]
         return values
 
-    def rows(self) -> Iterator[tuple[int, list[str]]]:
-        """The data rows with their line numbers in file order, up to the
-        first ragged row."""
-        width = len(self.header)
-        n = len(self.lines) if self.ragged is None else self.ragged[0]
-        for r in range(n):
-            yield self.lines[r], self.cells[r * width : (r + 1) * width]
-        if self.ragged is not None:
-            yield self.ragged[1], self.ragged[2]
-
 
 def _split_plain(text: str) -> _Table | None:
     """The table of plain CSV, split with ``str.split``; None for any other text.
@@ -270,80 +259,77 @@ def _check_header(table: _Table, expected: list[str], what: str) -> None:
     _require_rows(table, what)
 
 
-def _floats(tokens: list[str]) -> np.ndarray:
-    """Python's ``float`` of each token, as one float64 array; ValueError on a bad token."""
-    return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+#: The first faulty cell of a column rule, as ``(row index, reason)``.  Rows
+#: count the table's cells, so the rows after a ragged row count too.
+_Fault = tuple[int, str]
 
 
-def _walk(table: _Table, cells: Sequence[Callable[[str, int, int], object]]) -> list[list]:
-    """One list per column, each cell converted by its column's ``cell(token,
-    line, row_index)``; raises at the first row of the wrong width or else
-    the leftmost faulty cell, whichever comes first in file order."""
-    columns: list[list] = [[] for _ in cells]
-    for r, (line, fields) in enumerate(table.rows()):
-        if len(fields) != len(cells):
-            raise RaggedRowError(f"expected {len(cells)} columns, got {len(fields)}", line=line)
-        for column, cell, token in zip(columns, cells, fields):
-            column.append(cell(token, line, r))
-    return columns
+def _raise_first(table: _Table, *faults: _Fault | None) -> None:
+    """Raise the first fault of ``table`` in file order, if it has one.
+
+    ``faults`` come in the order of their columns, so the earliest row wins
+    and within that row the leftmost column; a ragged row wins over every
+    fault at or after its place.
+    """
+    first = min(filter(None, faults), key=lambda fault: fault[0], default=None)
+    if table.ragged is not None and (first is None or table.ragged[0] <= first[0]):
+        _, line, fields = table.ragged
+        raise RaggedRowError(f"expected {len(table.header)} columns, got {len(fields)}", line=line)
+    if first is not None:
+        raise ParseError(first[1], line=table.lines[first[0]])
 
 
-def _id_cell() -> Callable[[str, int, int], str]:
-    """A sample-id converter with its own record of the ids seen so far."""
-    seen: set[str] = set()
-
-    def cell(token: str, line: int, r: int) -> str:
-        # ids are line-atomic: a quoted CSV field could smuggle in a line break,
-        # which the single-line writers could not reproduce
-        if not _id_ok(token):
-            raise ParseError(f"bad sample_id {token!r}", line=line)
-        if token in seen:
-            raise ParseError(f"duplicate sample_id {token!r}", line=line)
-        seen.add(token)
-        return token
-
-    return cell
+def _id_fault(ids: list[str]) -> _Fault | None:
+    """The first id that breaks the id rule or repeats an earlier one."""
+    # ids are line-atomic: a quoted CSV field could smuggle in a line break,
+    # which the single-line writers could not reproduce
+    bad = _first_bad_id(ids)
+    if bad is None:
+        return None
+    k, repeated = bad
+    return k, f"{'duplicate' if repeated else 'bad'} sample_id {ids[k]!r}"
 
 
-def _label_cell(token: str, line: int, r: int) -> Label:
-    label = LABEL_BY_NAME.get(token)
-    if label is None:
-        raise ParseError(
-            f"unknown label {token!r} (expected one of {', '.join(sorted(LABEL_BY_NAME))})",
-            line=line,
-        )
-    return label
+def _label_fault(table: _Table, k: int, labels: list) -> _Fault | None:
+    """The first label token of column ``k`` that its lookup, ``labels``, maps to
+    None; read only then, so that a valid table holds no list of label tokens."""
+    if None not in labels:
+        return None
+    r = labels.index(None)
+    token = table.column(k)[r]
+    return r, f"unknown label {token!r} (expected one of {', '.join(sorted(LABEL_BY_NAME))})"
 
 
-def _float_cell(what: str) -> Callable[[str, int, int], float]:
-    """A converter to a finite float; ``what`` names the column in errors."""
+def _float_cells(tokens: list[str], names: Sequence[str]) -> tuple[np.ndarray | None, _Fault | None]:
+    """Python's ``float`` of each token as one float64 array, and the first
+    token that is no finite float; the array is None if a token is no float.
 
-    def cell(token: str, line: int, r: int) -> float:
+    The tokens are ``len(names)`` columns row after row, so the flat index
+    of a token gives its row and, within the row, the leftmost column;
+    ``names`` name the columns in errors.
+    """
+    try:
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        values = None
+    else:
+        if np.isfinite(values).all():
+            return values, None
+    for k, token in enumerate(tokens):
+        r, what = divmod(k, len(names))
         try:
             value = float(token)
         except ValueError:
-            raise ParseError(f"bad {what} {token!r}", line=line) from None
+            return values, (r, f"bad {names[what]} {token!r}")
         if not math.isfinite(value):
-            raise ParseError(f"{what} must be finite, got {token!r}", line=line)
-        return value
-
-    return cell
+            return values, (r, f"{names[what]} must be finite, got {token!r}")
+    return values, None  # not reached: the array holds a non-finite value
 
 
-def _index_cell(token: str, line: int, r: int) -> int:
-    try:
-        index = int(token)
-    except ValueError:
-        raise ParseError(f"bad index {token!r}", line=line) from None
-    if index != r:
-        raise ParseError(f"landmark indices must increase from 0; expected {r}, got {index}", line=line)
-    return index
-
-
-def _path_cell(token: str, line: int, r: int) -> str:
-    if token == "":
-        raise ParseError("depth and landmarks paths must be non-empty", line=line)
-    return token
+def _path_fault(depths: list[str], landmarks: list[str]) -> _Fault | None:
+    """The first row with an empty depth or landmarks path."""
+    rows = [column.index("") for column in (depths, landmarks) if "" in column]
+    return (min(rows), "depth and landmarks paths must be non-empty") if rows else None
 
 
 def _quoted(cell: str) -> str:
@@ -380,18 +366,10 @@ def parse_scores(data: Union[bytes, str], polarity: Polarity) -> ScoreSet:
         raise ValidationError(f"polarity must be a Polarity, got {polarity!r}")
     table = _read_table(data, "scores CSV")
     _check_header(table, _SCORES_HEADER, "scores")
-    if table.ragged is None:
-        ids, codes = table.column(0), list(map(_CODE_BY_NAME.get, table.column(1)))
-        try:
-            values = _floats(table.column(2))
-        except ValueError:
-            pass
-        else:
-            if None not in codes and _ids_ok(ids) and np.isfinite(values).all():
-                return ScoreSet._trusted(tuple(ids), np.array(codes, dtype=np.uint8), values, polarity)
-    # some row is at fault: the row walk names the first one
-    ids, labels, values = _walk(table, [_id_cell(), _label_cell, _float_cell("score")])
-    return ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=polarity)
+    ids, codes = table.column(0), list(map(_CODE_BY_NAME.get, table.column(1)))
+    values, bad_score = _float_cells(table.column(2), ["score"])
+    _raise_first(table, _id_fault(ids), _label_fault(table, 1, codes), bad_score)
+    return ScoreSet._trusted(tuple(ids), np.array(codes, dtype=np.uint8), values, polarity)
 
 
 def write_scores(score_set: ScoreSet) -> str:
@@ -403,11 +381,9 @@ def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
     """Read a ``sample_id,label`` table into an ordered mapping."""
     table = _read_table(data, "labels CSV")
     _check_header(table, _LABELS_HEADER, "labels")
-    if table.ragged is None:
-        ids, labels = table.column(0), list(map(LABEL_BY_NAME.get, table.column(1)))
-        if None not in labels and _ids_ok(ids):
-            return dict(zip(ids, labels))
-    return dict(zip(*_walk(table, [_id_cell(), _label_cell])))
+    ids, labels = table.column(0), list(map(LABEL_BY_NAME.get, table.column(1)))
+    _raise_first(table, _id_fault(ids), _label_fault(table, 1, labels))
+    return dict(zip(ids, labels))
 
 
 def write_labels(labels: Mapping[str, Label]) -> str:
@@ -431,14 +407,10 @@ def parse_features(data: Union[bytes, str]) -> FeatureMatrix:
         )
     _require_rows(table, "features CSV")
     d = len(header) - 1
-    if table.ragged is None:
-        try:
-            values = _floats(table.value_cells()).reshape(-1, d)
-            return FeatureMatrix(sample_ids=table.column(0), values=values)
-        except (ValueError, ValidationError):
-            pass  # some row is at fault: the row walk names the first one
-    ids, *values = _walk(table, [_id_cell(), *(_float_cell(f"feature f{k}") for k in range(d))])
-    return FeatureMatrix(sample_ids=ids, values=np.column_stack(values))
+    ids = table.column(0)
+    values, bad_value = _float_cells(table.value_cells(), [f"feature f{k}" for k in range(d)])
+    _raise_first(table, _id_fault(ids), bad_value)
+    return FeatureMatrix(sample_ids=ids, values=values.reshape(-1, d))
 
 
 def write_features(features: FeatureMatrix) -> str:
@@ -460,18 +432,30 @@ def _indices_from_zero(tokens: list[str]) -> bool:
     return tokens == _index_tokens(len(tokens)) or list(map(int, tokens)) == list(range(len(tokens)))
 
 
+def _index_fault(tokens: list[str]) -> _Fault | None:
+    """The first landmark index token that is no int or not its row index."""
+    try:
+        if _indices_from_zero(tokens):
+            return None
+    except ValueError:
+        pass
+    for r, token in enumerate(tokens):
+        try:
+            index = int(token)
+        except ValueError:
+            return r, f"bad index {token!r}"
+        if index != r:
+            return r, f"landmark indices must increase from 0; expected {r}, got {index}"
+    return None  # not reached: a column that fails the check holds a faulty token
+
+
 def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
     """Read an ``index,x,y`` table; indices must run 0, 1, 2, ... in order."""
     table = _read_table(data, "landmarks CSV")
     _check_header(table, _LANDMARKS_HEADER, "landmarks")
-    if table.ragged is None:
-        try:
-            if _indices_from_zero(table.column(0)):
-                return LandmarkSet(points=_floats(table.value_cells()).reshape(-1, 2))
-        except (ValueError, ValidationError):
-            pass  # some row is at fault: the row walk names the first one
-    _, xs, ys = _walk(table, [_index_cell, _float_cell("x"), _float_cell("y")])
-    return LandmarkSet(points=np.column_stack([xs, ys]))
+    points, bad_point = _float_cells(table.value_cells(), ["x", "y"])
+    _raise_first(table, _index_fault(table.column(0)), bad_point)
+    return LandmarkSet(points=points.reshape(-1, 2))
 
 
 def write_landmarks(landmarks: LandmarkSet) -> str:
@@ -493,7 +477,10 @@ def parse_manifest(data: Union[bytes, str]) -> list[ManifestRow]:
     """Read a ``sample_id,depth,landmarks,label`` batch manifest."""
     table = _read_table(data, "manifest CSV")
     _check_header(table, _MANIFEST_HEADER, "manifest")
-    return list(map(ManifestRow, *_walk(table, [_id_cell(), _path_cell, _path_cell, _label_cell])))
+    ids, depths, landmarks = map(table.column, range(3))
+    labels = list(map(LABEL_BY_NAME.get, table.column(3)))
+    _raise_first(table, _id_fault(ids), _path_fault(depths, landmarks), _label_fault(table, 3, labels))
+    return list(map(ManifestRow, ids, depths, landmarks, labels))
 
 
 # ---------------------------------------------------------------------------

@@ -355,11 +355,12 @@ def score_matrix(
         raise DimensionMismatchError(
             f"model expects {model.d}-dimensional rows, features have {features.d}"
         )
-    standardized = _apply_standardizer(features.values, model.mean, model.scale)
     # score row by row: a matrix product may reduce in a different order than
     # the vector product in decision_value, and scores must not depend on
-    # whether samples were batched
-    values = [float(row @ model.w - model.rho) for row in standardized]
+    # whether samples were batched; an overflow is refused below, without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        standardized = _apply_standardizer(features.values, model.mean, model.scale)
+        values = [float(row @ model.w - model.rho) for row in standardized]
     if isinstance(labels, (PresentationLabel, TrialLabel)):
         per_row = [labels] * features.n
     else:

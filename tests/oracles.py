@@ -21,6 +21,7 @@ import numpy as np
 
 from padeval.core import (
     LABEL_BY_NAME,
+    DuplicateIdError,
     EmptySetError,
     Label,
     NonFiniteScoreError,
@@ -29,8 +30,8 @@ from padeval.core import (
     PresentationLabel,
     TrialLabel,
     ValidationError,
-    _check_ids,
     _id_ok,
+    _ids_ok,
 )
 from padeval.depth_variance import DvScore, TooFewValidLandmarksError
 from padeval.fusion import IdMismatchError, WeightError, _normalise, minmax_fit
@@ -482,6 +483,27 @@ def fuse_reference(ids_a, scores_a, ids_b, scores_b, w_a, w_b):
 
 
 # ---------------------------------------------------------------------------
+# sample ids
+
+
+def check_ids(ids):
+    """The id check of the score sets and feature matrices as it was before it
+    shared one first-bad-id locator with the table parsers."""
+    if _ids_ok(ids):
+        return
+    seen: set[str] = set()
+    for sid in ids:
+        if not _id_ok(sid):
+            raise ValidationError(
+                "sample_id must be a non-empty single-line string without NUL or "
+                f"surrogates, got {sid!r}"
+            )
+        if sid in seen:
+            raise DuplicateIdError(sid)
+        seen.add(sid)
+
+
+# ---------------------------------------------------------------------------
 # score sets with a tuple of labels
 
 
@@ -514,7 +536,7 @@ class TupleScoreSet:
             raise ValidationError(
                 f"{len(ids)} sample_ids, {len(labels)} labels and {values.shape} scores are not aligned"
             )
-        _check_ids(ids)
+        check_ids(ids)
         if not set(map(type, labels)) <= {PresentationLabel, TrialLabel}:
             bad = next(lab for lab in labels if not isinstance(lab, (PresentationLabel, TrialLabel)))
             raise ValidationError(f"label must be a PresentationLabel or TrialLabel, got {bad!r}")

@@ -6,11 +6,13 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from padeval import (
     DepthKind,
     OcsvmConfig,
+    OcsvmModel,
     PadevalError,
     Polarity,
     PresentationLabel,
@@ -36,6 +38,7 @@ from padeval.ingest import (
     write_features,
     write_labels,
     write_landmarks,
+    write_model,
     write_scores,
 )
 
@@ -262,6 +265,18 @@ class TestOcsvmCommands:
                     "--out", str(out), "--labels", labels]) == 0
         scored = parse_scores(out.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE)
         assert [r.label for r in scored] == [PresentationLabel.BONA_FIDE, PresentationLabel.ATTACK]
+
+    def test_overflowing_score_is_data_error_without_a_warning(self, tmp_path, capsys):
+        model = OcsvmModel(w=np.array([1e300, 0.0]), rho=0.0, nu=0.5, dual_alphas=np.array([1.0]))
+        model_path = write_file(tmp_path / "model.json", write_model(model))
+        probes = features_csv(tmp_path, "probes.csv", [[1e10, 0.0]], ids=("a",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning from numpy would raise
+            code = run(["ocsvm-score", "--model", model_path, "--features", probes,
+                        "--out", str(tmp_path / "o.csv"), "--label", "attack"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: non-finite score inf for sample_id 'a'\n"
 
     def test_score_missing_label_is_data_error(self, tmp_path, capsys):
         train = features_csv(tmp_path, "train.csv", [[0.0], [1.0], [0.5], [0.2]])

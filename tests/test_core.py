@@ -27,7 +27,7 @@ from padeval import (
 from conftest import make_score_set
 from padeval import core, metrics
 from padeval.core import LABEL_BY_NAME
-from padeval.ingest import write_scores
+from padeval.ingest import write_labels, write_scores
 
 
 class TestScoreSet:
@@ -366,3 +366,36 @@ class TestLabelCodesMatchTupleSet:
         assert calls == []
         assert bona.ids() == ["a", "c"] and bona.labels == (PresentationLabel.BONA_FIDE,) * 2
         assert fused.labels == both_labels.labels and fused.scores() == pytest.approx([1.0, 0.0, 6 / 7])
+
+
+# ---------------------------------------------------------------------------
+# the shared first-bad-id locator against the id walk it replaced
+
+# ids from a small alphabet, so that drawn ids repeat, among every kind of bad id
+id_cells = st.one_of(
+    st.text(alphabet="ab", min_size=1, max_size=2),
+    st.sampled_from(["", "nul\x00", "lf\n", "cr\r", "\ud800", "a\udfff"]),
+    st.sampled_from([7, None, b"a", 1.5]),
+)
+
+
+def id_outcome(check):
+    """The type and message of the error a check raises, or None."""
+    try:
+        check()
+    except PadevalError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(st.lists(id_cells, min_size=1, max_size=8))
+@example(["a", "", "a"])
+@example(["a", "b", "a", 7])
+def test_id_checks_match_the_id_walk(ids):
+    n = len(ids)
+    expected = id_outcome(lambda: oracles.check_ids(tuple(ids)))
+    assert id_outcome(lambda: ScoreSet(sample_ids=ids, labels=[PresentationLabel.ATTACK] * n,
+                                       values=[0.0] * n, polarity=Polarity.HIGHER_IS_BONA_FIDE)) == expected
+    assert id_outcome(lambda: FeatureMatrix(sample_ids=ids, values=np.zeros((n, 1)))) == expected
+    labels = dict.fromkeys(ids, PresentationLabel.ATTACK)  # a mapping holds each id once
+    assert id_outcome(lambda: write_labels(labels)) == id_outcome(lambda: oracles.check_ids(tuple(labels)))

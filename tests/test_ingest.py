@@ -430,7 +430,7 @@ _PARSERS = {
     "landmarks": parse_landmarks,
     "manifest": parse_manifest,
 }
-# the per-table row walks as they were before one walk served every table
+# the per-table row walks, the reference of the column parsers
 _WALKS = {
     "scores": oracles.score_rows,
     "labels": oracles.label_rows,
@@ -439,7 +439,6 @@ _WALKS = {
     "manifest": oracles.manifest_rows,
 }
 _KINDS = list(_WALKS)
-_COLUMN_KINDS = ["scores", "labels", "features", "landmarks"]  # the kinds with a column fast path
 
 
 def _parse(kind, text):
@@ -480,20 +479,13 @@ def _outcome(parse, *args):
 
 
 class TestColumnParsersMatchRowWalk:
-    @given(st.sampled_from(_COLUMN_KINDS).flatmap(lambda kind: st.tuples(st.just(kind), _tables(kind))),
+    @given(st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(st.just(kind), _tables(kind))),
            st.lists(st.integers(min_value=0, max_value=9), max_size=3))
-    def test_valid_tables_never_enter_the_row_walk(self, kind_table, blank_rows):
+    def test_valid_tables_parse_like_the_row_walk(self, kind_table, blank_rows):
         kind, (header, rows) = kind_table
         blanks = [(("blank", None), r % len(rows), 0) for r in blank_rows]
         text = oracles.csv_lines(header, _inject(rows, blanks))
-        expected = _columns(_parse_by_rows(kind, text))
-
-        def entered(*args):
-            raise AssertionError("the row walk ran on a valid table")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_walk", entered)
-            assert _columns(_parse(kind, text)) == expected
+        assert _columns(_parse(kind, text)) == _columns(_parse_by_rows(kind, text))
 
     @given(
         st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(st.just(kind), _tables(kind))),
@@ -526,6 +518,13 @@ class TestColumnParsersMatchRowWalk:
                          id="blank-lines"),
             pytest.param([(("cell", "1e999"), 3, 2)], 5, id="quoted-ids-with-commas"),
             pytest.param([(("cell", ""), 1, 0)], 3, id="empty-first-value-cell"),
+            # csv.reader keeps the rows after a ragged row, and their faults lose to it
+            pytest.param([(("ragged", "extra"), 1, 0), (("cell", "abc"), 3, 2)], 3,
+                         id="bad-cell-two-rows-after-an-extra-field-row"),
+            pytest.param([(("ragged", None), 1, 0), (("id", None), 2, 0)], 3,
+                         id="duplicate-id-after-a-short-row"),
+            pytest.param([(("ragged", "extra"), 2, 0), (("id", ""), 3, 0)], 4,
+                         id="empty-id-after-a-ragged-row"),
         ],
     )
     def test_fault_orders(self, kind, faults, line):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -284,11 +285,12 @@ class TestScoring:
         with pytest.raises(ValidationError):
             score_matrix(model, probes, {"a": TrialLabel.MATED})
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_foreign_labels_and_overflowing_scores_fail_as_in_the_constructor(self):
         model = OcsvmModel(w=np.array([1e300, 0.0]), rho=0.0, nu=0.5, dual_alphas=np.array([1.0]))
         probes = FeatureMatrix(sample_ids=("a", "b"), values=[[1.0, 0.0], [1e10, 0.0]])
         with pytest.raises(ValidationError, match="^label must be a PresentationLabel or TrialLabel, got 'mated'$"):
             score_matrix(model, probes, {"a": TrialLabel.MATED, "b": "mated"})
-        with pytest.raises(NonFiniteScoreError, match="^non-finite score inf for sample_id 'b'$"):
-            score_matrix(model, probes, PresentationLabel.ATTACK)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is refused without a numpy warning
+            with pytest.raises(NonFiniteScoreError, match="^non-finite score inf for sample_id 'b'$"):
+                score_matrix(model, probes, PresentationLabel.ATTACK)

@@ -27,18 +27,26 @@ def test_separation_sweep_chain_separates_distant_clusters():
 def test_bench_pairs_summary_on_fixed_numbers():
     pairs = load_script("bench_pairs")
     parent, change = [4.0, 5.0, 6.0, 7.0], [3.0, 4.0, 5.0, 8.0]
-    lower = pairs.summarise(parent, change, "lower")
+    lower = pairs.summarise(parent, change, "lower", 0.25)
     assert lower["parent"] == (4.75, 5.5, 6.25)
     assert lower["change"] == (3.75, 4.5, 5.75)
     assert (lower["wins"], lower["pairs"]) == (3, 4)
     # the medians differ by 1.0, less than the parent's IQR of 1.5
     assert lower["gap_exceeds_parent_iqr"] is False
-    higher = pairs.summarise(parent, change, "higher")
+    higher = pairs.summarise(parent, change, "higher", 0.25)
     assert higher["wins"] == 1 and higher["gap_exceeds_parent_iqr"] is False
-    tight = pairs.summarise([4.5, 4.6, 4.4], [3.4, 3.5, 3.3], "lower")
+    tight = pairs.summarise([4.5, 4.6, 4.4], [3.4, 3.5, 3.3], "lower", 0.25)
     assert tight["wins"] == 3 and tight["gap_exceeds_parent_iqr"] is True
-    assert pairs.summarise([2.0], [2.0], "lower")["wins"] == 0  # a tie is no win
+    assert pairs.summarise([2.0], [2.0], "lower", 0.25)["wins"] == 0  # a tie is no win
     assert pairs.quartiles([1.0]) == (1.0, 1.0, 1.0)
+    # a bound of 0.25 on a parent median of 10: just inside and just outside
+    # it, for a lower-is-better and a higher-is-better metric
+    ten = [9.0, 10.0, 11.0]
+    assert pairs.summarise(ten, [11.4, 12.4, 13.4], "lower", 0.25)["worse_beyond_bound"] is False
+    assert pairs.summarise(ten, [11.6, 12.6, 13.6], "lower", 0.25)["worse_beyond_bound"] is True
+    assert pairs.summarise(ten, [6.6, 7.6, 8.6], "higher", 0.25)["worse_beyond_bound"] is False
+    assert pairs.summarise(ten, [6.4, 7.4, 8.4], "higher", 0.25)["worse_beyond_bound"] is True
+    assert lower["worse_beyond_bound"] is False and higher["worse_beyond_bound"] is False
 
 
 def test_bench_pairs_exports_the_archive_of_a_revision(tmp_path, monkeypatch):
@@ -91,6 +99,7 @@ def test_bench_pairs_runs_for_the_declared_seconds_alternating_sides(monkeypatch
     assert len(set(trees.values())) == 2 and pairs.ROOT not in trees.values()
     out = capsys.readouterr().out
     assert f"{seconds:g} s each" in out and "pass_s" in out
+    assert "worse by > bound" in out
 
 
 def test_bench_pairs_exports_the_working_tree(tmp_path, monkeypatch):
