@@ -14,6 +14,10 @@ end-to-end metric of ``BENCHMARK.json`` it prints both sides' median and
 quartiles, the number of pairs the change won, whether the gap between the
 medians exceeds the parent's interquartile range, and whether the change's
 median is worse than the parent's by more than the metric's relative ``bound``.
+It also prints each side's drift, its last run against its first: when the
+host's speed changes inside a set, both sides move together and the pairs
+say little, so a metric where either side drifts by more than its ``bound``
+is marked "unresolved".
 
 Run from the repository root:
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -44,10 +49,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def drift(runs: list[float]) -> float:
+    """The last run against the first, relative to the first."""
+    first, last = runs[0], runs[-1]
+    if first == 0.0:
+        return 0.0 if last == 0.0 else math.inf
+    return (last - first) / abs(first)
+
+
 def summarise(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """Both sides' quartiles over paired runs, how many pairs the change won,
-    and whether its median is worse than the parent's by more than ``bound``,
-    relative to the parent's median.
+    whether its median is worse than the parent's by more than ``bound``,
+    relative to the parent's median, and each side's :func:`drift`, with
+    whether either exceeds ``bound`` (the set is then unresolved).
 
     ``better`` is ``"lower"`` or ``"higher"``; a tie is no win.
     """
@@ -55,6 +69,7 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
         raise ValueError("need the same, non-zero number of parent and change runs")
     sign = {"lower": 1.0, "higher": -1.0}[better]
     p_q, c_q = quartiles(parent), quartiles(change)
+    drifts = drift(parent), drift(change)
     return {
         "parent": p_q,
         "change": c_q,
@@ -62,6 +77,8 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
         "pairs": len(parent),
         "gap_exceeds_parent_iqr": sign * (c_q[1] - p_q[1]) < 0 and abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0],
         "worse_beyond_bound": sign * (c_q[1] - p_q[1]) > bound * abs(p_q[1]),
+        "drift": drifts,
+        "unresolved": max(map(abs, drifts)) > bound,
     }
 
 
@@ -136,7 +153,7 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed_start}-{args.seed_start + args.pairs - 1}, "
           f"{seconds:g} s each; failed ops: parent {failed['parent']}, change {failed['change']}")
     print(f"{'metric':<12} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} {'won':<7} "
-          f"{'gap > parent IQR':<17} worse by > bound")
+          f"{'gap > parent IQR':<17} {'worse by > bound':<22} drift parent, change")
     for m in metrics:
         name = m["name"]
         s = summarise([r[name]["value"] for r in runs["parent"]], [r[name]["value"] for r in runs["change"]],
@@ -144,7 +161,9 @@ def main(argv=None) -> int:
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (s["parent"], s["change"])]
         won = f"{s['wins']}/{s['pairs']}"
         gap, worse = ("yes" if s[key] else "no" for key in ("gap_exceeds_parent_iqr", "worse_beyond_bound"))
-        print(f"{name:<12} {cells[0]:<34} {cells[1]:<34} {won:<7} {gap:<17} {worse} ({m['bound']:g})")
+        worse = f"{worse} ({m['bound']:g})"
+        drifts = ", ".join(f"{d:+.1%}" for d in s["drift"]) + (" unresolved" if s["unresolved"] else "")
+        print(f"{name:<12} {cells[0]:<34} {cells[1]:<34} {won:<7} {gap:<17} {worse:<22} {drifts}")
     return 0
 
 

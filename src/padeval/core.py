@@ -397,6 +397,19 @@ class FeatureMatrix:
             raise ValidationError("feature values must be finite")
         self.values = _read_only(arr)
 
+    @classmethod
+    def _trusted(cls, sample_ids: tuple[str, ...], values: np.ndarray) -> "FeatureMatrix":
+        """A matrix from columns that already hold every invariant; nothing is checked.
+
+        ``values`` (non-empty, 2-D, float64, finite, one row per id) is taken
+        as it is and made read-only, so the caller hands over an array that
+        nobody else writes to.
+        """
+        matrix = object.__new__(cls)
+        matrix.sample_ids = sample_ids
+        matrix.values = _read_only(values)
+        return matrix
+
     @property
     def n(self) -> int:
         return self.values.shape[0]

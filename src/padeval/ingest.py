@@ -410,7 +410,8 @@ def parse_features(data: Union[bytes, str]) -> FeatureMatrix:
     ids = table.column(0)
     values, bad_value = _float_cells(table.value_cells(), [f"feature f{k}" for k in range(d)])
     _raise_first(table, _id_fault(ids), bad_value)
-    return FeatureMatrix(sample_ids=ids, values=values.reshape(-1, d))
+    # the column rules above are the constructor's checks, so they are not run twice
+    return FeatureMatrix._trusted(tuple(ids), values.reshape(-1, d))
 
 
 def write_features(features: FeatureMatrix) -> str:

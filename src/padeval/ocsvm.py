@@ -21,6 +21,14 @@ gap.  Pair updates preserve the simplex constraint by construction, every
 tie in pair selection breaks toward the lowest index, and no randomness is
 involved, so fitting is bit-for-bit deterministic for identical inputs.
 
+One iteration computes two Gram columns, ``x @ x[i]`` and ``x @ x[j]``
+(matrix-vector products, O(n*d) each), and otherwise only makes O(n)
+passes: the pair search adds to the gradient penalties kept in step with
+the box (0, or an infinity on rows that cannot move that way), and the
+gap, pair curvature, gain and gradient update are written into buffers
+allocated once per fit.  Memory is O(n*d): neither the Gram matrix nor
+any of its columns is kept between iterations.
+
 ``nu`` keeps its usual role: it upper-bounds the fraction of training rows
 at the box ceiling (margin errors) and lower-bounds the fraction with
 non-zero weight (support vectors); ``nu = 1`` forces the unique feasible
@@ -234,19 +242,6 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
     )
 
 
-def _kkt_residual(grad: np.ndarray, alpha: np.ndarray, c_box: float) -> tuple[float, int, int]:
-    """Most-violating pair and its KKT gap (non-positive means optimal)."""
-    up = alpha < c_box
-    low = alpha > 0.0
-    if not up.any() or not low.any():
-        return -np.inf, -1, -1
-    grow = np.where(up, grad, np.inf)
-    shrink = np.where(low, grad, -np.inf)
-    i = int(np.argmin(grow))
-    j = int(np.argmax(shrink))
-    return float(grad[j] - grad[i]), i, j
-
-
 def _smo(
     x: np.ndarray,
     alpha: np.ndarray,
@@ -254,7 +249,42 @@ def _smo(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, int, float, list[float]]:
+    n = x.shape[0]
     diag = np.einsum("ij,ij->i", x, x)
+    # Which rows may grow (alpha < c_box) and shrink (alpha > 0), kept in step
+    # with alpha: as penalties of 0 or an infinity to add to the gradient, as
+    # a mask, and as counts.  Only rows i and j change in a step.
+    grows = alpha < c_box
+    shrinks = alpha > 0.0
+    pen_up = np.where(grows, 0.0, np.inf)
+    pen_low = np.where(shrinks, 0.0, -np.inf)
+    n_up = int(np.count_nonzero(grows))
+    n_low = int(np.count_nonzero(shrinks))
+    # the O(n) passes and the two Gram columns write into these
+    search, gap, pair_eta, gain, col_i, col_j = (np.empty(n) for _ in range(6))
+
+    def most_violating() -> tuple[float, int]:
+        """KKT gap of the most-violating pair (non-positive means optimal)
+        and its growing row; -inf and -1 when no row can grow or shrink.
+
+        Otherwise leaves ``grad + pen_low`` in ``search``.
+        """
+        if n_up == 0 or n_low == 0:
+            return -np.inf, -1
+        # grad + penalty is NaN only where a non-finite gradient meets an
+        # infinite penalty (or is NaN itself); argmin and argmax return the
+        # first NaN, so only then is the masked search run instead
+        with np.errstate(invalid="ignore"):
+            np.add(grad, pen_up, out=search)
+            i = int(search.argmin())
+            if search[i] != search[i]:
+                i = int(np.argmin(np.where(grows, grad, np.inf)))
+            np.add(grad, pen_low, out=search)
+            j = int(search.argmax())
+            if search[j] != search[j]:
+                j = int(np.argmax(np.where(shrinks, grad, -np.inf)))
+        return float(grad[j] - grad[i]), i
+
     iterations = 0
     trace: list[float] = []
     # Outer restarts refresh the incrementally maintained gradient from the
@@ -262,24 +292,40 @@ def _smo(
     for _refresh in range(3):
         grad = x @ (x.T @ alpha)
         while True:
-            residual, i, j = _kkt_residual(grad, alpha, c_box)
+            residual, i = most_violating()
             trace.append(0.5 * float(alpha @ grad))
             if residual <= tol:
                 break
             if iterations >= max_iter:
                 raise NotConvergedError(kkt_residual=residual, iterations=iterations)
-            col_i = x @ x[i]
+            np.matmul(x, x[i], out=col_i)
             # Second-order partner choice: the most-violating j (used for the
             # stopping test above) can zigzag, so step instead with the
             # shrinkable row promising the largest objective decrease
             # gap^2 / eta.  The most-violating j always qualifies, so the
             # candidate set is never empty here.
-            gap = grad - grad[i]
-            pair_eta = np.maximum(diag[i] + diag - 2.0 * col_i, _ETA_FLOOR)
-            gain = np.where((alpha > 0.0) & (gap > 0.0), gap * gap / pair_eta, -np.inf)
-            j = int(np.argmax(gain))
-            col_j = x @ x[j]
-            step = float(gap[j]) / float(pair_eta[j])
+            #
+            # The gain is taken from the gap clamped at 0 and read off
+            # grad + pen_low, which is -inf on rows that cannot shrink, so
+            # every row outside the candidate set gains 0 (or NaN) and every
+            # candidate its exact gain.  A positive maximum thus picks the
+            # row that masking the others to -inf picks; on a maximum of 0 or
+            # NaN that masked form runs instead.
+            np.subtract(search, grad[i], out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            np.add(diag[i], diag, out=pair_eta)
+            np.multiply(2.0, col_i, out=col_j)  # scratch until x @ x[j] lands there
+            np.subtract(pair_eta, col_j, out=pair_eta)
+            np.maximum(pair_eta, _ETA_FLOOR, out=pair_eta)
+            np.multiply(gap, gap, out=gain)
+            np.divide(gain, pair_eta, out=gain)
+            j = int(gain.argmax())
+            if not gain[j] > 0.0:
+                full_gap = grad - grad[i]
+                masked = np.where(shrinks & (full_gap > 0.0), full_gap * full_gap / pair_eta, -np.inf)
+                j = int(masked.argmax())
+            np.matmul(x, x[j], out=col_j)
+            step = float(grad[j] - grad[i]) / float(pair_eta[j])
             room_i = c_box - alpha[i]
             step = min(step, room_i, alpha[j])
             pair_sum = alpha[i] + alpha[j]
@@ -296,11 +342,22 @@ def _smo(
             delta_j = new_j - alpha[j]
             alpha[i] = new_i
             alpha[j] = new_j
-            grad += delta_i * col_i + delta_j * col_j
+            # grad += delta_i * col_i + delta_j * col_j, the columns as scratch
+            np.multiply(delta_i, col_i, out=col_i)
+            np.multiply(delta_j, col_j, out=col_j)
+            np.add(col_i, col_j, out=col_i)
+            np.add(grad, col_i, out=grad)
+            for k in (i, j):  # when i == j the second pass finds nothing to change
+                up, low = bool(alpha[k] < c_box), bool(alpha[k] > 0.0)
+                n_up += up - bool(grows[k])
+                n_low += low - bool(shrinks[k])
+                grows[k], shrinks[k] = up, low
+                pen_up[k] = 0.0 if up else np.inf
+                pen_low[k] = 0.0 if low else -np.inf
             iterations += 1
         # re-derive the gradient without incremental drift and re-check
         grad = x @ (x.T @ alpha)
-        residual, _, _ = _kkt_residual(grad, alpha, c_box)
+        residual, _ = most_violating()
         if residual <= tol:
             return alpha, grad, iterations, max(residual, 0.0), trace
     raise NotConvergedError(kkt_residual=residual, iterations=iterations)

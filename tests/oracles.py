@@ -732,9 +732,14 @@ def _kkt_residual(grad, alpha, c_box):
     return float(grad[j] - grad[i]), i, j
 
 
-def smo_cached(x, alpha, c_box, tol, max_iter):
+def smo_cached(x, alpha, c_box, tol, max_iter, branches=None):
     """The SMO loop as it was with a cache of every Gram column it computed,
-    kept as the bit-for-bit reference for the solver without the cache."""
+    kept as the bit-for-bit reference for the solver without the cache.
+
+    ``branches``, a Counter if given, counts the clip branch each step took:
+    ``"room_i"`` (row i reaches the ceiling), ``"alpha_j"`` (row j reaches
+    zero) or ``"interior"``.
+    """
     columns: dict[int, np.ndarray] = {}
 
     def q_column(k: int) -> np.ndarray:
@@ -767,12 +772,17 @@ def smo_cached(x, alpha, c_box, tol, max_iter):
             step = min(step, room_i, alpha[j])
             pair_sum = alpha[i] + alpha[j]
             if step == room_i:
+                branch = "room_i"
                 new_i, new_j = c_box, pair_sum - c_box
             elif step == alpha[j]:
+                branch = "alpha_j"
                 new_i, new_j = min(pair_sum, c_box), 0.0
             else:
+                branch = "interior"
                 new_i = alpha[i] + step
                 new_j = pair_sum - new_i
+            if branches is not None:
+                branches[branch] += 1
             new_i = min(max(new_i, 0.0), c_box)
             new_j = min(max(new_j, 0.0), c_box)
             delta_i = new_i - alpha[i]

@@ -537,6 +537,38 @@ class TestColumnParsersMatchRowWalk:
         assert issubclass(outcome[0], ParseError) and outcome[2] == line
 
 
+def _feature_outcome(text):
+    """A parsed feature matrix as ids, value bits, shape and write flag, or the error."""
+    try:
+        parsed = parse_features(text)
+    except PadevalError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    values = parsed.values
+    return parsed.sample_ids, values.view(np.uint64).tolist(), values.shape, values.dtype, values.flags.writeable
+
+
+class TestTrustedFeatureMatrix:
+    @given(
+        _tables("features"),
+        st.lists(st.tuples(st.sampled_from(_FAULTS), st.integers(0, 9), st.integers(0, 9)), max_size=2),
+    )
+    def test_parse_matches_the_checking_constructor(self, table, faults):
+        header, rows = table
+        faults = [(fault, r % len(rows), c) for fault, r, c in faults]
+        text = oracles.csv_lines(header, _inject(rows, faults))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FeatureMatrix, "_trusted",
+                       classmethod(lambda cls, ids, values: cls(sample_ids=ids, values=values)))
+            expected = _feature_outcome(text)
+        assert _feature_outcome(text) == expected
+
+    def test_trusted_matrix_is_read_only(self):
+        parsed = parse_features("sample_id,f0,f1\na,1.0,2.0\nb,3.0,-0.0\n")
+        assert parsed.sample_ids == ("a", "b") and isinstance(parsed.sample_ids, tuple)
+        with pytest.raises(ValueError):
+            parsed.values[0, 0] = 5.0
+
+
 # ---------------------------------------------------------------------------
 # the str.split reading of plain CSV against csv.reader
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import functools
 import tracemalloc
 import warnings
 
@@ -20,6 +22,7 @@ from padeval import (
     NotConvergedError,
     OcsvmConfig,
     OcsvmModel,
+    PadevalError,
     Polarity,
     PresentationLabel,
     TrialLabel,
@@ -163,10 +166,14 @@ class TestDeterminismAndScaling:
 
 
 def _fit_bits(x, config):
-    """Every output of a fit as exact bits, or the error it raised."""
+    """Every output of a fit as exact bits, or the type and message of the error it raised.
+
+    A ValueError counts too: rows whose Gram entries overflow can leave NaN
+    weights, and ``_solve_rho`` then reduces an empty selection.
+    """
     try:
         model = fit(x, config)
-    except NotConvergedError as exc:
+    except (PadevalError, ValueError) as exc:
         return type(exc), str(exc)
     diag = model.diagnostics
     return (
@@ -175,28 +182,81 @@ def _fit_bits(x, config):
         model.dual_alphas.view(np.uint64).tolist(),
         np.asarray(diag.objective_trace, dtype=np.float64).view(np.uint64).tolist(),
         diag.iterations,
+        np.float64(diag.kkt_residual).view(np.uint64),
+        (diag.n_support, diag.n_margin_errors, diag.degenerate_data),
     )
+
+
+def _draw_rows(rng, n, d, draw):
+    if draw == "normal":
+        return rng.normal(3.0, 1.0, (n, d))
+    if draw == "lattice":
+        # lattice rows repeat and tie, which exercises the lowest-index tie breaks
+        return rng.integers(-2, 3, (n, d)).astype(np.float64)
+    if draw == "far":
+        # sorted so that the initial weights sit on the least typical rows;
+        # the last row's gradient overflows to +inf while the weights stay
+        # finite, so the pair search meets an infinite gradient on a row
+        # that cannot shrink
+        x = rng.normal(3.0, 1.0, (n, d))
+        x = x[np.argsort(x.sum(axis=1), kind="stable")]
+        x[-1] = 1e308
+        return x
+    # rows near 1e155: Gram entries overflow to +-inf and sums of them to NaN,
+    # so the gradient the pair search reads is not finite
+    return rng.normal(0.0 if draw == "huge" else 3.0, 1.0, (n, d)) * 1e155
+
+
+def _cached_fit_bits(x, config, branches=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ocsvm, "_smo", functools.partial(oracles.smo_cached, branches=branches))
+        return _fit_bits(x, config)
 
 
 class TestSolverWithoutColumnCache:
     @given(
-        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=2, max_value=300),
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from(["normal", "lattice"]),
-        st.floats(min_value=0.05, max_value=1.0),
+        st.sampled_from(["normal", "lattice", "huge", "huge_positive", "far"]),
+        st.one_of(
+            st.floats(min_value=0.05, max_value=1.0),
+            st.just(1.0),
+            st.integers(min_value=1, max_value=300),  # nu = k / n: nu * n is k, or a hair off it
+        ),
         st.booleans(),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=60)),
     )
-    def test_matches_the_cached_solver_bit_for_bit(self, n, d, seed, draw, nu, standardize):
+    def test_matches_the_cached_solver_bit_for_bit(self, n, d, seed, draw, nu, standardize, max_iter):
+        if isinstance(nu, int):
+            nu = min(nu, n) / n
         assume(nu * n >= 1.0)
-        rng = np.random.default_rng(seed)
-        # lattice rows repeat and tie, which exercises the lowest-index tie breaks
-        x = rng.normal(3.0, 1.0, (n, d)) if draw == "normal" else rng.integers(-2, 3, (n, d)).astype(np.float64)
-        config = OcsvmConfig(nu=nu, standardize=standardize)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ocsvm, "_smo", oracles.smo_cached)
-            expected = _fit_bits(x, config)
-        assert _fit_bits(x, config) == expected
+        x = _draw_rows(np.random.default_rng(seed), n, d, draw)
+        config = OcsvmConfig(nu=nu, standardize=standardize, max_iter=max_iter)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _fit_bits(x, config) == _cached_fit_bits(x, config)
+
+    def test_every_clip_branch_is_compared(self):
+        branches = collections.Counter()
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            for draw in ("normal", "lattice"):
+                x = _draw_rows(rng, 60, 3, draw)
+                # nu * n is no integer, so one row starts part-filled: steps
+                # that empty a row (the alpha_j clip) are common then
+                config = OcsvmConfig(nu=(0.105, 0.33, 0.91)[seed % 3], standardize=False)
+                assert _fit_bits(x, config) == _cached_fit_bits(x, config, branches)
+        assert set(branches) == {"room_i", "alpha_j", "interior"}, branches
+
+    def test_non_finite_gradients_take_the_same_path(self):
+        # the pair search and the gain each have a masked fallback for a
+        # non-finite gradient; these fixed draws reach both
+        for seed in range(12):
+            for draw in ("huge", "huge_positive", "far"):
+                x = _draw_rows(np.random.default_rng(seed), 20, 1 + seed % 3, draw)
+                config = OcsvmConfig(nu=(0.105, 0.33, 0.91, 0.5)[seed % 4], standardize=False)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert _fit_bits(x, config) == _cached_fit_bits(x, config)
 
     def test_fit_memory_is_linear_in_the_rows(self):
         x = gaussian_cloud(3000, 8, seed=8)

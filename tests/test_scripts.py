@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -47,6 +48,26 @@ def test_bench_pairs_summary_on_fixed_numbers():
     assert pairs.summarise(ten, [6.6, 7.6, 8.6], "higher", 0.25)["worse_beyond_bound"] is False
     assert pairs.summarise(ten, [6.4, 7.4, 8.4], "higher", 0.25)["worse_beyond_bound"] is True
     assert lower["worse_beyond_bound"] is False and higher["worse_beyond_bound"] is False
+
+
+def test_bench_pairs_drift_on_fixed_numbers():
+    pairs = load_script("bench_pairs")
+    # the last run against the first, relative to the first
+    assert pairs.drift([2.0, 9.0, 2.5]) == 0.25
+    assert pairs.drift([4.0, 3.0]) == -0.25
+    assert pairs.drift([7.0]) == 0.0
+    assert pairs.drift([0.0, 0.0]) == 0.0 and pairs.drift([0.0, 1.0]) == math.inf
+    steady = pairs.summarise([10.0, 11.0, 10.0], [9.0, 9.5, 9.0], "lower", 0.25)
+    assert steady["drift"] == (0.0, 0.0) and steady["unresolved"] is False
+    # a host that slowed down after the first pair: both sides drift, by
+    # +100% and +150%, beyond a bound of 0.25
+    slowed = pairs.summarise([1.0, 2.0, 2.0], [1.0, 2.5, 2.5], "lower", 0.25)
+    assert slowed["drift"] == (1.0, 1.5) and slowed["unresolved"] is True
+    # one side is enough, and a drop counts as much as a rise
+    assert pairs.summarise([10.0, 10.0], [10.0, 12.6], "lower", 0.25)["unresolved"] is True
+    assert pairs.summarise([10.0, 7.4], [10.0, 10.0], "higher", 0.25)["unresolved"] is True
+    # just inside the bound on both sides
+    assert pairs.summarise([10.0, 12.4], [10.0, 7.6], "lower", 0.25)["unresolved"] is False
 
 
 def test_bench_pairs_exports_the_archive_of_a_revision(tmp_path, monkeypatch):
@@ -100,6 +121,8 @@ def test_bench_pairs_runs_for_the_declared_seconds_alternating_sides(monkeypatch
     out = capsys.readouterr().out
     assert f"{seconds:g} s each" in out and "pass_s" in out
     assert "worse by > bound" in out
+    # every run of a side reads the same, so no metric drifts
+    assert "drift parent, change" in out and "+0.0%, +0.0%" in out and "unresolved" not in out
 
 
 def test_bench_pairs_exports_the_working_tree(tmp_path, monkeypatch):
