@@ -7,7 +7,10 @@ reproduces ``x`` bit-for-bit.  JSON artifacts carry the magic string
 ``PADEVAL`` and a format version for forward compatibility.  Parsers
 raise only structured :class:`~padeval.core.PadevalError` subclasses, with
 one-based line numbers where the format has lines; they never raise bare
-builtins, whatever bytes they are fed.
+builtins, whatever bytes they are fed.  A CSV table is parsed one block of
+rows at a time: each block's cells are converted into preallocated output
+columns and dropped before the next block is split, so a parse holds the
+input, its decoded text, one block and the parsed columns.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from statistics import NormalDist
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -156,31 +159,48 @@ def _decode(data: Union[bytes, str], what: str) -> str:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
+#: About how many characters of plain CSV make one block of rows; a block
+#: always ends at a line break, so it holds whole rows.
+_BLOCK_CHARS = 1 << 20
+
+
 @dataclass
 class _Table:
-    """A CSV table read in one pass, blank lines skipped.
+    """A CSV table, blank lines skipped, whose rows are read one block at a time.
 
-    ``cells`` holds every cell of the data rows that are as wide as the
-    header, row after row, and ``lines`` their one-based line numbers, as
-    any sequence of ints (a list, or a range when no line was skipped).
-    ``ragged`` is the first data row of another width, as ``(number of
-    rows before it, line, fields)``, or None.
+    ``lines`` holds the one-based line numbers of the data rows that are as
+    wide as the header, as any sequence of ints (a list, or a range when no
+    line was skipped), and ``blocks`` their cells, row after row, as flat
+    lists of whole rows; it can be consumed once, and each block may be
+    changed by its reader.  ``ragged`` is the first data row of another
+    width, as ``(number of rows before it, line, fields)``, or None.
     """
 
     header: list[str]
     header_line: int
-    cells: list[str]
     lines: Sequence[int]
     ragged: tuple[int, int, list[str]] | None
+    blocks: Iterable[list[str]]
 
-    def column(self, k: int) -> list[str]:
-        return self.cells[k :: len(self.header)]
+    def row_blocks(self) -> Iterator[tuple[int, list[str]]]:
+        """Each block of cells with the index of its first row."""
+        start = 0
+        for cells in self.blocks:
+            rows = len(cells) // len(self.header)  # counted first: the reader may change the block
+            yield start, cells
+            start += rows
 
-    def value_cells(self) -> list[str]:
-        """Every cell but those of the first (id or index) column, row after row."""
-        values = self.cells.copy()
-        del values[:: len(self.header)]
-        return values
+
+def _spans(text: str, start: int, end: int) -> Iterator[str]:
+    """The lines of ``text[start:end]`` in spans of about :data:`_BLOCK_CHARS`
+    characters, each ending at a line break, which it drops; none if
+    ``start > end``."""
+    while start <= end:
+        stop = text.find("\n", start + _BLOCK_CHARS - 1, end)
+        if stop < 0:
+            stop = end
+        yield text[start:stop]
+        start = stop + 1
 
 
 def _split_plain(text: str) -> _Table | None:
@@ -190,32 +210,46 @@ def _split_plain(text: str) -> _Table | None:
     aside), no line longer than ``csv.field_size_limit()``, and as many
     commas on every line as on the header.  With the excel dialect and no
     quotes, csv.reader splits fields on ``,`` and rows on ``\\n`` only, so
-    for such text it reads this same table.
+    for such text it reads this same table.  A first pass over the lines,
+    span by span, decides plainness and counts the rows; the blocks split
+    the spans of rows again when they are read.  Text of one span is split
+    into cells from the lines of the first pass, which are at hand.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    lines = (text[:-1] if text.endswith("\n") else text).split("\n")
-    commas = lines[0].count(",")
+    end = len(text) - text.endswith("\n")
+    first = text.find("\n", 0, end)
+    if first < 0:
+        first = end
+    commas = text.count(",", 0, first)
     limit = csv.field_size_limit()
-    if (
-        "" in lines
-        or len(text) > limit and max(map(len, lines)) > limit
-        or set(map(str.count, lines, repeat(","))) != {commas}
-    ):
-        return None
-    cells = ",".join(lines).split(",")
-    header = cells[: commas + 1]
-    del cells[: commas + 1]
-    return _Table(header, 1, cells, range(2, len(lines) + 1), None)
+    long = len(text) > limit
+    n = 0
+    for span in _spans(text, 0, end):
+        lines = span.split("\n")
+        if (
+            "" in lines
+            or long and max(map(len, lines)) > limit
+            or set(map(str.count, lines, repeat(","))) != {commas}
+        ):
+            return None
+        n += len(lines)
+    if end <= _BLOCK_CHARS:
+        cells = ",".join(lines).split(",")
+        header = cells[: commas + 1]
+        del cells[: commas + 1]
+        return _Table(header, 1, range(2, n + 1), None, [cells])
+    blocks = (span.replace("\n", ",").split(",") for span in _spans(text, first + 1, end))
+    return _Table(text[:first].split(","), 1, range(2, n + 1), None, blocks)
 
 
 def _read_table(data: Union[bytes, str], what: str) -> _Table:
-    """Read a CSV table as one stream into a flat list of cells.
+    """Read a CSV table whose rows come one block at a time.
 
-    Plain CSV is split with ``str.split`` (see :func:`_split_plain`), every
-    other input goes through csv.reader.  A CSV syntax error anywhere wins
-    over every error in the rows, which are checked only after the whole
-    input has been read.
+    Plain CSV is split with ``str.split``, one span of lines per block (see
+    :func:`_split_plain`); every other input goes through csv.reader in one
+    pass and makes one block.  A CSV syntax error anywhere wins over every
+    error in the rows, which are checked only as their blocks are read.
     """
     text = _decode(data, what)
     table = _split_plain(text)
@@ -242,7 +276,7 @@ def _read_table(data: Union[bytes, str], what: str) -> _Table:
         raise ParseError(f"bad CSV: {exc}", line=reader.line_num) from None
     if not header:
         raise EmptyFileError(f"{what} holds no content")
-    return _Table(header, header_line, cells, lines, ragged)
+    return _Table(header, header_line, lines, ragged, [cells])
 
 
 def _require_rows(table: _Table, what: str) -> None:
@@ -262,6 +296,12 @@ def _check_header(table: _Table, expected: list[str], what: str) -> None:
 #: The first faulty cell of a column rule, as ``(row index, reason)``.  Rows
 #: count the table's cells, so the rows after a ragged row count too.
 _Fault = tuple[int, str]
+
+
+def _block_faults(start: int, *faults: _Fault | None) -> list[_Fault]:
+    """The faults a block's column rules found, their rows moved on by the
+    block's first row ``start``, in the order of the columns."""
+    return [(start + r, reason) for r, reason in filter(None, faults)]
 
 
 def _raise_first(table: _Table, *faults: _Fault | None) -> None:
@@ -290,14 +330,12 @@ def _id_fault(ids: list[str]) -> _Fault | None:
     return k, f"{'duplicate' if repeated else 'bad'} sample_id {ids[k]!r}"
 
 
-def _label_fault(table: _Table, k: int, labels: list) -> _Fault | None:
-    """The first label token of column ``k`` that its lookup, ``labels``, maps to
-    None; read only then, so that a valid table holds no list of label tokens."""
+def _label_fault(tokens: list[str], labels: list) -> _Fault | None:
+    """The first label token that its lookup, ``labels``, maps to None."""
     if None not in labels:
         return None
     r = labels.index(None)
-    token = table.column(k)[r]
-    return r, f"unknown label {token!r} (expected one of {', '.join(sorted(LABEL_BY_NAME))})"
+    return r, f"unknown label {tokens[r]!r} (expected one of {', '.join(sorted(LABEL_BY_NAME))})"
 
 
 def _float_cells(tokens: list[str], names: Sequence[str]) -> tuple[np.ndarray | None, _Fault | None]:
@@ -366,10 +404,21 @@ def parse_scores(data: Union[bytes, str], polarity: Polarity) -> ScoreSet:
         raise ValidationError(f"polarity must be a Polarity, got {polarity!r}")
     table = _read_table(data, "scores CSV")
     _check_header(table, _SCORES_HEADER, "scores")
-    ids, codes = table.column(0), list(map(_CODE_BY_NAME.get, table.column(1)))
-    values, bad_score = _float_cells(table.column(2), ["score"])
-    _raise_first(table, _id_fault(ids), _label_fault(table, 1, codes), bad_score)
-    return ScoreSet._trusted(tuple(ids), np.array(codes, dtype=np.uint8), values, polarity)
+    ids: list[str] = []
+    codes, values = np.empty(len(table.lines), dtype=np.uint8), np.empty(len(table.lines))
+    faults: list[_Fault] = []
+    for start, cells in table.row_blocks():
+        ids += cells[::3]
+        tokens = cells[1::3]
+        got = list(map(_CODE_BY_NAME.get, tokens))
+        scores, bad_score = _float_cells(cells[2::3], ["score"])
+        faults = _block_faults(start, _label_fault(tokens, got), bad_score)
+        if faults:
+            break
+        codes[start : start + len(got)] = got
+        values[start : start + len(got)] = scores
+    _raise_first(table, _id_fault(ids), *faults)
+    return ScoreSet._trusted(tuple(ids), codes, values, polarity)
 
 
 def write_scores(score_set: ScoreSet) -> str:
@@ -381,8 +430,18 @@ def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
     """Read a ``sample_id,label`` table into an ordered mapping."""
     table = _read_table(data, "labels CSV")
     _check_header(table, _LABELS_HEADER, "labels")
-    ids, labels = table.column(0), list(map(LABEL_BY_NAME.get, table.column(1)))
-    _raise_first(table, _id_fault(ids), _label_fault(table, 1, labels))
+    ids: list[str] = []
+    labels: list = []
+    faults: list[_Fault] = []
+    for start, cells in table.row_blocks():
+        ids += cells[::2]
+        tokens = cells[1::2]
+        got = list(map(LABEL_BY_NAME.get, tokens))
+        faults = _block_faults(start, _label_fault(tokens, got))
+        if faults:
+            break
+        labels += got
+    _raise_first(table, _id_fault(ids), *faults)
     return dict(zip(ids, labels))
 
 
@@ -407,11 +466,21 @@ def parse_features(data: Union[bytes, str]) -> FeatureMatrix:
         )
     _require_rows(table, "features CSV")
     d = len(header) - 1
-    ids = table.column(0)
-    values, bad_value = _float_cells(table.value_cells(), [f"feature f{k}" for k in range(d)])
-    _raise_first(table, _id_fault(ids), bad_value)
+    names = [f"feature f{k}" for k in range(d)]
+    ids: list[str] = []
+    values = np.empty((len(table.lines), d))
+    faults: list[_Fault] = []
+    for start, cells in table.row_blocks():
+        ids += cells[:: d + 1]
+        del cells[:: d + 1]
+        block, bad_value = _float_cells(cells, names)
+        faults = _block_faults(start, bad_value)
+        if faults:
+            break
+        values[start : start + len(block) // d] = block.reshape(-1, d)
+    _raise_first(table, _id_fault(ids), *faults)
     # the column rules above are the constructor's checks, so they are not run twice
-    return FeatureMatrix._trusted(tuple(ids), values.reshape(-1, d))
+    return FeatureMatrix._trusted(tuple(ids), values)
 
 
 def write_features(features: FeatureMatrix) -> str:
@@ -419,34 +488,33 @@ def write_features(features: FeatureMatrix) -> str:
 
 
 @lru_cache(maxsize=4)
-def _index_tokens(n: int) -> list[str]:
-    """The canonical index column ``"0", "1", ..., str(n - 1)``; callers only compare with it."""
-    return list(map(str, range(n)))
+def _index_tokens(start: int, n: int) -> list[str]:
+    """The canonical index tokens ``str(start), ..., str(start + n - 1)``; callers only compare with them."""
+    return list(map(str, range(start, start + n)))
 
 
-def _indices_from_zero(tokens: list[str]) -> bool:
-    """Whether the index tokens read 0, 1, 2, ... as ints; ValueError on a token that is no int.
+def _index_fault(tokens: list[str], start: int) -> _Fault | None:
+    """The first index token of a block that is no int or not its row index;
+    ``start`` is the index of the block's first row.
 
     The canonical tokens ``str(k)`` are compared first, so only a column
     spelled otherwise (``+1``, ``01``, `` 1``) pays for ``int`` of each token.
     """
-    return tokens == _index_tokens(len(tokens)) or list(map(int, tokens)) == list(range(len(tokens)))
-
-
-def _index_fault(tokens: list[str]) -> _Fault | None:
-    """The first landmark index token that is no int or not its row index."""
+    expected = range(start, start + len(tokens))
+    if tokens == _index_tokens(start, len(tokens)):
+        return None
     try:
-        if _indices_from_zero(tokens):
+        if list(map(int, tokens)) == list(expected):
             return None
     except ValueError:
         pass
-    for r, token in enumerate(tokens):
+    for r, (k, token) in enumerate(zip(expected, tokens)):
         try:
             index = int(token)
         except ValueError:
             return r, f"bad index {token!r}"
-        if index != r:
-            return r, f"landmark indices must increase from 0; expected {r}, got {index}"
+        if index != k:
+            return r, f"landmark indices must increase from 0; expected {k}, got {index}"
     return None  # not reached: a column that fails the check holds a faulty token
 
 
@@ -454,9 +522,18 @@ def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
     """Read an ``index,x,y`` table; indices must run 0, 1, 2, ... in order."""
     table = _read_table(data, "landmarks CSV")
     _check_header(table, _LANDMARKS_HEADER, "landmarks")
-    points, bad_point = _float_cells(table.value_cells(), ["x", "y"])
-    _raise_first(table, _index_fault(table.column(0)), bad_point)
-    return LandmarkSet(points=points.reshape(-1, 2))
+    points = np.empty((len(table.lines), 2))
+    faults: list[_Fault] = []
+    for start, cells in table.row_blocks():
+        bad_index = _index_fault(cells[::3], start)
+        del cells[::3]
+        block, bad_point = _float_cells(cells, ["x", "y"])
+        faults = _block_faults(start, bad_index, bad_point)
+        if faults:
+            break
+        points[start : start + len(block) // 2] = block.reshape(-1, 2)
+    _raise_first(table, *faults)
+    return LandmarkSet(points=points)
 
 
 def write_landmarks(landmarks: LandmarkSet) -> str:
@@ -478,10 +555,19 @@ def parse_manifest(data: Union[bytes, str]) -> list[ManifestRow]:
     """Read a ``sample_id,depth,landmarks,label`` batch manifest."""
     table = _read_table(data, "manifest CSV")
     _check_header(table, _MANIFEST_HEADER, "manifest")
-    ids, depths, landmarks = map(table.column, range(3))
-    labels = list(map(LABEL_BY_NAME.get, table.column(3)))
-    _raise_first(table, _id_fault(ids), _path_fault(depths, landmarks), _label_fault(table, 3, labels))
-    return list(map(ManifestRow, ids, depths, landmarks, labels))
+    ids: list[str] = []
+    rows: list[ManifestRow] = []
+    faults: list[_Fault] = []
+    for start, cells in table.row_blocks():
+        block_ids, depths, landmarks, tokens = cells[::4], cells[1::4], cells[2::4], cells[3::4]
+        ids += block_ids
+        labels = list(map(LABEL_BY_NAME.get, tokens))
+        faults = _block_faults(start, _path_fault(depths, landmarks), _label_fault(tokens, labels))
+        if faults:
+            break
+        rows += map(ManifestRow, block_ids, depths, landmarks, labels)
+    _raise_first(table, _id_fault(ids), *faults)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,13 @@ def _apply_standardizer(x: np.ndarray, mean: np.ndarray | None, scale: np.ndarra
     return (x - mean) / scale
 
 
+_OVERFLOW = "training rows are too large: sums and products of them overflow the float range"
+
+
+def _all_finite(*values: object) -> bool:
+    return all(np.isfinite(v).all() for v in values)
+
+
 def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmConfig()) -> OcsvmModel:
     """Train on bona fide rows; see the module docstring for the programme.
 
@@ -184,8 +191,11 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
         InfeasibleNuError: ``nu`` outside (0, 1] or ``nu * n < 1``.
         NotConvergedError: KKT residual still above ``config.tol`` after
             the pair-update budget.
-        ValidationError: fewer than two rows, non-finite rows, or a bad
-            ``tol``/``max_iter``.
+        ValidationError: fewer than two rows, non-finite rows, a bad
+            ``tol``/``max_iter``, or rows so large that sums and products
+            of them overflow the float range, so that the standardizer,
+            the solver's weights or gradient, ``w``, ``rho`` or the
+            objective trace would not be finite.
     """
     x_raw = _training_array(features)
     n, d = x_raw.shape
@@ -203,32 +213,42 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
 
-    mean = scale = None
-    x = x_raw
-    if config.standardize:
-        mean = x_raw.mean(axis=0)
-        sd = x_raw.std(axis=0)
-        scale = np.where(sd > 0.0, sd, 1.0)
-        x = (x_raw - mean) / scale
+    # overflowing rows are refused below without a numpy warning; the solver
+    # still runs on them, so that its own fallbacks for non-finite gradients
+    # keep their results
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = scale = None
+        x = x_raw
+        if config.standardize:
+            mean = x_raw.mean(axis=0)
+            sd = x_raw.std(axis=0)
+            scale = np.where(sd > 0.0, sd, 1.0)
+            if not _all_finite(mean, scale):
+                raise ValidationError(_OVERFLOW)
+            x = (x_raw - mean) / scale
 
-    c_box = 1.0 / (nu * n)
-    alpha = _initial_alphas(n, c_box, nu)
-    degenerate = bool(np.all(x_raw == x_raw[0]))
+        c_box = 1.0 / (nu * n)
+        alpha = _initial_alphas(n, c_box, nu)
+        degenerate = bool(np.all(x_raw == x_raw[0]))
 
-    if degenerate:
-        # Q is a constant matrix, so every feasible alpha already minimises
-        # the dual; keep the forced initial weights and finish immediately.
-        w = x.T @ alpha
-        grad = x @ w
-        iterations = 0
-        residual = 0.0
-        trace = (0.5 * float(alpha @ grad),)
-    else:
-        alpha, grad, iterations, residual, trace_list = _smo(x, alpha, c_box, tol, max_iter)
-        w = x.T @ alpha
-        trace = tuple(trace_list)
+        if degenerate:
+            # Q is a constant matrix, so every feasible alpha already minimises
+            # the dual; keep the forced initial weights and finish immediately.
+            w = x.T @ alpha
+            grad = x @ w
+            iterations = 0
+            residual = 0.0
+            trace = (0.5 * float(alpha @ grad),)
+        else:
+            alpha, grad, iterations, residual, trace_list = _smo(x, alpha, c_box, tol, max_iter)
+            w = x.T @ alpha
+            trace = tuple(trace_list)
 
-    rho = _solve_rho(grad, alpha, c_box)
+        if not _all_finite(alpha, grad):
+            raise ValidationError(_OVERFLOW)
+        rho = _solve_rho(grad, alpha, c_box)
+        if not _all_finite(w, rho, trace):
+            raise ValidationError(_OVERFLOW)
     diagnostics = OcsvmDiagnostics(
         kkt_residual=float(residual),
         iterations=int(iterations),

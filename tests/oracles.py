@@ -167,7 +167,7 @@ def read_table(data, what):
         raise ParseError(f"bad CSV: {exc}", line=reader.line_num) from None
     if not header:
         raise EmptyFileError(f"{what} holds no content")
-    return _Table(header, header_line, cells, lines, ragged)
+    return _Table(header, header_line, lines, ragged, [cells])
 
 
 def csv_lines(header, rows):

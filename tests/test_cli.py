@@ -26,7 +26,9 @@ from padeval import (
     gen_depth,
     gen_features,
 )
+from padeval import ingest
 from padeval.cli import run
+from padeval.core import LABEL_BY_NAME
 from padeval.ingest import (
     fmt_float,
     parse_depth_pgm,
@@ -195,6 +197,31 @@ class TestDvCommands:
         assert {r.sample_id: r.score for r in scored} == expected
         assert [r.label for r in scored] == [PresentationLabel.ATTACK, PresentationLabel.BONA_FIDE]
 
+    def test_dv_batch_scores_equal_the_checking_constructor(self, tmp_path, monkeypatch):
+        entries, ids, labels, values = [], [], [], []
+        for k, kind in enumerate([DepthKind.CURVED_FACE, DepthKind.PLANAR_SHIRT, DepthKind.CURVED_FACE]):
+            depth, marks, depth_path, marks_path = make_capture(tmp_path, kind=kind, seed=k)
+            label = ("bonafide", "attack", "mated")[k]
+            entries.append(f"id {k},{os.path.basename(depth_path)},{os.path.basename(marks_path)},{label}")
+            ids.append(f"id {k}")
+            labels.append(LABEL_BY_NAME[label])
+            values.append(dv_score(depth, marks).value)
+        manifest = write_file(
+            tmp_path / "manifest.csv", "sample_id,depth,landmarks,label\n" + "\n".join(entries) + "\n"
+        )
+        written = []
+        monkeypatch.setattr(ingest, "write_scores", lambda score_set: written.append(score_set) or "")
+        assert run(["dv-batch", "--manifest", manifest, "--out", str(tmp_path / "scores.csv")]) == 0
+        (got,) = written
+        expected = ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=Polarity.HIGHER_IS_BONA_FIDE)
+        assert got.sample_ids == expected.sample_ids
+        assert got.label_codes.dtype == expected.label_codes.dtype
+        assert got.label_codes.tolist() == expected.label_codes.tolist()
+        assert got.values.dtype == expected.values.dtype
+        assert got.values.view(np.uint64).tolist() == expected.values.view(np.uint64).tolist()
+        assert got.polarity is expected.polarity
+        assert not got.values.flags.writeable and not got.label_codes.flags.writeable
+
     def test_dv_batch_names_failing_sample(self, tmp_path, capsys):
         depth, marks, depth_path, marks_path = make_capture(tmp_path, invalid_fraction=0.99)
         manifest = write_file(
@@ -277,6 +304,21 @@ class TestOcsvmCommands:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: non-finite score inf for sample_id 'a'\n"
+
+    @pytest.mark.parametrize("standardize", [[], ["--no-standardize"]], ids=["standardized", "raw"])
+    def test_overflowing_training_rows_are_a_data_error_without_a_warning(self, tmp_path, capsys, standardize):
+        rows = np.random.default_rng(0).normal(0.0, 1.0, (50, 3)) * 1e155
+        train = features_csv(tmp_path, "train.csv", rows.tolist())
+        model_path = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning from numpy would raise
+            code = run(["ocsvm-train", "--features", train, "--model", str(model_path), *standardize])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: training rows are too large: sums and products of them overflow the float range\n"
+        )
+        assert not model_path.exists()
 
     def test_score_missing_label_is_data_error(self, tmp_path, capsys):
         train = features_csv(tmp_path, "train.csv", [[0.0], [1.0], [0.5], [0.2]])

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,26 +480,65 @@ def _outcome(parse, *args):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+# block sizes, in characters, that the reader is run with besides its own
+# (None), so that tables span several blocks
+_BLOCK_SIZES = [None, 1, 7, 64]
+
+
+@contextlib.contextmanager
+def _blocks_of(block_chars):
+    """Plain CSV read in blocks of about ``block_chars`` characters (None: the reader's own)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block_chars is not None:
+            mp.setattr(ingest, "_BLOCK_CHARS", block_chars)
+        yield
+
+
+def _table_outcome(read, text):
+    try:
+        table = read(text, "some CSV")
+    except PadevalError as exc:
+        return type(exc), str(exc), exc.line
+    cells = [cell for block in table.blocks for cell in block]
+    return table.header, table.header_line, cells, list(table.lines), table.ragged
+
+
+def _block_outcomes(kind, text, block_chars):
+    """The table and parse outcomes with blocks of about ``block_chars``
+    characters, and with the whole-table csv.reader of ``oracles``."""
+    with _blocks_of(block_chars):
+        new = _table_outcome(ingest._read_table, text), _outcome(_parse, kind, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_read_table", oracles.read_table)
+        return new, (_table_outcome(oracles.read_table, text), _outcome(_parse, kind, text))
+
+
 class TestColumnParsersMatchRowWalk:
     @given(st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(st.just(kind), _tables(kind))),
-           st.lists(st.integers(min_value=0, max_value=9), max_size=3))
-    def test_valid_tables_parse_like_the_row_walk(self, kind_table, blank_rows):
+           st.lists(st.integers(min_value=0, max_value=9), max_size=3),
+           st.sampled_from(_BLOCK_SIZES))
+    def test_valid_tables_parse_like_the_row_walk(self, kind_table, blank_rows, block_chars):
         kind, (header, rows) = kind_table
         blanks = [(("blank", None), r % len(rows), 0) for r in blank_rows]
         text = oracles.csv_lines(header, _inject(rows, blanks))
-        assert _columns(_parse(kind, text)) == _columns(_parse_by_rows(kind, text))
+        with _blocks_of(block_chars):
+            parsed = _parse(kind, text)
+        assert _columns(parsed) == _columns(_parse_by_rows(kind, text))
 
     @given(
         st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(st.just(kind), _tables(kind))),
         st.lists(
             st.tuples(st.sampled_from(_FAULTS), st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=2
         ),
+        st.sampled_from(_BLOCK_SIZES),
     )
-    def test_faulty_tables_fail_like_the_row_walk(self, kind_table, faults):
+    def test_faulty_tables_fail_like_the_row_walk(self, kind_table, faults, block_chars):
         kind, (header, rows) = kind_table
         faults = [(fault, r % len(rows), c) for fault, r, c in faults]
         text = oracles.csv_lines(header, _inject(rows, faults))
-        assert _outcome(_parse, kind, text) == _outcome(_parse_by_rows, kind, text)
+        new, old = _block_outcomes(kind, text, block_chars)
+        assert new == old
+        assert new[1] == _outcome(_parse_by_rows, kind, text)
 
     # a cell fault at column 2 hits the first value column of the tables with
     # one or two of them, and the label of the manifest, whose paths take
@@ -535,6 +576,9 @@ class TestColumnParsersMatchRowWalk:
         outcome = _outcome(_parse, kind, text)
         assert outcome == _outcome(_parse_by_rows, kind, text)
         assert issubclass(outcome[0], ParseError) and outcome[2] == line
+        for block_chars in _BLOCK_SIZES:
+            new, old = _block_outcomes(kind, text, block_chars)
+            assert new == old and new[1] == outcome
 
 
 def _feature_outcome(text):
@@ -625,22 +669,6 @@ def _edit(text, edits):
     return text
 
 
-def _table_outcome(read, text):
-    try:
-        table = read(text, "some CSV")
-    except PadevalError as exc:
-        return type(exc), str(exc), exc.line
-    return table.header, table.header_line, table.cells, list(table.lines), table.ragged
-
-
-def _parse_outcomes(kind, text):
-    """The parse outcome with this reader and with the csv.reader-only one."""
-    outcome = _outcome(_parse, kind, text)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_read_table", oracles.read_table)
-        return outcome, _outcome(_parse, kind, text)
-
-
 class TestPlainSplitMatchesCsvReader:
     @given(
         st.sampled_from(_KINDS).flatmap(
@@ -648,12 +676,12 @@ class TestPlainSplitMatchesCsvReader:
                 lambda id_texts: _tables(kind, id_texts)))
         ),
         st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 10**6)), max_size=3),
+        st.sampled_from(_BLOCK_SIZES),
     )
-    def test_same_table_and_parse(self, kind_table, edits):
+    def test_same_table_and_parse(self, kind_table, edits, block_chars):
         kind, (header, rows) = kind_table
         text = _edit(oracles.csv_lines(header, rows), edits)
-        assert _table_outcome(ingest._read_table, text) == _table_outcome(oracles.read_table, text)
-        new, old = _parse_outcomes(kind, text)
+        new, old = _block_outcomes(kind, text, block_chars)
         assert new == old
 
     @pytest.mark.parametrize(
@@ -684,9 +712,8 @@ class TestPlainSplitMatchesCsvReader:
     )
     def test_each_fallback_trigger(self, text, plain):
         assert (ingest._split_plain(text) is not None) == plain
-        assert _table_outcome(ingest._read_table, text) == _table_outcome(oracles.read_table, text)
         for kind in _KINDS:
-            new, old = _parse_outcomes(kind, text)
+            new, old = _block_outcomes(kind, text, None)
             assert new == old
 
     def test_plain_files_never_construct_a_csv_reader(self):
@@ -708,6 +735,86 @@ class TestPlainSplitMatchesCsvReader:
             parsed_scores = parse_scores(scores_csv, Polarity.HIGHER_IS_BONA_FIDE)
         assert parsed_landmarks.points.tolist() == landmarks.points.tolist()
         assert parsed_scores.ids() == scores.ids() and parsed_scores.scores() == scores.scores()
+
+
+# ---------------------------------------------------------------------------
+# tables read one block of rows at a time, against the whole-table reader
+
+def _valid_rows(kind, n):
+    """``n`` valid rows of a ``kind`` table with two value columns."""
+    cells = {"scores": ["attack", "0.5"], "labels": ["bonafide"], "manifest": ["d.pgm", "l.csv", "attack"]}
+    return [[str(k) if kind == "landmarks" else f"s{k}", *cells.get(kind, ["0.5", "-1.5"])] for k in range(n)]
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            pytest.param([], id="valid"),
+            pytest.param([(("cell", "abc"), 11, 2)], id="bad-cell-in-the-last-row"),
+            pytest.param([(("id", None), 11, 0)], id="duplicate-id-in-the-last-row"),
+            pytest.param([(("id", ""), 11, 0)], id="empty-id-in-the-last-row"),
+            pytest.param([(("cell", "inf"), 10, 2), (("id", None), 11, 0)], id="two-faults-in-the-last-rows"),
+            pytest.param([(("ragged", "extra"), 11, 0)], id="ragged-last-row"),
+            pytest.param([(("blank", None), 11, 0)], id="blank-line-before-the-last-row"),
+            pytest.param([(("syntax", 'a"b'), 11, 0)], id="quote-in-the-last-row"),
+            pytest.param([(("syntax", "x" * (_LIMIT + 1)), 11, 1)], id="field-beyond-the-limit-in-the-last-row"),
+        ],
+    )
+    @pytest.mark.parametrize("ending", ["\n", ""], ids=["final-newline", "no-final-newline"])
+    def test_every_span_boundary(self, kind, faults, ending):
+        # every block size from one character to the whole table, so that
+        # each row ends on a span boundary for some size and the last block
+        # holds the fault, the line that is not plain, or the last row alone
+        rows = _valid_rows(kind, 12)
+        text = oracles.csv_lines(_header(kind, 2), _inject(rows, faults))
+        text = text if ending else text[:-1]
+        for block_chars in [*range(1, 80), len(text) - 1, len(text), len(text) + 1]:
+            new, old = _block_outcomes(kind, text, block_chars)
+            assert new == old, block_chars
+
+    # rows of one or two characters put a line break next to every span end
+    @pytest.mark.parametrize("text", ["index\n1\n2\n", "index\n1\n2", "i\n1\n22\n333\n", "a,b\n1,2\n,\n", "x,y\n,"])
+    def test_short_rows_at_every_block_size(self, text):
+        for block_chars in range(1, len(text) + 2):
+            for kind in _KINDS:
+                new, old = _block_outcomes(kind, text, block_chars)
+                assert new == old, (kind, block_chars)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("ending", ["\n", ""], ids=["final-newline", "no-final-newline"])
+    def test_header_only_tables(self, kind, ending):
+        text = ",".join(_header(kind, 2)) + ending
+        for block_chars in _BLOCK_SIZES:
+            new, old = _block_outcomes(kind, text, block_chars)
+            assert new == old
+            assert new[1][0] is EmptyFileError
+
+    def test_spans_hold_whole_rows(self):
+        text = oracles.csv_lines(["index", "x", "y"], _valid_rows("landmarks", 12))
+        with _blocks_of(1):
+            blocks = list(ingest._read_table(text, "landmarks CSV").row_blocks())
+        assert blocks == [(k, [str(k), "0.5", "-1.5"]) for k in range(12)]
+        # a span of 24 characters ends at the first line break from its 24th
+        # character on, which closes its third row of 11 or 12 characters
+        with _blocks_of(2 * len("10,0.5,-1.5\n")):
+            starts = [start for start, _ in ingest._read_table(text, "landmarks CSV").row_blocks()]
+        assert starts == [0, 3, 6, 9]
+
+    def test_peak_memory_is_one_block_beside_the_input(self):
+        rng = np.random.default_rng(12)
+        ids = [f"sample-{k:05d}" for k in range(4000)]
+        data = write_features(FeatureMatrix(sample_ids=ids, values=rng.normal(size=(4000, 32)))).encode()
+        with _blocks_of(1 << 16):
+            tracemalloc.start()
+            try:
+                parsed = parse_features(data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert parsed.sample_ids == tuple(ids)
+        assert peak < 3 * len(data)
 
 
 class TestLandmarksCsv:
@@ -734,34 +841,31 @@ class TestLandmarksCsv:
         max_size=30,
     )
 
-    @given(st.integers(0, 30), index_tokens)
-    @example(12, ["+0", "01", " 2"])
-    def test_index_check_matches_int_comparison(self, n, prefix):
-        # a column of n canonical tokens whose first ones are spelled as drawn
-        tokens = prefix[:n] + [str(k) for k in range(len(prefix), n)]
+    @given(st.integers(0, 30), index_tokens, st.integers(0, 12))
+    @example(12, ["+0", "01", " 2"], 0)
+    @example(3, ["+7", "08"], 7)
+    def test_index_check_matches_int_comparison(self, n, prefix, start):
+        # a block of n tokens from row `start` on, canonical but for the first
+        # ones, which are spelled as drawn; the rows before it are canonical
+        tokens = prefix[:n] + [str(k) for k in range(start + len(prefix), start + n)]
+        try:
+            accepted = oracles.indices_from_zero([str(k) for k in range(start)] + tokens)
+        except ValueError:
+            accepted = False
+        assert (ingest._index_fault(tokens, start) is None) == accepted
 
-        def outcome(check):
-            try:
-                return check(tokens)
-            except ValueError:
-                return ValueError
-
-        assert outcome(ingest._indices_from_zero) == outcome(oracles.indices_from_zero)
-
-    @given(index_tokens)
-    def test_landmarks_with_any_index_spelling_parse_as_before(self, tokens):
+    @given(index_tokens.filter(len), st.sampled_from(_BLOCK_SIZES))
+    def test_landmarks_with_any_index_spelling_parse_as_before(self, tokens, block_chars):
         text = "index,x,y\n" + "".join(f"{t},1.5,{k}.0\n" for k, t in enumerate(tokens))
-
-        def outcome():
-            try:
-                return parse_landmarks(text).points.tolist()
-            except ParseError as exc:
-                return type(exc), str(exc)
-
-        new = outcome()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_indices_from_zero", oracles.indices_from_zero)
-            assert new == outcome()
+        with _blocks_of(block_chars):
+            outcome = _outcome(_parse, "landmarks", text)
+        assert outcome == _outcome(_parse_by_rows, "landmarks", text)
+        try:
+            accepted = oracles.indices_from_zero(tokens)
+        except ValueError:
+            accepted = False
+        # the x and y cells are all valid, so the index column alone decides
+        assert isinstance(outcome, list) == accepted
 
 
 class TestManifestCsv:

@@ -168,12 +168,13 @@ class TestDeterminismAndScaling:
 def _fit_bits(x, config):
     """Every output of a fit as exact bits, or the type and message of the error it raised.
 
-    A ValueError counts too: rows whose Gram entries overflow can leave NaN
-    weights, and ``_solve_rho`` then reduces an empty selection.
+    Rows whose Gram entries overflow fail with a ValidationError once the
+    solver is done, so the solver's own outputs are compared apart from the
+    fit (see :func:`_solver_bits`).
     """
     try:
         model = fit(x, config)
-    except (PadevalError, ValueError) as exc:
+    except PadevalError as exc:
         return type(exc), str(exc)
     diag = model.diagnostics
     return (
@@ -211,6 +212,26 @@ def _cached_fit_bits(x, config, branches=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ocsvm, "_smo", functools.partial(oracles.smo_cached, branches=branches))
         return _fit_bits(x, config)
+
+
+def _solver_bits(x, config, smo):
+    """The fit's outcome and the exact bits of what ``smo`` returned inside
+    it, whether or not the fit then refused them."""
+    returned = []
+
+    def recorded(*args):
+        returned.append(smo(*args))
+        return returned[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ocsvm, "_smo", recorded)
+        outcome = _fit_bits(x, config)
+    bits = [
+        (alpha.view(np.uint64).tolist(), grad.view(np.uint64).tolist(), iterations,
+         np.float64(residual).view(np.uint64), np.asarray(trace, dtype=np.float64).view(np.uint64).tolist())
+        for alpha, grad, iterations, residual, trace in returned
+    ]
+    return outcome, bits
 
 
 class TestSolverWithoutColumnCache:
@@ -256,7 +277,10 @@ class TestSolverWithoutColumnCache:
                 x = _draw_rows(np.random.default_rng(seed), 20, 1 + seed % 3, draw)
                 config = OcsvmConfig(nu=(0.105, 0.33, 0.91, 0.5)[seed % 4], standardize=False)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    assert _fit_bits(x, config) == _cached_fit_bits(x, config)
+                    new = _solver_bits(x, config, ocsvm._smo)
+                    assert new == _solver_bits(x, config, oracles.smo_cached)
+                overflowed = new[0] == (ValidationError, ocsvm._OVERFLOW)
+                assert overflowed or draw == "far"
 
     def test_fit_memory_is_linear_in_the_rows(self):
         x = gaussian_cloud(3000, 8, seed=8)
@@ -289,6 +313,22 @@ class TestValidation:
         x[2, 1] = np.nan
         with pytest.raises(ValidationError):
             fit(x, OcsvmConfig())
+
+    @pytest.mark.parametrize(
+        "x, standardize",
+        [
+            pytest.param(np.full((4, 2), 1e200), False, id="degenerate"),
+            pytest.param(np.array([[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0]]), False, id="solver"),
+            pytest.param(np.array([[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0]]), True, id="standardizer"),
+            # finite weights and gradients near 1.2e308, whose midpoint offset overflows
+            pytest.param(np.array([[7.4e153, 8.6e153], [8.4e153, 8.3e153]]), False, id="offset"),
+        ],
+    )
+    def test_overflowing_rows_rejected_without_a_warning(self, x, standardize):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning from numpy would raise
+            with pytest.raises(ValidationError, match="^training rows are too large"):
+                fit(x, OcsvmConfig(nu=0.5, standardize=standardize))
 
     @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"max_iter": 0}])
     def test_bad_config_rejected(self, kwargs):
