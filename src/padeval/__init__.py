@@ -21,8 +21,8 @@ from .core import (
     TrialLabel,
     ValidationError,
 )
-from .depth_variance import DvScore, TooFewValidLandmarksError, dv_score, sample_depths
-from .fusion import IdMismatchError, MinMaxParams, WeightError, fuse, minmax_apply, minmax_fit
+from .depth_variance import DvScore, TooFewValidLandmarksError, dv_score
+from .fusion import IdMismatchError, MinMaxParams, WeightError, fuse, minmax_fit
 from .metrics import (
     DetAxes,
     DetCurve,
@@ -33,7 +33,6 @@ from .metrics import (
     apcer,
     bpcer,
     bpcer_at_apcer,
-    candidate_thresholds,
     d_eer,
     det_curve,
     evaluate_pad,

@@ -21,7 +21,6 @@ import numpy as np
 from . import ingest
 from .core import (
     LABEL_BY_NAME,
-    DepthMap,
     PadevalError,
     Polarity,
     PresentationLabel,
@@ -32,7 +31,7 @@ from .core import (
 )
 from .depth_variance import DEFAULT_MIN_VALID, dv_score
 from .fusion import fuse
-from .metrics import DetAxes, det_curve, evaluate_pad, evaluate_vuln
+from .metrics import _pad, _vuln
 from .ocsvm import NotConvergedError, OcsvmConfig, fit, score_matrix
 from .synth import DepthKind, SynthDepthSpec, SynthFeatureSpec, gen_depth, gen_features
 
@@ -165,17 +164,17 @@ def _cmd_fuse(args) -> None:
     )
 
 
-def _write_evaluation(args, report, config, report_name, positive, negative, axes) -> None:
-    """Write the report JSON and the DET exports, then print the report summary."""
+def _write_evaluation(args, report, curve, config, report_name) -> None:
+    """Write the report JSON, then the DET exports from ``curve()``, then print the summary."""
     formats = set(args.format) if args.format else {"csv", "json", "svg"}
     if "json" in formats:
         _write_text(_out_path(args, report_name), ingest.write_report(report, config=config))
     if formats & {"csv", "svg"}:
-        curve = det_curve(positive.values, negative.values, axes)
+        det = curve()
     if "csv" in formats:
-        _write_text(_out_path(args, "det.csv"), ingest.write_det(curve))
+        _write_text(_out_path(args, "det.csv"), ingest.write_det(det))
     if "svg" in formats:
-        _write_text(_out_path(args, "det.svg"), ingest.write_det_svg(curve))
+        _write_text(_out_path(args, "det.svg"), ingest.write_det_svg(det))
     for line in ingest._summary(report):
         print(line)
 
@@ -206,8 +205,7 @@ def _cmd_eval_pad(args) -> None:
         "polarity": Polarity.HIGHER_IS_BONA_FIDE.value,
         "apcer_targets": [0.1, 0.05],
     }
-    report = evaluate_pad(bona, attack)
-    _write_evaluation(args, report, config, "pad_report.json", bona, attack, DetAxes.APCER_BPCER)
+    _write_evaluation(args, *_pad(bona, attack), config, "pad_report.json")
 
 
 def _cmd_eval_vuln(args) -> None:
@@ -223,8 +221,7 @@ def _cmd_eval_vuln(args) -> None:
         "polarity": Polarity.HIGHER_IS_MATCH.value,
         "fmr_targets": targets,
     }
-    report = evaluate_vuln(mated, nonmated, attack, targets)
-    _write_evaluation(args, report, config, "vuln_report.json", mated, nonmated, DetAxes.FMR_FNMR)
+    _write_evaluation(args, *_vuln(mated, nonmated, attack, targets), config, "vuln_report.json")
 
 
 def _cmd_synth_depth(args) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DepthMap, LandmarkSet, ValidationError
 
-__all__ = ["TooFewValidLandmarksError", "DvScore", "sample_depths", "dv_score"]
+__all__ = ["TooFewValidLandmarksError", "DvScore", "dv_score"]
 
 DEFAULT_MIN_VALID = 10
 
@@ -37,43 +37,17 @@ class DvScore:
     n_valid: int
 
 
-def _landmark_pixels(depth: DepthMap, landmarks: LandmarkSet) -> tuple[np.ndarray, np.ndarray]:
-    """Which landmarks round onto the grid, and the depth under each of those.
-
-    Returns the in-bounds mask over the landmarks and the ``uint16`` depths
-    at the in-bounds landmarks, in landmark order, zeros included.
-    """
-    cols = np.floor(landmarks.points[:, 0] + 0.5).astype(np.int64)
-    rows = np.floor(landmarks.points[:, 1] + 0.5).astype(np.int64)
-    inside = (cols >= 0) & (cols < depth.width) & (rows >= 0) & (rows < depth.height)
-    return inside, depth.values[rows[inside], cols[inside]]
-
-
-def sample_depths(depth: DepthMap, landmarks: LandmarkSet) -> list[tuple[int, int | None]]:
-    """Depth value under each landmark, or ``None`` where unmeasurable.
+def dv_score(depth: DepthMap, landmarks: LandmarkSet, min_valid: int = DEFAULT_MIN_VALID) -> DvScore:
+    """Population standard deviation of the valid landmark depths.
 
     Each continuous landmark coordinate is mapped to the nearest pixel with
     ``floor(coord + 0.5)`` per axis (halves round up).  A landmark is
     unmeasurable when the rounded pixel falls outside the grid or holds the
-    no-measurement sentinel ``0``.
-
-    Returns:
-        One ``(landmark_index, depth_mm_or_None)`` pair per landmark, in
-        landmark order.
-    """
-    inside, picked = _landmark_pixels(depth, landmarks)
-    depths = np.zeros(len(landmarks), dtype=np.int64)  # 0 off the grid, as unmeasured
-    depths[inside] = picked
-    return [(k, value or None) for k, value in enumerate(depths.tolist())]
-
-
-def dv_score(depth: DepthMap, landmarks: LandmarkSet, min_valid: int = DEFAULT_MIN_VALID) -> DvScore:
-    """Population standard deviation of the valid landmark depths.
+    no-measurement sentinel ``0``; the others are valid.
 
     Args:
         depth: depth grid in integer millimetres, ``0`` meaning unmeasured.
-        landmarks: sub-pixel landmark positions, sampled as in
-            :func:`sample_depths`.
+        landmarks: sub-pixel landmark positions.
         min_valid: minimum number of measurable landmarks (at least 2,
             since a spread needs two points).
 
@@ -88,7 +62,10 @@ def dv_score(depth: DepthMap, landmarks: LandmarkSet, min_valid: int = DEFAULT_M
     """
     if min_valid < 2:
         raise ValidationError(f"min_valid must be at least 2, got {min_valid}")
-    _, picked = _landmark_pixels(depth, landmarks)
+    cols = np.floor(landmarks.points[:, 0] + 0.5).astype(np.int64)
+    rows = np.floor(landmarks.points[:, 1] + 0.5).astype(np.int64)
+    inside = (cols >= 0) & (cols < depth.width) & (rows >= 0) & (rows < depth.height)
+    picked = depth.values[rows[inside], cols[inside]]
     values = picked[picked != 0].astype(np.float64)
     if values.size < min_valid:
         raise TooFewValidLandmarksError(int(values.size), min_valid)

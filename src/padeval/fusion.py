@@ -23,7 +23,6 @@ __all__ = [
     "IdMismatchError",
     "MinMaxParams",
     "minmax_fit",
-    "minmax_apply",
     "fuse",
 ]
 
@@ -66,24 +65,13 @@ def minmax_fit(scores: Sequence[float]) -> MinMaxParams:
     return MinMaxParams(lo=float(values[values.argmin()]), hi=float(values[values.argmax()]))
 
 
-def minmax_apply(params: MinMaxParams, score: float) -> float:
-    """Map ``score`` onto [0, 1] under ``params``, clamping out-of-range input.
+def _normalise(params: MinMaxParams, scores: np.ndarray) -> np.ndarray:
+    """The clamped ``(s - lo) / (hi - lo)`` of each finite score, in [0, 1].
 
     Degenerate parameters (``hi == lo``) carry no scale information, so
-    every score maps to the neutral value 0.5.  A range too wide for
-    ``hi - lo`` to be finite maps the halved score over the halved range.
-    """
-    score = float(score)
-    if not math.isfinite(score):
-        raise ValidationError(f"score must be finite, got {score!r}")
-    return float(_normalise(params, np.array([score]))[0])
-
-
-def _normalise(params: MinMaxParams, scores: np.ndarray) -> np.ndarray:
-    """The clamped ``(s - lo) / (hi - lo)`` of each finite score.
-
-    When ``hi - lo`` overflows, the halved values are mapped instead,
-    ``(s/2 - lo/2) / (hi/2 - lo/2)``, whose range is finite.
+    every score maps to the neutral value 0.5.  When ``hi - lo`` overflows,
+    the halved values are mapped instead, ``(s/2 - lo/2) / (hi/2 - lo/2)``,
+    whose range is finite.
     """
     if params.degenerate:
         return np.full(scores.shape, 0.5)

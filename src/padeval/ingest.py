@@ -212,8 +212,7 @@ def _split_plain(text: str) -> _Table | None:
     quotes, csv.reader splits fields on ``,`` and rows on ``\\n`` only, so
     for such text it reads this same table.  A first pass over the lines,
     span by span, decides plainness and counts the rows; the blocks split
-    the spans of rows again when they are read.  Text of one span is split
-    into cells from the lines of the first pass, which are at hand.
+    the spans of rows again when they are read.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -234,11 +233,6 @@ def _split_plain(text: str) -> _Table | None:
         ):
             return None
         n += len(lines)
-    if end <= _BLOCK_CHARS:
-        cells = ",".join(lines).split(",")
-        header = cells[: commas + 1]
-        del cells[: commas + 1]
-        return _Table(header, 1, range(2, n + 1), None, [cells])
     blocks = (span.replace("\n", ",").split(",") for span in _spans(text, first + 1, end))
     return _Table(text[:first].split(","), 1, range(2, n + 1), None, blocks)
 

@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "DetCurve",
     "PadReport",
     "VulnReport",
-    "candidate_thresholds",
     "fmr",
     "fnmr",
     "iapmr",
@@ -192,7 +191,9 @@ def _floor_times(target: float, n: int) -> int:
 
 
 def _grid(sorted_scores: np.ndarray) -> np.ndarray:
-    """The candidate grid (see :func:`candidate_thresholds`) of sorted scores.
+    """The candidate grid of sorted scores (see the module docstring), strictly
+    increasing: every achievable accept/reject split of the scores is
+    realised by exactly one grid point.
 
     Raises:
         ValidationError: the largest score is the largest finite float, so
@@ -229,13 +230,19 @@ def _first_feasible(neg: np.ndarray, targets: Sequence[float]) -> list[Threshold
     return [float(grid[np.flatnonzero(accepts <= _floor_times(t, neg.size))[0]]) for t in targets]
 
 
-def _d_eer(pos: np.ndarray, neg: np.ndarray) -> tuple[float, Threshold]:
-    grid, c_apcer, c_bpcer = _pooled(pos, neg)
+def _d_eer(pos: np.ndarray, neg: np.ndarray, pooled) -> tuple[float, Threshold]:
+    grid, c_apcer, c_bpcer = pooled
     # |APCER - BPCER| compared on the common denominator of the two rates
     gap = np.abs(c_apcer * pos.size - c_bpcer * neg.size)
     best = int(np.argmin(gap))
     eer = (Fraction(int(c_apcer[best]), neg.size) + Fraction(int(c_bpcer[best]), pos.size)) / 2
     return float(eer), float(grid[best])
+
+
+def _det(pos: np.ndarray, neg: np.ndarray, pooled, axes: DetAxes) -> DetCurve:
+    """The DET curve from the :func:`_pooled` sweep of sorted ``pos`` and ``neg``."""
+    grid, accepts, rejects = pooled
+    return DetCurve(grid, accepts / neg.size, rejects / pos.size, axes)
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +282,6 @@ def bpcer(bonafide_scores: Sequence[float], tau: Threshold) -> float:
 # threshold sweeps
 
 
-def candidate_thresholds(scores: Sequence[float]) -> np.ndarray:
-    """Deterministic sweep grid for the given scores.
-
-    Midpoints between consecutive distinct sorted values (or the upper value
-    where the midpoint rounds onto the lower one), with one sentinel below
-    the minimum and one above the maximum, strictly increasing.  Every
-    achievable accept/reject split of ``scores`` is realised by exactly one
-    grid point.
-    """
-    return _grid(_sorted(scores, "scores"))
-
-
 def threshold_at_fmr(nonmated_scores: Sequence[float], target: float) -> Threshold:
     """Smallest sweep threshold whose FMR does not exceed ``target``.
 
@@ -306,7 +301,8 @@ def d_eer(bonafide_scores: Sequence[float], attack_scores: Sequence[float]) -> t
     cross-products) and returns ``((APCER + BPCER) / 2, threshold)``.
     """
     bona = _sorted(bonafide_scores, "bonafide_scores")
-    return _d_eer(bona, _sorted(attack_scores, "attack_scores"))
+    attack = _sorted(attack_scores, "attack_scores")
+    return _d_eer(bona, attack, _pooled(bona, attack))
 
 
 def bpcer_at_apcer(
@@ -342,8 +338,7 @@ def det_curve(
         raise ValidationError(f"axes must be a DetAxes, got {axes!r}")
     pos = _sorted(positive_scores, "positive_scores")
     neg = _sorted(negative_scores, "negative_scores")
-    grid, accepts, rejects = _pooled(pos, neg)
-    return DetCurve(grid, accepts / neg.size, rejects / pos.size, axes)
+    return _det(pos, neg, _pooled(pos, neg), axes)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +361,16 @@ def _checked_scores(score_set: ScoreSet, expected_label, expected_polarity: Pola
     return np.sort(score_set.values)
 
 
-def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
-    """PAD evaluation of one detector: D-EER, BPCER10, BPCER20.
-
-    Both sets must declare ``HIGHER_IS_BONA_FIDE`` polarity and carry only
-    their own presentation label, which guards against swapped inputs.
-    """
+def _pad(bonafide: ScoreSet, attack: ScoreSet) -> tuple[PadReport, Callable[[], DetCurve]]:
+    """:func:`evaluate_pad`'s report, and a maker of its DET curve from the D-EER sweep."""
     bona = _checked_scores(
         bonafide, PresentationLabel.BONA_FIDE, Polarity.HIGHER_IS_BONA_FIDE, "bonafide"
     )
     att = _checked_scores(attack, PresentationLabel.ATTACK, Polarity.HIGHER_IS_BONA_FIDE, "attack")
-    eer, eer_tau = _d_eer(bona, att)
+    pooled = _pooled(bona, att)
+    eer, eer_tau = _d_eer(bona, att, pooled)
     tau10, tau20 = _first_feasible(att, [0.10, 0.05])
-    return PadReport(
+    report = PadReport(
         d_eer=eer,
         eer_threshold=eer_tau,
         bpcer10=_reject_rate(bona, tau10),
@@ -388,6 +380,36 @@ def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
         n_bonafide=bona.size,
         n_attack=att.size,
     )
+    return report, lambda: _det(bona, att, pooled, DetAxes.APCER_BPCER)
+
+
+def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
+    """PAD evaluation of one detector: D-EER, BPCER10, BPCER20.
+
+    Both sets must declare ``HIGHER_IS_BONA_FIDE`` polarity and carry only
+    their own presentation label, which guards against swapped inputs.
+    """
+    return _pad(bonafide, attack)[0]
+
+
+def _vuln(mated, nonmated, attack, fmr_targets) -> tuple[VulnReport, Callable[[], DetCurve]]:
+    """:func:`evaluate_vuln`'s report, and a maker of its DET curve from the sorted scores."""
+    mates = _checked_scores(mated, TrialLabel.MATED, Polarity.HIGHER_IS_MATCH, "mated")
+    nonmates = _checked_scores(nonmated, TrialLabel.NONMATED, Polarity.HIGHER_IS_MATCH, "nonmated")
+    attacks = _checked_scores(attack, TrialLabel.ATTACK_MATED, Polarity.HIGHER_IS_MATCH, "attack")
+    targets = [_check_target(t) for t in fmr_targets]
+    if not targets:
+        raise ValidationError("at least one FMR target is required")
+    thresholds = dict(zip(targets, _first_feasible(nonmates, targets)))
+    rates = {t: _accept_rate(attacks, tau) for t, tau in thresholds.items()}
+    report = VulnReport(
+        thresholds=thresholds,
+        iapmr=rates,
+        n_mated=mates.size,
+        n_nonmated=nonmates.size,
+        n_attack=attacks.size,
+    )
+    return report, lambda: _det(mates, nonmates, _pooled(mates, nonmates), DetAxes.FMR_FNMR)
 
 
 def evaluate_vuln(
@@ -403,22 +425,4 @@ def evaluate_vuln(
     attack-mated scores at that threshold.  All three sets must declare
     ``HIGHER_IS_MATCH`` polarity.
     """
-    mated_scores = _checked_scores(mated, TrialLabel.MATED, Polarity.HIGHER_IS_MATCH, "mated")
-    nonmated_scores = _checked_scores(
-        nonmated, TrialLabel.NONMATED, Polarity.HIGHER_IS_MATCH, "nonmated"
-    )
-    attack_scores = _checked_scores(
-        attack, TrialLabel.ATTACK_MATED, Polarity.HIGHER_IS_MATCH, "attack"
-    )
-    targets = [_check_target(t) for t in fmr_targets]
-    if not targets:
-        raise ValidationError("at least one FMR target is required")
-    thresholds = dict(zip(targets, _first_feasible(nonmated_scores, targets)))
-    rates = {t: _accept_rate(attack_scores, tau) for t, tau in thresholds.items()}
-    return VulnReport(
-        thresholds=thresholds,
-        iapmr=rates,
-        n_mated=mated_scores.size,
-        n_nonmated=nonmated_scores.size,
-        n_attack=attack_scores.size,
-    )
+    return _vuln(mated, nonmated, attack, fmr_targets)[0]

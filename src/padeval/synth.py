@@ -48,6 +48,7 @@ __all__ = [
     "SynthFeatureSpec",
     "gen_depth",
     "gen_features",
+    "landmark_template",
     "LANDMARK_TEMPLATE_SIZE",
 ]
 

@@ -76,10 +76,6 @@ def rate_ge(scores, tau) -> Fraction:
     return Fraction(count_ge(sorted(scores), tau), len(scores))
 
 
-def rate_lt(scores, tau) -> Fraction:
-    return Fraction(count_lt(sorted(scores), tau), len(scores))
-
-
 def threshold_at_fmr(nonmated, target):
     """Smallest grid threshold with an exact-rational FMR <= target."""
     xs = sorted(nonmated)

@@ -414,16 +414,6 @@ class TestEvalPad:
         report = json.loads((out / "pad_report.json").read_text())
         assert report["config"]["bonafide"].endswith("bona.csv")
 
-    def test_json_alone_skips_the_det_sweep(self, tmp_path, capsys, monkeypatch):
-        def no_sweep(*args):
-            raise AssertionError("det_curve called without a DET output")
-
-        monkeypatch.setattr("padeval.cli.det_curve", no_sweep)
-        code, out, stdout = self.run_eval(tmp_path, capsys, extra=("--format", "json"))
-        assert code == 0
-        assert sorted(os.listdir(out)) == ["pad_report.json"]
-        assert stdout.splitlines() == parse_report((out / "pad_report.json").read_bytes())["summary"]
-
     def test_missing_positive_rows_is_data_error(self, tmp_path, capsys):
         attack_only = scores_csv(tmp_path, "atk.csv", [0.0, 1.0], label=PresentationLabel.ATTACK)
         assert run(["eval-pad", "--bonafide", attack_only, "--attack", attack_only,
@@ -469,6 +459,63 @@ class TestEvalVuln:
         assert run(["eval-vuln", "--mated", mated, "--nonmated", nonmated, "--attack", attack,
                     "--output-dir", str(tmp_path / "v"), "--fmr", "0.05"]) == 0
         assert capsys.readouterr().out.splitlines()[0].startswith("FMR=5%: ")
+
+    @pytest.mark.parametrize("extra, code", [((), 2), (("--format", "json"), 0)])
+    def test_largest_finite_mated_score_fails_after_the_report(self, tmp_path, capsys, extra, code):
+        # only the DET sweep pools the mated scores, and it runs after the JSON is written
+        path = write_file(
+            tmp_path / "scores.csv",
+            "sample_id,label,score\nm,mated,1.7976931348623157e308\nn,nonmated,0.0\nx,attackmated,0.5\n",
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run(["eval-vuln", "--mated", path, "--nonmated", path, "--attack", path,
+                       "--output-dir", str(out), *extra])
+        captured = capsys.readouterr()
+        assert got == code
+        assert sorted(os.listdir(out)) == ["vuln_report.json"]
+        if code == 0:
+            summary = parse_report((out / "vuln_report.json").read_bytes())["summary"]
+            assert (captured.out.splitlines(), captured.err) == (summary, "")
+        else:
+            assert captured.out == ""
+            assert captured.err == (
+                "error: score 1.7976931348623157e+308 is the largest finite float: "
+                "no finite threshold lies above it\n"
+            )
+
+
+@pytest.mark.parametrize("formats", [(), ("json",), ("csv",), ("svg",), ("json", "svg")])
+def test_one_pooled_sweep_per_evaluation(tmp_path, monkeypatch, formats):
+    """eval-pad pools its classes once, for the D-EER and the DET curve alike;
+    eval-vuln pools mated and non-mated scores only for a DET export."""
+    from padeval import TrialLabel, metrics
+
+    calls = []
+    real = metrics._pooled
+
+    def pooled(pos, neg):
+        calls.append(pos.size + neg.size)
+        return real(pos, neg)
+
+    def no_det_curve(*args):
+        raise AssertionError("det_curve called on the CLI path")
+
+    monkeypatch.setattr(metrics, "_pooled", pooled)
+    monkeypatch.setattr(metrics, "det_curve", no_det_curve)
+    extra = [arg for fmt in formats for arg in ("--format", fmt)]
+    bona = scores_csv(tmp_path, "bona.csv", [3.0, 4.0, 5.0], prefix="b")
+    attack = scores_csv(tmp_path, "atk.csv", [0.0, 4.0], label=PresentationLabel.ATTACK, prefix="a")
+    assert run(["eval-pad", "--bonafide", bona, "--attack", attack,
+                "--output-dir", str(tmp_path / "pad"), *extra]) == 0
+    assert calls == [5]
+    mated = scores_csv(tmp_path, "m.csv", [2.0, 3.0], label=TrialLabel.MATED, prefix="m")
+    nonmated = scores_csv(tmp_path, "n.csv", [0.0, 1.0, 2.0], label=TrialLabel.NONMATED, prefix="n")
+    attack = scores_csv(tmp_path, "x.csv", [2.5], label=TrialLabel.ATTACK_MATED, prefix="x")
+    assert run(["eval-vuln", "--mated", mated, "--nonmated", nonmated, "--attack", attack,
+                "--output-dir", str(tmp_path / "vuln"), *extra]) == 0
+    assert calls == [5] + ([] if formats == ("json",) else [5])
 
 
 def mixed_scores_text(labels_and_values, polarity):

@@ -11,13 +11,13 @@ import oracles
 from padeval import (
     DepthKind,
     DepthMap,
+    DvScore,
     LandmarkSet,
     SynthDepthSpec,
     TooFewValidLandmarksError,
     ValidationError,
     dv_score,
     gen_depth,
-    sample_depths,
 )
 
 
@@ -25,35 +25,35 @@ def grid_map(rows):
     return DepthMap(values=np.asarray(rows, dtype=np.int64))
 
 
-class TestSampleDepths:
+class TestLandmarkSampling:
+    """Which pixel each landmark reads, seen through the score of two landmarks."""
+
     def test_nearest_pixel_rounding(self):
         # value at (x=1, y=3) is 42; landmark (1.4, 2.6) must land there
         values = np.zeros((4, 4), dtype=np.int64) + 7
         values[3, 1] = 42
-        out = sample_depths(grid_map(values), LandmarkSet(points=[[1.4, 2.6]]))
-        assert out == [(0, 42)]
+        lms = LandmarkSet(points=[[1.4, 2.6], [0.0, 0.0]])
+        assert dv_score(grid_map(values), lms, min_valid=2) == DvScore(value=17.5, n_valid=2)
 
     def test_halves_round_up(self):
+        # (1.5, 2.5) reads values[3, 2] == 15, not values[2, 1] == 10
         values = np.arange(16, dtype=np.int64).reshape(4, 4) + 1
-        out = sample_depths(grid_map(values), LandmarkSet(points=[[1.5, 2.5]]))
-        assert out == [(0, int(values[3, 2]))]
+        lms = LandmarkSet(points=[[1.5, 2.5], [0.0, 0.0]])
+        assert dv_score(grid_map(values), lms, min_valid=2) == DvScore(value=7.0, n_valid=2)
 
     def test_out_of_bounds_is_invalid(self):
         depth = grid_map(np.ones((3, 3), dtype=np.int64))
         points = [[-1.0, 0.0], [0.0, -0.51], [2.6, 0.0], [0.0, 2.6], [-0.5, 0.0]]
-        out = sample_depths(depth, LandmarkSet(points=points))
         # -0.5 rounds up to pixel 0 and is therefore still in bounds
-        assert out == [(0, None), (1, None), (2, None), (3, None), (4, 1)]
+        with pytest.raises(TooFewValidLandmarksError) as err:
+            dv_score(depth, LandmarkSet(points=points), min_valid=2)
+        assert err.value.n_valid == 1
+        assert dv_score(depth, LandmarkSet(points=points + [[2.0, 2.0]]), min_valid=2).n_valid == 2
 
     def test_sentinel_zero_is_invalid(self):
-        values = np.array([[5, 0], [3, 9]], dtype=np.int64)
-        out = sample_depths(grid_map(values), LandmarkSet(points=[[1.0, 0.0], [0.0, 1.0]]))
-        assert out == [(0, None), (1, 3)]
-
-    def test_indices_follow_landmark_order(self):
-        depth = grid_map(np.ones((2, 2), dtype=np.int64))
-        out = sample_depths(depth, LandmarkSet(points=[[0, 0], [1, 1], [0, 1]]))
-        assert [k for k, _ in out] == [0, 1, 2]
+        depth = grid_map(np.array([[5, 0], [3, 9]], dtype=np.int64))
+        lms = LandmarkSet(points=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert dv_score(depth, lms, min_valid=2) == DvScore(value=3.0, n_valid=2)
 
 
 class TestDvScore:
@@ -117,8 +117,6 @@ def test_matches_stdlib_reference(flat_values, points):
         score = dv_score(depth, lms, min_valid=2)
         assert score.n_valid == expected[1]
         assert score.value == pytest.approx(expected[0], rel=1e-12, abs=1e-12)
-        sampled = sample_depths(depth, lms)
-        assert len(sampled) == len(points)
 
 
 # coordinates around grids of 1x1 to 5x5: exact halves (x.5, -0.5), values
@@ -149,7 +147,6 @@ def _dv_outcome(score, *args):
 def test_matches_the_per_landmark_loop(height, width, flat_values, points, min_valid):
     depth = grid_map(np.asarray(flat_values[: height * width], dtype=np.int64).reshape(height, width))
     lms = LandmarkSet(points=points)
-    assert sample_depths(depth, lms) == oracles.sample_depths_loop(depth, lms)
     assert _dv_outcome(dv_score, depth, lms, min_valid) == _dv_outcome(oracles.dv_score_loop, depth, lms, min_valid)
 
 

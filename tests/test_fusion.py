@@ -21,9 +21,9 @@ from padeval import (
     ValidationError,
     WeightError,
     fuse,
-    minmax_apply,
     minmax_fit,
 )
+from padeval.fusion import _normalise
 
 finite_scores = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -56,27 +56,20 @@ class TestMinMax:
         params = minmax_fit(scores)
         assert (params.lo.hex(), params.hi.hex()) == (min(scores).hex(), max(scores).hex())
 
-    def test_apply_maps_midpoint(self):
-        assert minmax_apply(MinMaxParams(0.0, 10.0), 5.0) == 0.5
+    def test_normalise_maps_midpoint(self):
+        assert _normalise(MinMaxParams(0.0, 10.0), np.array([5.0])).tolist() == [0.5]
 
-    def test_apply_clamps_out_of_range(self):
-        params = MinMaxParams(0.0, 10.0)
-        assert minmax_apply(params, -3.0) == 0.0
-        assert minmax_apply(params, 25.0) == 1.0
+    def test_normalise_clamps_out_of_range(self):
+        assert _normalise(MinMaxParams(0.0, 10.0), np.array([-3.0, 25.0])).tolist() == [0.0, 1.0]
 
-    def test_apply_degenerate_is_neutral(self):
+    def test_normalise_degenerate_is_neutral(self):
         params = minmax_fit([7.0, 7.0])
-        for score in (-100.0, 7.0, 100.0):
-            assert minmax_apply(params, score) == 0.5
+        assert _normalise(params, np.array([-100.0, 7.0, 100.0])).tolist() == [0.5, 0.5, 0.5]
 
-    def test_apply_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            minmax_apply(MinMaxParams(0.0, 1.0), math.nan)
-
-    @given(st.lists(finite_scores, min_size=1, max_size=50), finite_scores)
-    def test_apply_stays_in_unit_interval(self, scores, probe):
-        value = minmax_apply(minmax_fit(scores), probe)
-        assert 0.0 <= value <= 1.0
+    @given(st.lists(finite_scores, min_size=1, max_size=50), st.lists(finite_scores, min_size=1, max_size=10))
+    def test_normalise_stays_in_unit_interval(self, scores, probes):
+        values = _normalise(minmax_fit(scores), np.array(probes))
+        assert ((0.0 <= values) & (values <= 1.0)).all()
 
 
 class TestFuse:
@@ -172,7 +165,6 @@ class TestFuse:
         a = make_score_set([-1.7e308, 0.0, 1.7e308])
         b = make_score_set([0.0, 1.0, 2.0])
         assert fuse(a, b, w_a=1.0, w_b=0.0).scores() == [0.0, 0.5, 1.0]
-        assert minmax_apply(minmax_fit(a.scores()), 0.0) == 0.5
         expected = oracles.fuse_reference(a.ids(), a.scores(), b.ids(), b.scores(), 0.5, 0.5)
         assert fuse(a, b).scores() == expected == [0.0, 0.5, 1.0]
 

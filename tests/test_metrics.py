@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,6 @@ from padeval import (
     apcer,
     bpcer,
     bpcer_at_apcer,
-    candidate_thresholds,
     d_eer,
     det_curve,
     evaluate_pad,
@@ -32,6 +32,7 @@ from padeval import (
     iapmr,
     threshold_at_fmr,
 )
+from padeval.metrics import _grid, _pad, _vuln
 from conftest import make_score_set
 
 # tie-rich lattice scores: eighths are exact in binary, so arithmetic on them
@@ -56,6 +57,11 @@ targets = st.lists(st.floats(min_value=1e-6, max_value=0.999999), min_size=1, ma
 
 def bits(values):
     return [np.float64(v).tobytes() for v in values]
+
+
+def grid(scores):
+    """The candidate grid of the scores, sorted as every sweep sorts them."""
+    return _grid(np.sort(np.asarray(scores, dtype=np.float64)))
 
 
 class TestPointMetrics:
@@ -103,29 +109,28 @@ class TestPointMetrics:
 
 class TestCandidateThresholds:
     def test_single_value(self):
-        grid = candidate_thresholds([0.5])
-        assert grid.tolist() == [-0.5, 1.5]
+        assert grid([0.5]).tolist() == [-0.5, 1.5]
 
     def test_counts_and_order(self):
-        grid = candidate_thresholds([0.1, 0.2, 0.2, 0.4])
-        assert len(grid) == 4  # 3 distinct -> 2 midpoints + 2 sentinels
-        assert (np.diff(grid) > 0).all()
+        points = grid([0.1, 0.2, 0.2, 0.4])
+        assert len(points) == 4  # 3 distinct -> 2 midpoints + 2 sentinels
+        assert (np.diff(points) > 0).all()
 
     def test_adjacent_floats_keep_every_split(self):
         # the midpoint of adjacent floats rounds onto the lower one
         xs = [-100.0, float(np.nextafter(-100.0, 0.0))]
-        counts = [oracles.count_ge(xs, tau) for tau in candidate_thresholds(xs).tolist()]
+        counts = [oracles.count_ge(xs, tau) for tau in grid(xs).tolist()]
         assert counts == [2, 1, 0]
 
     @given(any_scores)
     def test_matches_reference_grid(self, scores):
-        assert candidate_thresholds(scores).tolist() == oracles.midpoint_grid(scores)
+        assert grid(scores).tolist() == oracles.midpoint_grid(scores)
 
     @given(any_scores)
     def test_grid_realises_every_split(self, scores):
         # one grid point per achievable accept/reject split, none duplicated
         xs = sorted(scores)
-        counts = [oracles.count_ge(xs, tau) for tau in candidate_thresholds(scores).tolist()]
+        counts = [oracles.count_ge(xs, tau) for tau in grid(scores).tolist()]
         assert counts[0] == len(xs) and counts[-1] == 0
         assert all(a > b for a, b in zip(counts, counts[1:]))
         assert len(counts) == len(set(xs)) + 1
@@ -164,7 +169,7 @@ class TestThresholdAtFmr:
         want = Fraction(float(target))
         tau = threshold_at_fmr(scores, target)
         assert oracles.rate_ge(scores, tau) <= want
-        for t in candidate_thresholds(scores).tolist():
+        for t in grid(scores).tolist():
             if t < tau:
                 assert oracles.rate_ge(scores, t) > want
 
@@ -219,7 +224,7 @@ class TestBpcerAtApcer:
     def test_worked_example_eleven_candidates(self):
         attacks = [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95]
         bona = [0.92, 0.88, 0.95, 0.99]
-        assert len(candidate_thresholds(attacks)) == 11
+        assert len(grid(attacks)) == 11
         rate, tau = bpcer_at_apcer(bona, attacks, 0.10)
         assert tau == pytest.approx(0.90, abs=1e-12)
         assert rate == 0.25
@@ -394,3 +399,33 @@ class TestEvaluateVuln:
         wrong = make_score_set([1.0], label=PresentationLabel.BONA_FIDE, polarity=Polarity.HIGHER_IS_MATCH)
         with pytest.raises(ValidationError):
             evaluate_vuln(wrong, nonmated, attack, [0.1])
+
+
+def curve_bits(curve):
+    return curve.axes, [bits(getattr(curve, name)) for name in ("thresholds", "x_rates", "y_rates")]
+
+
+class TestOneSweep:
+    """The report and curve of one evaluation's sweep equal the public functions' bit for bit."""
+
+    @given(edge_scores, edge_scores)
+    def test_pad(self, bona_scores, attack_scores):
+        bona = make_score_set(bona_scores, label=PresentationLabel.BONA_FIDE)
+        attack = make_score_set(attack_scores, label=PresentationLabel.ATTACK, prefix="a")
+        report, curve = _pad(bona, attack)
+        expected = evaluate_pad(bona, attack)
+        assert bits(dataclasses.astuple(report)) == bits(dataclasses.astuple(expected))
+        want = det_curve(bona_scores, attack_scores, DetAxes.APCER_BPCER)
+        assert curve_bits(curve()) == curve_bits(want)
+
+    @given(edge_scores, edge_scores, edge_scores, targets)
+    def test_vuln(self, mated_scores, nonmated_scores, attack_scores, fmr_targets):
+        sets = TestEvaluateVuln._sets(mated_scores, nonmated_scores, attack_scores)
+        report, curve = _vuln(*sets, fmr_targets)
+        expected = evaluate_vuln(*sets, fmr_targets)
+        for got, want in ((report.thresholds, expected.thresholds), (report.iapmr, expected.iapmr)):
+            assert list(got) == list(want) and bits(got.values()) == bits(want.values())
+        counts = (report.n_mated, report.n_nonmated, report.n_attack)
+        assert counts == (expected.n_mated, expected.n_nonmated, expected.n_attack)
+        want = det_curve(mated_scores, nonmated_scores, DetAxes.FMR_FNMR)
+        assert curve_bits(curve()) == curve_bits(want)
