@@ -47,15 +47,24 @@ class _UsageError(Exception):
     pass
 
 
+class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Help 96 columns wide that shows an option's default only if it has one."""
+
+    def __init__(self, prog: str):
+        super().__init__(prog, width=96)
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit code 2 for usage errors; this CLI uses 1."""
 
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(f"{self.prog}: {message}")
-
-
-def _formatter(prog: str) -> argparse.HelpFormatter:
-    return argparse.ArgumentDefaultsHelpFormatter(prog, width=96)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -264,29 +273,28 @@ def _cmd_synth_features(args) -> None:
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for generated data")
-    common.add_argument("--output-dir", default=".", help="directory for multi-file outputs")
-    common.add_argument(
+    # each one-option parent is shared by the subcommands that read its option
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for generated data")
+    output_dir = _Parser(add_help=False)
+    output_dir.add_argument("--output-dir", default=".", help="directory for multi-file outputs")
+    formats = _Parser(add_help=False)
+    formats.add_argument(
         "--format",
         action="append",
         choices=["csv", "json", "svg"],
-        default=None,
         help="restrict which evaluation outputs are written (repeatable; default: all)",
     )
 
     parser = _Parser(
         prog="padeval",
         description="Presentation-attack-detection scoring, fusion, and evaluation.",
-        formatter_class=_formatter,
     )
-    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
     p = sub.add_parser(
         "dv-score",
-        parents=[common],
-        formatter_class=_formatter,
         help="depth-variance score of one depth map",
         description="Print the depth-variance PAD score of one depth map as 'score<TAB>n_valid'.",
     )
@@ -299,8 +307,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "dv-batch",
-        parents=[common],
-        formatter_class=_formatter,
         help="depth-variance scores for a manifest of depth maps",
         description="Score every sample of a manifest (sample_id,depth,landmarks,label) "
         "into one scores CSV; relative paths resolve against the manifest location.",
@@ -314,8 +320,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "ocsvm-train",
-        parents=[common],
-        formatter_class=_formatter,
         help="train the linear one-class SVM on bona fide features",
         description="Train the linear one-class SVM on a features CSV (bona fide rows only) "
         "and write the model JSON.",
@@ -324,7 +328,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="output model JSON")
     p.add_argument("--nu", type=float, default=0.5, help="margin-error budget in (0, 1]")
     p.add_argument("--tol", type=float, default=1e-6, help="KKT residual stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=None, help="pair-update budget (default 100*n)")
+    p.add_argument("--max-iter", type=int, help="pair-update budget (default 100*n)")
     p.add_argument(
         "--no-standardize",
         action="store_true",
@@ -334,8 +338,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "ocsvm-score",
-        parents=[common],
-        formatter_class=_formatter,
         help="score features with a trained model",
         description="Apply a trained model to a features CSV and write a scores CSV; "
         "ground-truth labels come from --labels (per sample) or --label (uniform).",
@@ -344,16 +346,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True, help="features CSV to score")
     p.add_argument("--out", required=True, help="output scores CSV")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--labels", default=None, help="labels CSV (sample_id,label)")
-    group.add_argument(
-        "--label", choices=sorted(LABEL_BY_NAME), default=None, help="one label for every row"
-    )
+    group.add_argument("--labels", help="labels CSV (sample_id,label)")
+    group.add_argument("--label", choices=sorted(LABEL_BY_NAME), help="one label for every row")
     p.set_defaults(func=_cmd_ocsvm_score)
 
     p = sub.add_parser(
         "fuse",
-        parents=[common],
-        formatter_class=_formatter,
         help="min-max normalize two score files and fuse them",
         description="Min-max normalize two scores CSVs (each on its own range) and write "
         "their weighted sum, matched by sample_id.",
@@ -373,8 +371,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "eval-pad",
-        parents=[common],
-        formatter_class=_formatter,
+        parents=[output_dir, formats],
         help="PAD evaluation: D-EER, BPCER10/20, DET outputs",
         description="Evaluate a PAD detector from bona fide and attack scores CSVs; writes "
         "pad_report.json, det.csv, and det.svg into --output-dir.",
@@ -385,8 +382,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "eval-vuln",
-        parents=[common],
-        formatter_class=_formatter,
+        parents=[output_dir, formats],
         help="recognition vulnerability: thresholds at target FMR, IAPMR",
         description="Evaluate recognition vulnerability from mated, non-mated, and "
         "attack-mated scores CSVs; writes vuln_report.json, det.csv, det.svg.",
@@ -398,25 +394,21 @@ def _build_parser() -> _Parser:
         "--fmr",
         action="append",
         type=float,
-        default=None,
         help="target FMR operating point (repeatable; default: 0.001 and 0.01)",
     )
     p.set_defaults(func=_cmd_eval_vuln)
 
     p = sub.add_parser(
         "synth-gen",
-        parents=[common],
-        formatter_class=_formatter,
         help="generate deterministic synthetic data",
         description="Generate synthetic depth maps or feature clusters, deterministic in --seed.",
     )
-    synth_sub = p.add_subparsers(dest="what", metavar="what", parser_class=_Parser)
+    synth_sub = p.add_subparsers(dest="what", metavar="what")
     synth_sub.required = True
 
     q = synth_sub.add_parser(
         "depth",
-        parents=[common],
-        formatter_class=_formatter,
+        parents=[seed, output_dir],
         help="one synthetic depth capture (depth.pgm + landmarks.csv)",
         description="Render one synthetic depth surface and its 468-point landmark template "
         "into --output-dir as depth.pgm and landmarks.csv.",
@@ -447,8 +439,7 @@ def _build_parser() -> _Parser:
 
     q = synth_sub.add_parser(
         "features",
-        parents=[common],
-        formatter_class=_formatter,
+        parents=[seed, output_dir],
         help="two-cluster synthetic features (features.csv + labels.csv)",
         description="Draw bona fide and attack feature clusters into --output-dir as "
         "features.csv and labels.csv.",

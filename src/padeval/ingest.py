@@ -359,9 +359,16 @@ def _float_cells(tokens: list[str], names: Sequence[str]) -> tuple[np.ndarray | 
 
 
 def _path_fault(depths: list[str], landmarks: list[str]) -> _Fault | None:
-    """The first row with an empty depth or landmarks path."""
+    """The first row with an empty depth or landmarks path, or one holding NUL,
+    which no file system path can; within a row the empty path wins."""
+    faults = []
     rows = [column.index("") for column in (depths, landmarks) if "" in column]
-    return (min(rows), "depth and landmarks paths must be non-empty") if rows else None
+    if rows:
+        faults.append((min(rows), "depth and landmarks paths must be non-empty"))
+    if "\0" in "".join(depths) or "\0" in "".join(landmarks):
+        row = next(r for r, pair in enumerate(zip(depths, landmarks)) if "\0" in "".join(pair))
+        faults.append((row, "depth and landmarks paths must not hold NUL"))
+    return min(faults, key=lambda fault: fault[0], default=None)
 
 
 def _quoted(cell: str) -> str:
@@ -491,25 +498,19 @@ def _index_fault(tokens: list[str], start: int) -> _Fault | None:
     """The first index token of a block that is no int or not its row index;
     ``start`` is the index of the block's first row.
 
-    The canonical tokens ``str(k)`` are compared first, so only a column
-    spelled otherwise (``+1``, ``01``, `` 1``) pays for ``int`` of each token.
+    The canonical tokens ``str(k)`` are compared first; only a column spelled
+    otherwise (``+1``, ``01``, `` 1``) is checked token by token with ``int``.
     """
-    expected = range(start, start + len(tokens))
     if tokens == _index_tokens(start, len(tokens)):
         return None
-    try:
-        if list(map(int, tokens)) == list(expected):
-            return None
-    except ValueError:
-        pass
-    for r, (k, token) in enumerate(zip(expected, tokens)):
+    for r, token in enumerate(tokens):
         try:
             index = int(token)
         except ValueError:
             return r, f"bad index {token!r}"
-        if index != k:
-            return r, f"landmark indices must increase from 0; expected {k}, got {index}"
-    return None  # not reached: a column that fails the check holds a faulty token
+        if index != start + r:
+            return r, f"landmark indices must increase from 0; expected {start + r}, got {index}"
+    return None  # a non-canonical spelling of every row index
 
 
 def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:

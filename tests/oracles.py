@@ -393,6 +393,8 @@ def manifest_rows(rows):
         sid = _parse_id(fields[0], line, seen)
         if fields[1] == "" or fields[2] == "":
             raise ParseError("depth and landmarks paths must be non-empty", line=line)
+        if "\x00" in fields[1] + fields[2]:
+            raise ParseError("depth and landmarks paths must not hold NUL", line=line)
         out.append(
             ManifestRow(
                 sample_id=sid,

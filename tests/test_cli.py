@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import warnings
@@ -27,7 +28,7 @@ from padeval import (
     gen_features,
 )
 from padeval import ingest
-from padeval.cli import run
+from padeval.cli import _build_parser, run
 from padeval.core import LABEL_BY_NAME
 from padeval.ingest import (
     fmt_float,
@@ -43,8 +44,10 @@ from padeval.ingest import (
     write_model,
     write_scores,
 )
+from test_scripts import load_script
 
 GOLDEN_HELP = os.path.join(os.path.dirname(__file__), "golden", "help")
+HELP_TARGETS = load_script("update_help_goldens").HELP_TARGETS
 
 
 def write_file(path, content):
@@ -85,27 +88,86 @@ class TestUsageErrors:
         )
 
 
-class TestHelpGoldens:
-    CASES = {
-        "padeval": ["--help"],
-        "dv-score": ["dv-score", "--help"],
-        "dv-batch": ["dv-batch", "--help"],
-        "ocsvm-train": ["ocsvm-train", "--help"],
-        "ocsvm-score": ["ocsvm-score", "--help"],
-        "fuse": ["fuse", "--help"],
-        "eval-pad": ["eval-pad", "--help"],
-        "eval-vuln": ["eval-vuln", "--help"],
-        "synth-gen": ["synth-gen", "--help"],
-        "synth-gen-depth": ["synth-gen", "depth", "--help"],
-        "synth-gen-features": ["synth-gen", "features", "--help"],
-    }
+def parsers(parser, path=()):
+    """``(argv path, parser)`` of ``parser`` and of every sub-parser under it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from parsers(sub, (*path, name))
 
-    @pytest.mark.parametrize("name", sorted(CASES))
+
+def options(parser):
+    """The options ``parser`` declares, ``-h`` left out."""
+    return [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+
+class TestHelpGoldens:
+    @pytest.mark.parametrize("name", sorted(HELP_TARGETS))
     def test_help_matches_golden(self, name, capsys):
-        assert run(self.CASES[name]) == 0
+        assert run(HELP_TARGETS[name]) == 0
         got = capsys.readouterr().out
         with open(os.path.join(GOLDEN_HELP, f"{name}.txt"), encoding="utf-8") as fh:
             assert got == fh.read()
+
+    def test_every_parser_has_a_golden_and_every_golden_a_parser(self):
+        paths = {path for path, _ in parsers(_build_parser())}
+        assert sorted(tuple(argv[:-1]) for argv in HELP_TARGETS.values()) == sorted(paths)
+        assert sorted(name.removesuffix(".txt") for name in os.listdir(GOLDEN_HELP)) == sorted(HELP_TARGETS)
+
+
+# each parser as the argv around an option added to it: before, after
+_PARSER_ARGV = {
+    "dv-score": (["dv-score", "--depth", "d.pgm", "--landmarks", "l.csv"], []),
+    "dv-batch": (["dv-batch", "--manifest", "m.csv", "--out", "s.csv"], []),
+    "ocsvm-train": (["ocsvm-train", "--features", "f.csv", "--model", "m.json"], []),
+    "ocsvm-score": (["ocsvm-score", "--model", "m.json", "--features", "f.csv", "--out", "s.csv",
+                     "--label", "attack"], []),
+    "fuse": (["fuse", "--a", "a.csv", "--b", "b.csv", "--out", "s.csv"], []),
+    "eval-pad": (["eval-pad", "--bonafide", "b.csv", "--attack", "a.csv"], []),
+    "eval-vuln": (["eval-vuln", "--mated", "m.csv", "--nonmated", "n.csv", "--attack", "a.csv"], []),
+    "synth-gen": (["synth-gen"], ["depth", "--kind", "curved-face", "--width", "8", "--height", "8"]),
+    "synth-gen depth": (["synth-gen", "depth", "--kind", "curved-face", "--width", "8", "--height", "8"], []),
+    "synth-gen features": (["synth-gen", "features", "--n-bonafide", "2", "--n-attack", "2"], []),
+}
+_SHARED = {"--seed": "1", "--output-dir": "out", "--format": "json"}
+# the parsers that read each shared option; no other parser declares it
+_READERS = {
+    "--seed": {"synth-gen depth", "synth-gen features"},
+    "--output-dir": {"eval-pad", "eval-vuln", "synth-gen depth", "synth-gen features"},
+    "--format": {"eval-pad", "eval-vuln"},
+}
+
+
+class TestSharedOptions:
+    """--seed, --output-dir and --format exist only where their handler reads them."""
+
+    def test_declared_options(self):
+        assert sum(len(options(p)) for _, p in parsers(_build_parser())) == 51
+
+    @pytest.mark.parametrize(
+        "name, option",
+        [(name, option) for option, readers in _READERS.items() for name in _PARSER_ARGV if name not in readers],
+    )
+    def test_option_a_parser_does_not_read_is_refused(self, name, option, tmp_path, monkeypatch, capsys):
+        before, after = _PARSER_ARGV[name]
+        monkeypatch.chdir(tmp_path)
+        assert run([*before, f"{option}={_SHARED[option]}", *after]) == 1
+        assert capsys.readouterr().err == f"padeval: unrecognized arguments: {option}={_SHARED[option]}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_synth_gen_options_before_the_generator_are_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["synth-gen", "--seed", "7", "--output-dir", "D", "depth", "--kind", "curved-face"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("padeval synth-gen: argument what: invalid choice: '7'") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("option", sorted(_READERS))
+    def test_each_reader_declares_the_option(self, option):
+        declared = {" ".join(path) for path, p in parsers(_build_parser()) if option in p._option_string_actions}
+        assert declared == _READERS[option]
 
 
 class TestSynthGen:
@@ -232,6 +294,16 @@ class TestDvCommands:
         out = tmp_path / "scores.csv"
         assert run(["dv-batch", "--manifest", manifest, "--out", str(out)]) == 2
         assert "weird" in capsys.readouterr().err
+
+    def test_dv_batch_refuses_nul_in_a_path(self, tmp_path, capsys):
+        manifest = write_file(
+            tmp_path / "manifest.csv",
+            "sample_id,depth,landmarks,label\ns1,d/de\x00pth.pgm,d/landmarks.csv,bonafide\n",
+        )
+        assert run(["dv-batch", "--manifest", manifest, "--out", str(tmp_path / "scores.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {manifest}: line 2: depth and landmarks paths must not hold NUL\n"
+        assert captured.out == "" and not (tmp_path / "scores.csv").exists()
 
 
 def features_csv(tmp_path, name, values, ids=None):

@@ -884,6 +884,26 @@ class TestManifestCsv:
         with pytest.raises(ParseError, match="non-empty"):
             parse_manifest("sample_id,depth,landmarks,label\ns1,,marks.csv,bonafide\n")
 
+    @pytest.mark.parametrize("paths", ["de\x00pth.pgm,marks.csv", "depth.pgm,marks\x00.csv"])
+    def test_nul_in_a_path_rejected_at_its_line(self, paths):
+        data = f"sample_id,depth,landmarks,label\ns1,d.pgm,m.csv,bonafide\ns2,{paths},attack\n"
+        with pytest.raises(ParseError, match="must not hold NUL") as err:
+            parse_manifest(data)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            ("s1,,m\x00.csv,bonafide\n", "non-empty"),  # one row: the empty path wins
+            ("s1,d.pgm,m\x00.csv,bonafide\ns2,,m.csv,attack\n", "NUL"),
+            ("s1,,m.csv,bonafide\ns2,d.pgm,m\x00.csv,attack\n", "non-empty"),
+        ],
+    )
+    def test_nul_and_empty_paths_share_one_precedence(self, rows, reason):
+        with pytest.raises(ParseError, match=reason) as err:
+            parse_manifest("sample_id,depth,landmarks,label\n" + rows)
+        assert err.value.line == 2
+
 
 class TestDepthPgm:
     @given(
