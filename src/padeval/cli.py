@@ -16,8 +16,6 @@ import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import ingest
 from .core import (
     LABEL_BY_NAME,
@@ -26,8 +24,6 @@ from .core import (
     PresentationLabel,
     ScoreSet,
     TrialLabel,
-    _check_finite,
-    _label_codes,
 )
 from .depth_variance import DEFAULT_MIN_VALID, dv_score
 from .fusion import fuse
@@ -122,13 +118,9 @@ def _cmd_dv_batch(args) -> None:
         except PadevalError as exc:
             raise PadevalError(f"sample {row.sample_id!r}: {exc}") from exc
         scores.append(score.value)
-    # parse_manifest has checked the ids; the labels and scores are checked
-    # as the ScoreSet constructor would
+    # parse_manifest has checked the ids
     ids = tuple(row.sample_id for row in rows)
-    codes = _label_codes([row.label for row in rows])
-    values = np.array(scores, dtype=np.float64)
-    _check_finite(ids, values)
-    out = ScoreSet._trusted(ids, codes, values, Polarity.HIGHER_IS_BONA_FIDE)
+    out = ScoreSet._detector_output(ids, [row.label for row in rows], scores, Polarity.HIGHER_IS_BONA_FIDE)
     _write_text(args.out, ingest.write_scores(out))
 
 

@@ -216,6 +216,17 @@ class ScoreSet:
         score_set._fill(sample_ids, codes, values, polarity)
         return score_set
 
+    @classmethod
+    def _detector_output(
+        cls, ids: tuple[str, ...], labels: Sequence[object], values: Sequence[float], polarity: Polarity
+    ) -> "ScoreSet":
+        """A detector's scores for ids that already hold every invariant; the labels, then the
+        scores (a detector's arithmetic can overflow), are checked as the constructor checks them."""
+        codes = _label_codes(labels)
+        scores = np.array(values, dtype=np.float64)
+        _check_finite(ids, scores)
+        return cls._trusted(ids, codes, scores, polarity)
+
     def _fill(self, ids: tuple[str, ...], codes: np.ndarray, values: np.ndarray, polarity: Polarity) -> None:
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "label_codes", _read_only(codes))

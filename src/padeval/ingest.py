@@ -605,7 +605,10 @@ def parse_depth_pgm(data: bytes) -> DepthMap:
         token = next_token()
         if not token.isdigit():
             raise ParseError(f"bad PGM {name} {token!r}")
-        fields[name] = int(token)
+        try:
+            fields[name] = int(token)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"bad PGM {name} of {len(token)} digits") from None
     width, height, maxval = fields["width"], fields["height"], fields["maxval"]
     if width < 1 or height < 1:
         raise ParseError(f"bad PGM dimensions {width}x{height}")
@@ -842,20 +845,22 @@ _DET_TICKS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
 _PROBIT = NormalDist().inv_cdf
 
 
-def _distinct_reprs(values: np.ndarray) -> list[str]:
-    """:func:`_reprs` of a float array, each distinct value formatted once.
+def _per_distinct(values: np.ndarray, cells: Callable[[np.ndarray], list[str]]) -> list[str]:
+    """``cells(values)`` with each distinct value formatted once.
 
     Values are told apart by their bits, so ``0.0`` and ``-0.0`` keep their
-    own reprs.
+    own cells; ``cells`` gets the distinct values in the order of their bits.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(_reprs(bits.view(np.float64)), dtype=object)[inverse].tolist()
+    return np.array(cells(bits.view(np.float64)), dtype=object)[inverse].tolist()
 
 
 def write_det(curve: DetCurve) -> str:
     """DET sweep as CSV: one row per threshold, rates as exact decimals."""
     # rates are counts over a class size, so a long sweep repeats each one many times
-    columns = (_reprs(curve.thresholds), _distinct_reprs(curve.x_rates), _distinct_reprs(curve.y_rates))
+    columns = (
+        _reprs(curve.thresholds), _per_distinct(curve.x_rates, _reprs), _per_distinct(curve.y_rates, _reprs)
+    )
     return _DET_HEADER + "\n" + "".join([f"{t},{x},{y}\n" for t, x, y in zip(*columns)])
 
 
@@ -878,10 +883,12 @@ def write_det_svg(curve: DetCurve) -> str:
     def pixels(rates: np.ndarray, to_px: Callable[[np.ndarray], np.ndarray]) -> list[str]:
         # rates are counts over a class size, so a long sweep repeats each one
         # many times: every distinct clamped rate is mapped and formatted once
-        distinct, inverse = np.unique(np.clip(rates, _DET_LO, _DET_HI), return_inverse=True)
-        q = np.fromiter(map(_PROBIT, distinct.tolist()), dtype=np.float64, count=distinct.size)
-        cells = np.array([f"{v:.2f}" for v in to_px(q).tolist()], dtype=object)
-        return cells[inverse].tolist()
+        # (clamped rates are positive and finite, so their bits sort as their values)
+        def cells(distinct: np.ndarray) -> list[str]:
+            q = np.fromiter(map(_PROBIT, distinct.tolist()), dtype=np.float64, count=distinct.size)
+            return [f"{v:.2f}" for v in to_px(q).tolist()]
+
+        return _per_distinct(np.clip(rates, _DET_LO, _DET_HI), cells)
 
     if curve.axes is DetAxes.APCER_BPCER:
         x_name, y_name = "APCER (%)", "BPCER (%)"

@@ -37,6 +37,7 @@ point ``alpha_i = 1/n``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -51,8 +52,6 @@ from .core import (
     ScoreSet,
     TrialLabel,
     ValidationError,
-    _check_finite,
-    _label_codes,
 )
 
 __all__ = [
@@ -179,9 +178,15 @@ def _apply_standardizer(x: np.ndarray, mean: np.ndarray | None, scale: np.ndarra
 
 _OVERFLOW = "training rows are too large: sums and products of them overflow the float range"
 
-
-def _all_finite(*values: object) -> bool:
-    return all(np.isfinite(v).all() for v in values)
+# Largest squared row norm M that training accepts, checked after the
+# standardizer and before the solver.  Below it every value the solver forms
+# stays finite: by Cauchy-Schwarz each Gram entry is at most about M, and so
+# is each gradient (a convex combination of Gram entries); a gap is at most
+# 2M, a pair curvature at most 4M and the incremental gradient update at most
+# 3M; the objective, ``w`` and ``rho`` are finite too.  Only the gain
+# ``gap * gap / eta`` and the unclipped step ``gap / eta`` can overflow, and
+# they overflow to +inf, never to NaN: the step is then clipped to the box.
+_MAX_SQUARED_NORM = sys.float_info.max / 8
 
 
 def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmConfig()) -> OcsvmModel:
@@ -192,10 +197,10 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
         NotConvergedError: KKT residual still above ``config.tol`` after
             the pair-update budget.
         ValidationError: fewer than two rows, non-finite rows, a bad
-            ``tol``/``max_iter``, or rows so large that sums and products
-            of them overflow the float range, so that the standardizer,
-            the solver's weights or gradient, ``w``, ``rho`` or the
-            objective trace would not be finite.
+            ``tol``/``max_iter``, a standardizer (mean or scale) that is
+            not finite, or rows, after the standardizer, whose largest
+            squared norm exceeds ``sys.float_info.max / 8``; both are
+            checked before the solver runs.
     """
     x_raw = _training_array(features)
     n, d = x_raw.shape
@@ -213,9 +218,8 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
 
-    # overflowing rows are refused below without a numpy warning; the solver
-    # still runs on them, so that its own fallbacks for non-finite gradients
-    # keep their results
+    # overflowing rows are refused without a numpy warning; below the limit
+    # the solver's gain can still overflow to +inf
     with np.errstate(over="ignore", invalid="ignore"):
         mean = scale = None
         x = x_raw
@@ -223,9 +227,11 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
             mean = x_raw.mean(axis=0)
             sd = x_raw.std(axis=0)
             scale = np.where(sd > 0.0, sd, 1.0)
-            if not _all_finite(mean, scale):
+            if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
                 raise ValidationError(_OVERFLOW)
             x = (x_raw - mean) / scale
+        if not np.einsum("ij,ij->i", x, x).max() <= _MAX_SQUARED_NORM:  # NaN is refused too
+            raise ValidationError(_OVERFLOW)
 
         c_box = 1.0 / (nu * n)
         alpha = _initial_alphas(n, c_box, nu)
@@ -243,12 +249,7 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
             alpha, grad, iterations, residual, trace_list = _smo(x, alpha, c_box, tol, max_iter)
             w = x.T @ alpha
             trace = tuple(trace_list)
-
-        if not _all_finite(alpha, grad):
-            raise ValidationError(_OVERFLOW)
         rho = _solve_rho(grad, alpha, c_box)
-        if not _all_finite(w, rho, trace):
-            raise ValidationError(_OVERFLOW)
     diagnostics = OcsvmDiagnostics(
         kkt_residual=float(residual),
         iterations=int(iterations),
@@ -272,14 +273,12 @@ def _smo(
     n = x.shape[0]
     diag = np.einsum("ij,ij->i", x, x)
     # Which rows may grow (alpha < c_box) and shrink (alpha > 0), kept in step
-    # with alpha: as penalties of 0 or an infinity to add to the gradient, as
-    # a mask, and as counts.  Only rows i and j change in a step.
-    grows = alpha < c_box
-    shrinks = alpha > 0.0
-    pen_up = np.where(grows, 0.0, np.inf)
-    pen_low = np.where(shrinks, 0.0, -np.inf)
-    n_up = int(np.count_nonzero(grows))
-    n_low = int(np.count_nonzero(shrinks))
+    # with alpha: as penalties of 0 or an infinity to add to the gradient, and
+    # as counts.  Only rows i and j change in a step.
+    pen_up = np.where(alpha < c_box, 0.0, np.inf)
+    pen_low = np.where(alpha > 0.0, 0.0, -np.inf)
+    n_up = int(np.count_nonzero(pen_up == 0.0))
+    n_low = int(np.count_nonzero(pen_low == 0.0))
     # the O(n) passes and the two Gram columns write into these
     search, gap, pair_eta, gain, col_i, col_j = (np.empty(n) for _ in range(6))
 
@@ -291,18 +290,10 @@ def _smo(
         """
         if n_up == 0 or n_low == 0:
             return -np.inf, -1
-        # grad + penalty is NaN only where a non-finite gradient meets an
-        # infinite penalty (or is NaN itself); argmin and argmax return the
-        # first NaN, so only then is the masked search run instead
-        with np.errstate(invalid="ignore"):
-            np.add(grad, pen_up, out=search)
-            i = int(search.argmin())
-            if search[i] != search[i]:
-                i = int(np.argmin(np.where(grows, grad, np.inf)))
-            np.add(grad, pen_low, out=search)
-            j = int(search.argmax())
-            if search[j] != search[j]:
-                j = int(np.argmax(np.where(shrinks, grad, -np.inf)))
+        np.add(grad, pen_up, out=search)
+        i = int(search.argmin())
+        np.add(grad, pen_low, out=search)
+        j = int(search.argmax())
         return float(grad[j] - grad[i]), i
 
     iterations = 0
@@ -327,10 +318,10 @@ def _smo(
             #
             # The gain is taken from the gap clamped at 0 and read off
             # grad + pen_low, which is -inf on rows that cannot shrink, so
-            # every row outside the candidate set gains 0 (or NaN) and every
-            # candidate its exact gain.  A positive maximum thus picks the
-            # row that masking the others to -inf picks; on a maximum of 0 or
-            # NaN that masked form runs instead.
+            # every row outside the candidate set gains 0 and every candidate
+            # its exact gain.  A positive maximum thus picks the row that
+            # masking the others to -inf picks; on a maximum of 0 (every gain
+            # underflowed) that is the first candidate, the first positive gap.
             np.subtract(search, grad[i], out=gap)
             np.maximum(gap, 0.0, out=gap)
             np.add(diag[i], diag, out=pair_eta)
@@ -340,10 +331,8 @@ def _smo(
             np.multiply(gap, gap, out=gain)
             np.divide(gain, pair_eta, out=gain)
             j = int(gain.argmax())
-            if not gain[j] > 0.0:
-                full_gap = grad - grad[i]
-                masked = np.where(shrinks & (full_gap > 0.0), full_gap * full_gap / pair_eta, -np.inf)
-                j = int(masked.argmax())
+            if gain[j] == 0.0:
+                j = int((gap > 0.0).argmax())
             np.matmul(x, x[j], out=col_j)
             step = float(grad[j] - grad[i]) / float(pair_eta[j])
             room_i = c_box - alpha[i]
@@ -369,9 +358,8 @@ def _smo(
             np.add(grad, col_i, out=grad)
             for k in (i, j):  # when i == j the second pass finds nothing to change
                 up, low = bool(alpha[k] < c_box), bool(alpha[k] > 0.0)
-                n_up += up - bool(grows[k])
-                n_low += low - bool(shrinks[k])
-                grows[k], shrinks[k] = up, low
+                n_up += up - bool(pen_up[k] == 0.0)
+                n_low += low - bool(pen_low[k] == 0.0)
                 pen_up[k] = 0.0 if up else np.inf
                 pen_low[k] = 0.0 if low else -np.inf
             iterations += 1
@@ -445,9 +433,5 @@ def score_matrix(
         if missing:
             raise ValidationError(f"no label for sample_id {missing[0]!r}")
         per_row = [labels[sid] for sid in features.sample_ids]
-    # the feature matrix vouches for its ids; the labels and the scores
-    # (a product can overflow) are checked as the ScoreSet constructor would
-    codes = _label_codes(per_row)
-    values = np.array(values)
-    _check_finite(features.sample_ids, values)
-    return ScoreSet._trusted(features.sample_ids, codes, values, Polarity.HIGHER_IS_BONA_FIDE)
+    # the feature matrix vouches for its ids
+    return ScoreSet._detector_output(features.sample_ids, per_row, values, Polarity.HIGHER_IS_BONA_FIDE)

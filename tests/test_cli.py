@@ -232,6 +232,15 @@ class TestDvCommands:
         assert run(["dv-score", "--depth", bad, "--landmarks", marks_path]) == 2
         assert "bad.pgm" in capsys.readouterr().err
 
+    def test_dv_score_over_long_pgm_width_is_a_data_error(self, tmp_path, capsys):
+        bad = write_file(tmp_path / "big.pgm", b"P5\n" + b"1" * 5000 + b" 2\n65535\n" + bytes(8))
+        _, _, _, marks_path = make_capture(tmp_path)
+        assert run(["dv-score", "--depth", bad, "--landmarks", marks_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "bad PGM width of 5000 digits" in captured.err
+
     def test_dv_score_missing_file(self, tmp_path, capsys):
         _, _, _, marks_path = make_capture(tmp_path)
         assert run(["dv-score", "--depth", str(tmp_path / "absent.pgm"), "--landmarks", marks_path]) == 2
@@ -385,6 +394,18 @@ class TestOcsvmCommands:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning from numpy would raise
             code = run(["ocsvm-train", "--features", train, "--model", str(model_path), *standardize])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: training rows are too large: sums and products of them overflow the float range\n"
+        )
+        assert not model_path.exists()
+
+    def test_training_rows_past_the_norm_limit_are_a_data_error(self, tmp_path, capsys):
+        # each squared row norm is 4.8e307, past the limit of 2.2e307
+        train = features_csv(tmp_path, "train.csv", np.full((3, 3), 4e153).tolist())
+        model_path = tmp_path / "m.json"
+        code = run(["ocsvm-train", "--features", train, "--model", str(model_path), "--no-standardize"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == (

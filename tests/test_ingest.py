@@ -959,6 +959,13 @@ class TestDepthPgm:
         with pytest.raises(ParseError, match="bytes"):
             parse_depth_pgm("P5\n2 2\n65535\n")
 
+    @pytest.mark.parametrize("name", ["width", "height", "maxval"])
+    def test_over_long_header_number(self, name):
+        fields = {"width": 2, "height": 2, "maxval": 65535, name: "1" * 5000}  # more digits than int() converts
+        header = "P5\n{width} {height}\n{maxval}\n".format(**fields).encode()
+        with pytest.raises(ParseError, match=f"^bad PGM {name} of 5000 digits$"):
+            parse_depth_pgm(header + bytes(8))
+
 
 def sample_pad_report() -> PadReport:
     return PadReport(
@@ -1285,3 +1292,19 @@ class TestParserRobustnessSmoke:
                     parser(blob)
                 except PadevalError:
                     pass
+
+    def test_over_long_digit_runs_raise_structured_errors(self):
+        digits = "1" * 5000  # more digits than int() converts
+        model = write_model(fit(np.random.default_rng(1).normal(0, 1, (10, 2)) + 5))
+        inputs = [
+            (parse_depth_pgm, f"P5\n{digits} 2\n65535\n".encode() + bytes(8)),
+            (parse_depth_pgm, f"P5\n2 {digits}\n65535\n".encode() + bytes(8)),
+            (parse_depth_pgm, f"P5\n2 2\n{digits}\n".encode() + bytes(8)),
+            (parse_landmarks, f"index,x,y\n{digits},1.0,2.0\n"),
+            (parse_model, re.sub(r'"d": \d+', f'"d": {digits}', model)),
+            (parse_model, re.sub(r'"iterations": \d+', f'"iterations": {digits}', model)),
+        ]
+        for parser, data in inputs:
+            assert digits in (data if isinstance(data, str) else data.decode("ascii", errors="replace"))
+            with pytest.raises(PadevalError):
+                parser(data)

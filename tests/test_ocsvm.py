@@ -166,12 +166,7 @@ class TestDeterminismAndScaling:
 
 
 def _fit_bits(x, config):
-    """Every output of a fit as exact bits, or the type and message of the error it raised.
-
-    Rows whose Gram entries overflow fail with a ValidationError once the
-    solver is done, so the solver's own outputs are compared apart from the
-    fit (see :func:`_solver_bits`).
-    """
+    """Every output of a fit as exact bits, or the type and message of the error it raised."""
     try:
         model = fit(x, config)
     except PadevalError as exc:
@@ -196,15 +191,12 @@ def _draw_rows(rng, n, d, draw):
         return rng.integers(-2, 3, (n, d)).astype(np.float64)
     if draw == "far":
         # sorted so that the initial weights sit on the least typical rows;
-        # the last row's gradient overflows to +inf while the weights stay
-        # finite, so the pair search meets an infinite gradient on a row
-        # that cannot shrink
+        # the last row's Gram entries overflow, so the fit refuses the rows
         x = rng.normal(3.0, 1.0, (n, d))
         x = x[np.argsort(x.sum(axis=1), kind="stable")]
         x[-1] = 1e308
         return x
-    # rows near 1e155: Gram entries overflow to +-inf and sums of them to NaN,
-    # so the gradient the pair search reads is not finite
+    # rows near 1e155: Gram entries overflow to +-inf, so the fit refuses the rows
     return rng.normal(0.0 if draw == "huge" else 3.0, 1.0, (n, d)) * 1e155
 
 
@@ -212,26 +204,6 @@ def _cached_fit_bits(x, config, branches=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ocsvm, "_smo", functools.partial(oracles.smo_cached, branches=branches))
         return _fit_bits(x, config)
-
-
-def _solver_bits(x, config, smo):
-    """The fit's outcome and the exact bits of what ``smo`` returned inside
-    it, whether or not the fit then refused them."""
-    returned = []
-
-    def recorded(*args):
-        returned.append(smo(*args))
-        return returned[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ocsvm, "_smo", recorded)
-        outcome = _fit_bits(x, config)
-    bits = [
-        (alpha.view(np.uint64).tolist(), grad.view(np.uint64).tolist(), iterations,
-         np.float64(residual).view(np.uint64), np.asarray(trace, dtype=np.float64).view(np.uint64).tolist())
-        for alpha, grad, iterations, residual, trace in returned
-    ]
-    return outcome, bits
 
 
 class TestSolverWithoutColumnCache:
@@ -269,18 +241,73 @@ class TestSolverWithoutColumnCache:
                 assert _fit_bits(x, config) == _cached_fit_bits(x, config, branches)
         assert set(branches) == {"room_i", "alpha_j", "interior"}, branches
 
-    def test_non_finite_gradients_take_the_same_path(self):
-        # the pair search and the gain each have a masked fallback for a
-        # non-finite gradient; these fixed draws reach both
+    def test_overflowing_draws_are_refused_before_the_solver(self):
+        def no_solver(*args):
+            raise AssertionError("the solver ran")
+
         for seed in range(12):
             for draw in ("huge", "huge_positive", "far"):
                 x = _draw_rows(np.random.default_rng(seed), 20, 1 + seed % 3, draw)
-                config = OcsvmConfig(nu=(0.105, 0.33, 0.91, 0.5)[seed % 4], standardize=False)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    new = _solver_bits(x, config, ocsvm._smo)
-                    assert new == _solver_bits(x, config, oracles.smo_cached)
-                overflowed = new[0] == (ValidationError, ocsvm._OVERFLOW)
-                assert overflowed or draw == "far"
+                for standardize in (False, True):
+                    config = OcsvmConfig(nu=(0.105, 0.33, 0.91, 0.5)[seed % 4], standardize=standardize)
+                    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+                        mp.setattr(ocsvm, "_smo", no_solver)
+                        warnings.simplefilter("error")  # a RuntimeWarning from numpy would raise
+                        assert _fit_bits(x, config) == (ValidationError, ocsvm._OVERFLOW)
+
+    @given(
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["normal", "lattice"]),
+        st.floats(min_value=0.05, max_value=1.0),
+    )
+    def test_rows_just_under_the_norm_limit_fit_as_the_cached_solver(self, n, d, seed, draw, nu):
+        assume(nu * n >= 1.0)
+        x = _draw_rows(np.random.default_rng(seed), n, d, draw)
+        norms = np.einsum("ij,ij->i", x, x)
+        assume(norms.max() > 0.0)
+        # a tolerance on the scale of the rows, so that the fit can converge
+        config = OcsvmConfig(nu=nu, tol=1e-9 * ocsvm._MAX_SQUARED_NORM, standardize=False)
+        root = np.sqrt(ocsvm._MAX_SQUARED_NORM / norms.max())
+        under = x * (root * (1.0 - 2.0**-40))
+        over = x * (root * (1.0 + 2.0**-40))
+        assert np.einsum("ij,ij->i", under, under).max() <= ocsvm._MAX_SQUARED_NORM
+        assert np.einsum("ij,ij->i", over, over).max() > ocsvm._MAX_SQUARED_NORM
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning from numpy would raise
+            bits = _fit_bits(under, config)
+            assert bits == _cached_fit_bits(under, config)
+            assert bits[0] is not ValidationError
+            if bits[0] is not NotConvergedError:
+                model = fit(under, config)
+                outputs = (model.w, model.rho, model.dual_alphas, model.diagnostics.objective_trace)
+                assert all(np.isfinite(v).all() for v in outputs)
+            assert _fit_bits(over, config) == (ValidationError, ocsvm._OVERFLOW)
+
+    def test_steps_whose_gains_all_underflow_match_the_cached_solver(self):
+        # Gram entries near 1e-179 make every gain gap^2 / eta underflow to 0,
+        # so every step takes the partner from the zero-gain fallback; the
+        # tiny weights on the lowest rows make that choice matter, as a step
+        # then empties the partner (the alpha_j clip)
+        n, nu = 20, 0.33
+        c_box = 1.0 / (nu * n)
+        k = int(np.floor(nu * n))
+        for seed in range(3):
+            x = np.random.default_rng(seed).normal(3.0, 1.0, (n, 3)) * 1e-90
+            assert (2.0 * np.einsum("ij,ij->i", x, x).max()) ** 2 / ocsvm._ETA_FLOOR == 0.0
+            start = ocsvm._initial_alphas(n, c_box, nu)
+            start[k + 1 :] = np.arange(1, n - k) * 1e-170
+            start = start[::-1].copy()
+            branches = collections.Counter()
+            runs = []
+            for smo in (ocsvm._smo, functools.partial(oracles.smo_cached, branches=branches)):
+                alpha = start.copy()  # both solvers update alpha in place
+                with pytest.raises(NotConvergedError) as err:
+                    smo(x, alpha, c_box, 1e-300, 200)
+                runs.append((alpha.view(np.uint64).tolist(), err.value.iterations, err.value.kkt_residual))
+            assert runs[0] == runs[1]
+            assert branches["alpha_j"] > 0
 
     def test_fit_memory_is_linear_in_the_rows(self):
         x = gaussian_cloud(3000, 8, seed=8)
