@@ -9,7 +9,10 @@ runs
     python3 perfbench/run.py --workload W --seed s --seconds S --trace 0
 
 where S is the ``run_seconds`` of ``BENCHMARK.json``, once in each tree,
-alternating which of the two runs first.  For each
+alternating which of the two runs first.  It counts each side's failed ops
+and its runs that the harness did not mark ``correct`` (an output check
+failed or the negative control was missed); a pair with either is no clean
+pair, whatever its numbers.  For each
 end-to-end metric of ``BENCHMARK.json`` it prints both sides' median and
 quartiles, the number of pairs the change won, whether the gap between the
 medians exceeds the parent's interquartile range, and whether the change's
@@ -132,6 +135,8 @@ def main(argv=None) -> int:
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     failed = {"parent": 0, "change": 0}
+    # runs whose outputs failed the checks or whose negative control was not caught
+    incorrect = {"parent": 0, "change": 0}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree, \
             tempfile.TemporaryDirectory(prefix="bench-change-") as change_tree:
         export_tree(args.parent, parent_tree)
@@ -144,6 +149,7 @@ def main(argv=None) -> int:
                 result = run_once(trees[side], args.workload, seed, seconds)
                 runs[side].append(result["metrics"])
                 failed[side] += result["failed"]
+                incorrect[side] += result["correct"] is not True
             shown = "  ".join(
                 f"{m['name']} {runs['parent'][-1][m['name']]['value']:.4g} -> {runs['change'][-1][m['name']]['value']:.4g}"
                 for m in metrics
@@ -151,7 +157,8 @@ def main(argv=None) -> int:
             print(f"pair {k + 1} seed {seed} ({order[0]} first): {shown}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed_start}-{args.seed_start + args.pairs - 1}, "
-          f"{seconds:g} s each; failed ops: parent {failed['parent']}, change {failed['change']}")
+          f"{seconds:g} s each; failed ops: parent {failed['parent']}, change {failed['change']}; "
+          f"runs not correct: parent {incorrect['parent']}, change {incorrect['change']}")
     print(f"{'metric':<12} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} {'won':<7} "
           f"{'gap > parent IQR':<17} {'worse by > bound':<22} drift parent, change")
     for m in metrics:

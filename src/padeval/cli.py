@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import ingest
 from .core import (
@@ -76,9 +76,11 @@ def _parse_file(parser, path: str, *args):
         raise PadevalError(f"{path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, blocks: Iterable[str]) -> None:
+    """Write the blocks of text to ``path``, each as soon as it is made, so
+    that a write holds one block beside the file buffer."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(blocks)
 
 
 def _write_bytes(path: str, blob: bytes) -> None:
@@ -121,7 +123,7 @@ def _cmd_dv_batch(args) -> None:
     # parse_manifest has checked the ids
     ids = tuple(row.sample_id for row in rows)
     out = ScoreSet._detector_output(ids, [row.label for row in rows], scores, Polarity.HIGHER_IS_BONA_FIDE)
-    _write_text(args.out, ingest.write_scores(out))
+    _write_text(args.out, ingest._scores_blocks(out))
 
 
 def _cmd_ocsvm_train(args) -> None:
@@ -133,7 +135,7 @@ def _cmd_ocsvm_train(args) -> None:
         standardize=not args.no_standardize,
     )
     model = fit(features, config)
-    _write_text(args.model, ingest.write_model(model))
+    _write_text(args.model, [ingest.write_model(model)])
     diag = model.diagnostics
     print(
         f"trained on {features.n} x {features.d}: iterations {diag.iterations}, "
@@ -150,7 +152,7 @@ def _cmd_ocsvm_score(args) -> None:
         scored = score_matrix(model, features, labels)
     else:
         scored = score_matrix(model, features, LABEL_BY_NAME[args.label])
-    _write_text(args.out, ingest.write_scores(scored))
+    _write_text(args.out, ingest._scores_blocks(scored))
 
 
 def _cmd_fuse(args) -> None:
@@ -158,7 +160,7 @@ def _cmd_fuse(args) -> None:
     set_a = _parse_file(ingest.parse_scores, args.a, polarity)
     set_b = _parse_file(ingest.parse_scores, args.b, polarity)
     fused = fuse(set_a, set_b, w_a=args.wa, w_b=args.wb)
-    _write_text(args.out, ingest.write_scores(fused))
+    _write_text(args.out, ingest._scores_blocks(fused))
     print(
         "note: min-max ranges were fitted on the evaluation scores being fused "
         "(test-time statistics)"
@@ -169,13 +171,13 @@ def _write_evaluation(args, report, curve, config, report_name) -> None:
     """Write the report JSON, then the DET exports from ``curve()``, then print the summary."""
     formats = set(args.format) if args.format else {"csv", "json", "svg"}
     if "json" in formats:
-        _write_text(_out_path(args, report_name), ingest.write_report(report, config=config))
+        _write_text(_out_path(args, report_name), [ingest.write_report(report, config=config)])
     if formats & {"csv", "svg"}:
         det = curve()
     if "csv" in formats:
-        _write_text(_out_path(args, "det.csv"), ingest.write_det(det))
+        _write_text(_out_path(args, "det.csv"), ingest._det_blocks(det))
     if "svg" in formats:
-        _write_text(_out_path(args, "det.svg"), ingest.write_det_svg(det))
+        _write_text(_out_path(args, "det.svg"), ingest._det_svg_blocks(det))
     for line in ingest._summary(report):
         print(line)
 
@@ -240,7 +242,7 @@ def _cmd_synth_depth(args) -> None:
     )
     depth, landmarks = gen_depth(spec)
     _write_bytes(_out_path(args, "depth.pgm"), ingest.write_depth_pgm(depth))
-    _write_text(_out_path(args, "landmarks.csv"), ingest.write_landmarks(landmarks))
+    _write_text(_out_path(args, "landmarks.csv"), [ingest.write_landmarks(landmarks)])
 
 
 def _cmd_synth_features(args) -> None:
@@ -253,10 +255,10 @@ def _cmd_synth_features(args) -> None:
         seed=args.seed,
     )
     features, labels = gen_features(spec)
-    _write_text(_out_path(args, "features.csv"), ingest.write_features(features))
+    _write_text(_out_path(args, "features.csv"), ingest._features_blocks(features))
     _write_text(
         _out_path(args, "labels.csv"),
-        ingest.write_labels(dict(zip(features.sample_ids, labels))),
+        [ingest.write_labels(dict(zip(features.sample_ids, labels)))],
     )
 
 

@@ -10,7 +10,10 @@ one-based line numbers where the format has lines; they never raise bare
 builtins, whatever bytes they are fed.  A CSV table is parsed one block of
 rows at a time: each block's cells are converted into preallocated output
 columns and dropped before the next block is split, so a parse holds the
-input, its decoded text, one block and the parsed columns.
+input, its decoded text, one block and the parsed columns.  The score,
+feature and DET writers make their text one block of rows at a time in the
+same way; each ``write_*`` function returns the join of its blocks, and the
+CLI writes each block to the open file as it is made.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ _SCORES_HEADER = ["sample_id", "label", "score"]
 _LABELS_HEADER = ["sample_id", "label"]
 _LANDMARKS_HEADER = ["index", "x", "y"]
 _MANIFEST_HEADER = ["sample_id", "depth", "landmarks", "label"]
-_DET_HEADER = "threshold,apcer_or_fmr,bpcer_or_fnmr"
+_DET_HEADER = ["threshold", "apcer_or_fmr", "bpcer_or_fnmr"]
 #: The JSON type of each count and flag in a model's diagnostics block.
 _DIAGNOSTIC_TYPES = {"iterations": int, "n_support": int, "n_margin_errors": int, "degenerate_data": bool}
 
@@ -379,16 +382,36 @@ def _quoted(cell: str) -> str:
     return cell
 
 
-def _csv_table(header: Sequence[str], first_column: Sequence[str], *columns: Sequence[str]) -> str:
-    """The header and every row as CSV text, joined from columns of formatted cells.
+#: About how many cells one block of written rows holds; a block always holds
+#: at least one whole row.
+_BLOCK_CELLS = 1 << 16
 
-    Only the first (id) column can need quoting: ids cannot hold CR, LF or
-    NUL, and float reprs, ints and label names never hold ``,`` or ``"``.
+
+def _row_slices(n: int, width: int) -> Iterator[slice]:
+    """The slices of ``n`` rows of ``width`` cells that make the written blocks."""
+    step = max(1, _BLOCK_CELLS // width)
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
+def _csv_blocks(
+    header: Sequence[str], n: int, columns: Callable[[slice], Sequence[Sequence[str]]]
+) -> Iterator[str]:
+    """The header line, then the ``n`` rows as CSV text, one block of rows at a time.
+
+    ``columns`` formats the cells of each column, the id column first, for
+    one block's slice of rows only.  Only the id column can need quoting:
+    ids cannot hold CR, LF or NUL, and float reprs, ints and label names
+    never hold ``,`` or ``"``.  Each block decides for itself whether to
+    quote, and only the cells that need quotes get them, so where the blocks
+    end changes no byte.
     """
-    joined = "".join(first_column)
-    if "," in joined or '"' in joined:
-        first_column = list(map(_quoted, first_column))
-    return "\n".join([",".join(header), *map(",".join, zip(first_column, *columns))]) + "\n"
+    yield ",".join(header) + "\n"
+    for rows in _row_slices(n, len(header)):
+        first, *rest = columns(rows)
+        joined = "".join(first)
+        if "," in joined or '"' in joined:
+            first = list(map(_quoted, first))
+        yield "\n".join(map(",".join, zip(first, *rest))) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +445,18 @@ def parse_scores(data: Union[bytes, str], polarity: Polarity) -> ScoreSet:
     return ScoreSet._trusted(tuple(ids), codes, values, polarity)
 
 
+def _scores_blocks(score_set: ScoreSet) -> Iterator[str]:
+    """:func:`write_scores` one block of rows at a time."""
+
+    def columns(rows: slice) -> tuple:
+        labels = _LABEL_NAMES[score_set.label_codes[rows]].tolist()
+        return score_set.sample_ids[rows], labels, _reprs(score_set.values[rows])
+
+    return _csv_blocks(_SCORES_HEADER, len(score_set), columns)
+
+
 def write_scores(score_set: ScoreSet) -> str:
-    labels = _LABEL_NAMES[score_set.label_codes].tolist()
-    return _csv_table(_SCORES_HEADER, score_set.sample_ids, labels, _reprs(score_set.values))
+    return "".join(_scores_blocks(score_set))
 
 
 def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
@@ -448,7 +480,8 @@ def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
 
 def write_labels(labels: Mapping[str, Label]) -> str:
     _check_ids(tuple(labels))
-    return _csv_table(_LABELS_HEADER, list(labels), [lab.value for lab in labels.values()])
+    ids, names = list(labels), [lab.value for lab in labels.values()]
+    return "".join(_csv_blocks(_LABELS_HEADER, len(ids), lambda rows: (ids[rows], names[rows])))
 
 
 def _features_header(d: int) -> list[str]:
@@ -484,8 +517,17 @@ def parse_features(data: Union[bytes, str]) -> FeatureMatrix:
     return FeatureMatrix._trusted(tuple(ids), values)
 
 
+def _features_blocks(features: FeatureMatrix) -> Iterator[str]:
+    """:func:`write_features` one block of rows at a time."""
+
+    def columns(rows: slice) -> tuple:
+        return features.sample_ids[rows], *map(_reprs, features.values[rows].T)
+
+    return _csv_blocks(_features_header(features.d), features.n, columns)
+
+
 def write_features(features: FeatureMatrix) -> str:
-    return _csv_table(_features_header(features.d), features.sample_ids, *map(_reprs, features.values.T))
+    return "".join(_features_blocks(features))
 
 
 @lru_cache(maxsize=4)
@@ -533,7 +575,11 @@ def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
 
 def write_landmarks(landmarks: LandmarkSet) -> str:
     points = landmarks.points
-    return _csv_table(_LANDMARKS_HEADER, list(map(str, range(len(points)))), *map(_reprs, points.T))
+
+    def columns(rows: slice) -> tuple:
+        return list(map(str, range(len(points))[rows])), *map(_reprs, points[rows].T)
+
+    return "".join(_csv_blocks(_LANDMARKS_HEADER, len(points), columns))
 
 
 @dataclass(frozen=True)
@@ -855,17 +901,27 @@ def _per_distinct(values: np.ndarray, cells: Callable[[np.ndarray], list[str]]) 
     return np.array(cells(bits.view(np.float64)), dtype=object)[inverse].tolist()
 
 
+def _det_blocks(curve: DetCurve) -> Iterator[str]:
+    """:func:`write_det` one block of rows at a time."""
+
+    # rates are counts over a class size, so a long sweep repeats each one many times
+    def columns(rows: slice) -> tuple:
+        return (
+            _reprs(curve.thresholds[rows]),
+            _per_distinct(curve.x_rates[rows], _reprs),
+            _per_distinct(curve.y_rates[rows], _reprs),
+        )
+
+    return _csv_blocks(_DET_HEADER, len(curve), columns)
+
+
 def write_det(curve: DetCurve) -> str:
     """DET sweep as CSV: one row per threshold, rates as exact decimals."""
-    # rates are counts over a class size, so a long sweep repeats each one many times
-    columns = (
-        _reprs(curve.thresholds), _per_distinct(curve.x_rates, _reprs), _per_distinct(curve.y_rates, _reprs)
-    )
-    return _DET_HEADER + "\n" + "".join([f"{t},{x},{y}\n" for t, x, y in zip(*columns)])
+    return "".join(_det_blocks(curve))
 
 
-def write_det_svg(curve: DetCurve) -> str:
-    """DET curve on normal-deviate (probit) axes as a standalone SVG."""
+def _det_svg_blocks(curve: DetCurve) -> Iterator[str]:
+    """:func:`write_det_svg` one block of polyline points at a time."""
     width, height = 720, 720
     ml, mr, mt, mb = 96, 30, 30, 72
     plot_w, plot_h = width - ml - mr, height - mt - mb
@@ -922,17 +978,23 @@ def write_det_svg(curve: DetCurve) -> str:
             f'<text x="{ml - 8}" y="{gy:.2f}" font-size="13" text-anchor="end" '
             f'dominant-baseline="middle" font-family="sans-serif">{label}</text>'
         )
-    points = " ".join(map("{},{}".format, pixels(curve.x_rates, x_px), pixels(curve.y_rates, y_px)))
-    parts.append(
-        f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="1.6"/>'
-    )
-    parts.append(
+    yield "\n".join(parts) + '\n<polyline points="'
+    # the points are "x,y" pairs joined by spaces, across the blocks too
+    for rows in _row_slices(len(curve), 2):
+        if rows.start:
+            yield " "
+        yield " ".join(map("{},{}".format, pixels(curve.x_rates[rows], x_px), pixels(curve.y_rates[rows], y_px)))
+    tail = [
+        '" fill="none" stroke="#1f4e9c" stroke-width="1.6"/>',
         f'<text x="{ml + plot_w / 2:.2f}" y="{height - 24}" font-size="15" '
-        f'text-anchor="middle" font-family="sans-serif">{x_name}</text>'
-    )
-    parts.append(
+        f'text-anchor="middle" font-family="sans-serif">{x_name}</text>',
         f'<text x="24" y="{mt + plot_h / 2:.2f}" font-size="15" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 24 {mt + plot_h / 2:.2f})">{y_name}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        f'font-family="sans-serif" transform="rotate(-90 24 {mt + plot_h / 2:.2f})">{y_name}</text>',
+        "</svg>",
+    ]
+    yield "\n".join(tail) + "\n"
+
+
+def write_det_svg(curve: DetCurve) -> str:
+    """DET curve on normal-deviate (probit) axes as a standalone SVG."""
+    return "".join(_det_svg_blocks(curve))

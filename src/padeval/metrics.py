@@ -239,10 +239,22 @@ def _d_eer(pos: np.ndarray, neg: np.ndarray, pooled) -> tuple[float, Threshold]:
     return float(eer), float(grid[best])
 
 
-def _det(pos: np.ndarray, neg: np.ndarray, pooled, axes: DetAxes) -> DetCurve:
-    """The DET curve from the :func:`_pooled` sweep of sorted ``pos`` and ``neg``."""
-    grid, accepts, rejects = pooled
-    return DetCurve(grid, accepts / neg.size, rejects / pos.size, axes)
+def _det_maker(pos: np.ndarray, neg: np.ndarray, axes: DetAxes, pooled=None) -> Callable[[], DetCurve]:
+    """A maker of the DET curve of sorted ``pos`` and ``neg`` that can be called once.
+
+    It hands over the two classes and their :func:`_pooled` sweep (made when
+    it is called unless given) as it makes the curve, so that once the rates
+    exist nothing holds the sorted scores or the counts.
+    """
+    held = [pos, neg, pooled]
+
+    def curve() -> DetCurve:
+        pos, neg, pooled = held
+        held.clear()
+        grid, accepts, rejects = _pooled(pos, neg) if pooled is None else pooled
+        return DetCurve(grid, accepts / neg.size, rejects / pos.size, axes)
+
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +350,7 @@ def det_curve(
         raise ValidationError(f"axes must be a DetAxes, got {axes!r}")
     pos = _sorted(positive_scores, "positive_scores")
     neg = _sorted(negative_scores, "negative_scores")
-    return _det(pos, neg, _pooled(pos, neg), axes)
+    return _det_maker(pos, neg, axes)()
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +374,7 @@ def _checked_scores(score_set: ScoreSet, expected_label, expected_polarity: Pola
 
 
 def _pad(bonafide: ScoreSet, attack: ScoreSet) -> tuple[PadReport, Callable[[], DetCurve]]:
-    """:func:`evaluate_pad`'s report, and a maker of its DET curve from the D-EER sweep."""
+    """:func:`evaluate_pad`'s report, and a one-shot maker of its DET curve from the D-EER sweep."""
     bona = _checked_scores(
         bonafide, PresentationLabel.BONA_FIDE, Polarity.HIGHER_IS_BONA_FIDE, "bonafide"
     )
@@ -380,7 +392,7 @@ def _pad(bonafide: ScoreSet, attack: ScoreSet) -> tuple[PadReport, Callable[[], 
         n_bonafide=bona.size,
         n_attack=att.size,
     )
-    return report, lambda: _det(bona, att, pooled, DetAxes.APCER_BPCER)
+    return report, _det_maker(bona, att, DetAxes.APCER_BPCER, pooled)
 
 
 def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
@@ -393,7 +405,7 @@ def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
 
 
 def _vuln(mated, nonmated, attack, fmr_targets) -> tuple[VulnReport, Callable[[], DetCurve]]:
-    """:func:`evaluate_vuln`'s report, and a maker of its DET curve from the sorted scores."""
+    """:func:`evaluate_vuln`'s report, and a one-shot maker of its DET curve from the sorted scores."""
     mates = _checked_scores(mated, TrialLabel.MATED, Polarity.HIGHER_IS_MATCH, "mated")
     nonmates = _checked_scores(nonmated, TrialLabel.NONMATED, Polarity.HIGHER_IS_MATCH, "nonmated")
     attacks = _checked_scores(attack, TrialLabel.ATTACK_MATED, Polarity.HIGHER_IS_MATCH, "attack")
@@ -409,7 +421,7 @@ def _vuln(mated, nonmated, attack, fmr_targets) -> tuple[VulnReport, Callable[[]
         n_nonmated=nonmates.size,
         n_attack=attacks.size,
     )
-    return report, lambda: _det(mates, nonmates, _pooled(mates, nonmates), DetAxes.FMR_FNMR)
+    return report, _det_maker(mates, nonmates, DetAxes.FMR_FNMR)
 
 
 def evaluate_vuln(

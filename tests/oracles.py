@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from padeval.core import (
+    _LABEL_NAMES,
     LABEL_BY_NAME,
     DuplicateIdError,
     EmptySetError,
@@ -40,7 +41,6 @@ from padeval.ingest import (
     ManifestRow,
     ParseError,
     RaggedRowError,
-    _csv_table,
     _decode,
     _reprs,
     _Table,
@@ -274,6 +274,117 @@ def det_svg(curve):
     points = " ".join(
         f"{x_px(x):.2f},{y_px(y):.2f}" for x, y in zip(curve.x_rates, curve.y_rates)
     )
+    parts.append(
+        f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="1.6"/>'
+    )
+    parts.append(
+        f'<text x="{ml + plot_w / 2:.2f}" y="{height - 24}" font-size="15" '
+        f'text-anchor="middle" font-family="sans-serif">{x_name}</text>'
+    )
+    parts.append(
+        f'<text x="24" y="{mt + plot_h / 2:.2f}" font-size="15" text-anchor="middle" '
+        f'font-family="sans-serif" transform="rotate(-90 24 {mt + plot_h / 2:.2f})">{y_name}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# The writers as they were before they made their text one block of rows at
+# a time: each table is joined whole from columns of formatted cells, kept
+# unchanged as the byte-for-byte reference of the block writers.
+
+
+def _quoted(cell):
+    if "," in cell or '"' in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def whole_csv_table(header, first_column, *columns):
+    """The header and every row as CSV text, joined from columns of formatted cells."""
+    joined = "".join(first_column)
+    if "," in joined or '"' in joined:
+        first_column = list(map(_quoted, first_column))
+    return "\n".join([",".join(header), *map(",".join, zip(first_column, *columns))]) + "\n"
+
+
+def whole_scores(score_set):
+    labels = _LABEL_NAMES[score_set.label_codes].tolist()
+    return whole_csv_table(["sample_id", "label", "score"], score_set.sample_ids, labels, _reprs(score_set.values))
+
+
+def whole_features(features):
+    header = ["sample_id"] + [f"f{k}" for k in range(features.d)]
+    return whole_csv_table(header, features.sample_ids, *map(_reprs, features.values.T))
+
+
+def _per_distinct(values, cells):
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(cells(bits.view(np.float64)), dtype=object)[inverse].tolist()
+
+
+def whole_det(curve):
+    columns = (
+        _reprs(curve.thresholds), _per_distinct(curve.x_rates, _reprs), _per_distinct(curve.y_rates, _reprs)
+    )
+    return "threshold,apcer_or_fmr,bpcer_or_fnmr\n" + "".join([f"{t},{x},{y}\n" for t, x, y in zip(*columns)])
+
+
+def whole_det_svg(curve):
+    det_lo, det_hi = 1e-3, 0.5
+    probit = statistics.NormalDist().inv_cdf
+    width, height = 720, 720
+    ml, mr, mt, mb = 96, 30, 30, 72
+    plot_w, plot_h = width - ml - mr, height - mt - mb
+    lo_q, hi_q = probit(det_lo), probit(det_hi)
+    span = hi_q - lo_q
+
+    def x_px(q):
+        return ml + (q - lo_q) / span * plot_w
+
+    def y_px(q):
+        return height - mb - (q - lo_q) / span * plot_h
+
+    def pixels(rates, to_px):
+        def cells(distinct):
+            q = np.fromiter(map(probit, distinct.tolist()), dtype=np.float64, count=distinct.size)
+            return [f"{v:.2f}" for v in to_px(q).tolist()]
+
+        return _per_distinct(np.clip(rates, det_lo, det_hi), cells)
+
+    if curve.axes is DetAxes.APCER_BPCER:
+        x_name, y_name = "APCER (%)", "BPCER (%)"
+    else:
+        x_name, y_name = "FMR (%)", "FNMR (%)"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
+        'fill="none" stroke="black" stroke-width="1"/>',
+    ]
+    for tick in (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4):
+        gx = x_px(probit(tick))
+        gy = y_px(probit(tick))
+        label = f"{tick * 100:g}"
+        parts.append(
+            f'<line x1="{gx:.2f}" y1="{mt}" x2="{gx:.2f}" y2="{height - mb}" '
+            'stroke="#cccccc" stroke-width="0.5"/>'
+        )
+        parts.append(
+            f'<line x1="{ml}" y1="{gy:.2f}" x2="{width - mr}" y2="{gy:.2f}" '
+            'stroke="#cccccc" stroke-width="0.5"/>'
+        )
+        parts.append(
+            f'<text x="{gx:.2f}" y="{height - mb + 20}" font-size="13" '
+            f'text-anchor="middle" font-family="sans-serif">{label}</text>'
+        )
+        parts.append(
+            f'<text x="{ml - 8}" y="{gy:.2f}" font-size="13" text-anchor="end" '
+            f'dominant-baseline="middle" font-family="sans-serif">{label}</text>'
+        )
+    points = " ".join(map("{},{}".format, pixels(curve.x_rates, x_px), pixels(curve.y_rates, y_px)))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="1.6"/>'
     )
@@ -601,7 +712,7 @@ def fuse_tuple(a, b, w_a=0.5, w_b=0.5):
 def write_scores_tuple(score_set):
     """write_scores with the label column built by one ``.value`` per sample."""
     labels = [lab.value for lab in score_set.labels]
-    return _csv_table(["sample_id", "label", "score"], score_set.sample_ids, labels, _reprs(score_set.values))
+    return whole_csv_table(["sample_id", "label", "score"], score_set.sample_ids, labels, _reprs(score_set.values))
 
 
 # ---------------------------------------------------------------------------

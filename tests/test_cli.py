@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -281,7 +282,7 @@ class TestDvCommands:
             tmp_path / "manifest.csv", "sample_id,depth,landmarks,label\n" + "\n".join(entries) + "\n"
         )
         written = []
-        monkeypatch.setattr(ingest, "write_scores", lambda score_set: written.append(score_set) or "")
+        monkeypatch.setattr(ingest, "_scores_blocks", lambda score_set: written.append(score_set) or [])
         assert run(["dv-batch", "--manifest", manifest, "--out", str(tmp_path / "scores.csv")]) == 0
         (got,) = written
         expected = ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=Polarity.HIGHER_IS_BONA_FIDE)
@@ -757,3 +758,49 @@ def test_main_exits_with_run_code(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 1
+
+
+def traced_peak(argv) -> int:
+    """The tracemalloc peak of one in-process CLI run, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_evaluation_and_fusion_memory_is_linear_in_the_input(tmp_path, monkeypatch, capsys):
+    """eval-pad and fuse hold their data and one block at a time: the peak
+    beyond the input bytes, per input byte, stays under a constant and does
+    not grow from n to 4n rows.
+
+    The blocks are made small so that they are small beside these inputs, as
+    the real ones are beside inputs of a million rows.  Here the block writers
+    read about 4.5 (eval-pad) and 2.8 (fuse) at n and less at 4n; writers that
+    joined each output whole from columns of cells read about 10.7 and 4.3.
+    """
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", 1 << 14)
+    monkeypatch.setattr(ingest, "_BLOCK_CELLS", 3 * 256)
+    ratios = {"eval-pad": [], "fuse": []}
+    for n in (5000, 20000):
+        rng = np.random.default_rng(n)
+        ids = [f"s{k:06d}" for k in range(2 * n)]
+        labels = [PresentationLabel.BONA_FIDE, PresentationLabel.ATTACK] * n
+        perm = rng.permutation(2 * n)
+        a = write_file(tmp_path / "a.csv", write_scores(ScoreSet(
+            sample_ids=ids, labels=labels, values=rng.normal(size=2 * n), polarity=Polarity.HIGHER_IS_BONA_FIDE)))
+        b = write_file(tmp_path / "b.csv", write_scores(ScoreSet(
+            sample_ids=[ids[k] for k in perm], labels=[labels[k] for k in perm], values=rng.normal(size=2 * n),
+            polarity=Polarity.HIGHER_IS_BONA_FIDE)))
+        size_a, size_b = os.path.getsize(a), os.path.getsize(b)
+        # a file named by both roles is read once
+        peak = traced_peak(["eval-pad", "--bonafide", a, "--attack", a, "--output-dir", str(tmp_path / "pad")])
+        ratios["eval-pad"].append((peak - size_a) / size_a)
+        peak = traced_peak(["fuse", "--a", a, "--b", b, "--out", str(tmp_path / "fused.csv")])
+        ratios["fuse"].append((peak - size_a - size_b) / (size_a + size_b))
+        capsys.readouterr()
+    for name, bound in (("eval-pad", 7.0), ("fuse", 3.5)):
+        small, large = ratios[name]
+        assert large <= small < bound, (name, ratios[name])

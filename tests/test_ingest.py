@@ -1270,6 +1270,95 @@ class TestDetExports:
         assert [line.split(",")[1:] for line in text.splitlines()[1:]] == [[repr(x), repr(y)] for x, y in zip(xs, ys)]
 
 
+@contextlib.contextmanager
+def _written_blocks_of(rows, width):
+    """Writers that make blocks of ``rows`` rows of a table ``width`` cells wide."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BLOCK_CELLS", rows * width)
+        yield
+
+
+@st.composite
+def _block_cases(draw, empty_ok=False):
+    """A block size ``b`` and a row count at or around its multiples."""
+    b = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.sampled_from([0] * empty_ok + [1, b - 1, b, b + 1, 2 * b + 1]))
+    return b, n
+
+
+def _block_ids(draw, b, n):
+    """Plain ids, and one that needs quoting in a block after the first, if there is one."""
+    ids = [f"s{k}" for k in range(n)]
+    if n > b:
+        k = draw(st.integers(min_value=b, max_value=n - 1))
+        ids[k] = draw(st.sampled_from([f"a,{k}", f'say "{k}"', f'",{k}']))
+    return ids
+
+
+class TestBlockWritersMatchWholeWriters:
+    """Each writer makes its text one block of rows at a time; the join of the
+    blocks is the text of the frozen writers that joined each table whole."""
+
+    # few distinct values, so that each repeats across blocks, with both signed zeros
+    repeated_rates = st.sampled_from([0.0, -0.0, 5e-324, 0.001, 0.25, 1 / 3, 0.5, 1.0])
+
+    @given(st.data(), _block_cases())
+    def test_scores(self, data, case):
+        b, n = case
+        ids = _block_ids(data.draw, b, n)
+        labels = data.draw(st.lists(any_label, min_size=n, max_size=n))
+        values = data.draw(st.lists(st.one_of(finite_floats, self.repeated_rates), min_size=n, max_size=n))
+        score_set = ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=Polarity.HIGHER_IS_MATCH)
+        with _written_blocks_of(b, 3):
+            assert len(list(ingest._scores_blocks(score_set))) == 1 + -(-n // b)
+            assert write_scores(score_set) == oracles.whole_scores(score_set)
+
+    @given(st.data(), _block_cases(), st.integers(min_value=1, max_value=3))
+    def test_features(self, data, case, d):
+        b, n = case
+        ids = _block_ids(data.draw, b, n)
+        values = data.draw(st.lists(st.one_of(finite_floats, self.repeated_rates), min_size=n * d, max_size=n * d))
+        features = FeatureMatrix(sample_ids=ids, values=np.reshape(values, (n, d)))
+        with _written_blocks_of(b, d + 1):
+            assert len(list(ingest._features_blocks(features))) == 1 + -(-n // b)
+            assert write_features(features) == oracles.whole_features(features)
+
+    @given(st.data(), _block_cases(empty_ok=True), st.sampled_from(list(DetAxes)))
+    def test_det(self, data, case, axes):
+        b, n = case
+        rows = data.draw(
+            st.lists(st.tuples(finite_floats, self.repeated_rates, self.repeated_rates), min_size=n, max_size=n)
+        )
+        self.check_det(rows, b, axes)
+
+    @pytest.mark.parametrize("axes", list(DetAxes))
+    def test_signed_zeros_at_block_borders(self, axes):
+        # blocks of two rows: 0.0 and -0.0 on both sides of each border, and both in every block
+        rows = [(0.0, 0.0, -0.0), (1.0, -0.0, 0.0), (2.0, 0.0, -0.0), (3.0, -0.0, 0.0), (4.0, 0.0, 0.0)]
+        self.check_det(rows, 2, axes)
+
+    @staticmethod
+    def check_det(rows, b, axes):
+        n = len(rows)
+        thresholds, xs, ys = zip(*rows) if rows else ((), (), ())
+        curve = DetCurve(thresholds, xs, ys, axes)
+        with _written_blocks_of(b, 3):
+            assert len(list(ingest._det_blocks(curve))) == 1 + -(-n // b)
+            assert write_det(curve) == oracles.whole_det(curve)
+        with _written_blocks_of(b, 2):
+            # the head with the polyline's start, the points with a space between blocks, the tail
+            assert len(list(ingest._det_svg_blocks(curve))) == 2 + max(0, 2 * -(-n // b) - 1)
+            assert write_det_svg(curve) == oracles.whole_det_svg(curve)
+
+    def test_one_block_for_any_table_narrower_than_the_block(self):
+        curve = DetCurve([0.0, 1.0], [1.0, 0.0], [0.0, 1.0], DetAxes.FMR_FNMR)
+        assert len(list(ingest._det_blocks(curve))) == 2
+        with _written_blocks_of(1, 1):  # fewer cells than a row: a block still holds one whole row
+            assert list(ingest._det_blocks(curve)) == [
+                "threshold,apcer_or_fmr,bpcer_or_fnmr\n", "0.0,1.0,0.0\n", "1.0,0.0,1.0\n"
+            ]
+
+
 class TestParserRobustnessSmoke:
     """A quick random probe; the heavyweight fuzz lives in the acceptance suite."""
 

@@ -429,3 +429,32 @@ class TestOneSweep:
         assert counts == (expected.n_mated, expected.n_nonmated, expected.n_attack)
         want = det_curve(mated_scores, nonmated_scores, DetAxes.FMR_FNMR)
         assert curve_bits(curve()) == curve_bits(want)
+
+    @pytest.mark.parametrize("evaluation", ["pad", "vuln"])
+    def test_curve_maker_lets_go_of_the_sweep(self, monkeypatch, evaluation):
+        """Once the curve exists, nothing holds the sorted classes or their counts."""
+        import gc
+        import weakref
+
+        from padeval import metrics
+
+        refs = []
+        real = metrics._pooled
+
+        def pooled(pos, neg):
+            grid, accepts, rejects = real(pos, neg)
+            refs.extend(map(weakref.ref, (pos, neg, accepts, rejects)))
+            return grid, accepts, rejects
+
+        monkeypatch.setattr(metrics, "_pooled", pooled)
+        if evaluation == "pad":
+            attack = make_score_set([0.0, 4.0], label=PresentationLabel.ATTACK, prefix="a")
+            _, curve = _pad(make_score_set([3.0, 4.0, 5.0]), attack)
+        else:
+            _, curve = _vuln(*TestEvaluateVuln._sets([2.0, 3.0], [0.0, 1.0, 2.0], [2.5]), [0.5])
+        made = curve()
+        gc.collect()
+        assert len(refs) == 4 and [ref() for ref in refs] == [None] * 4
+        assert made.thresholds.size == made.x_rates.size == made.y_rates.size > 0
+        with pytest.raises(ValueError):
+            curve()  # the maker is one-shot

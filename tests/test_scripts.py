@@ -108,7 +108,8 @@ def test_bench_pairs_runs_for_the_declared_seconds_alternating_sides(monkeypatch
         side = {path: name for name, path in trees.items()}[tree]
         runs.append((side, seed, seconds))
         value = 2.0 if side == "change" else 3.0
-        return {"failed": 0, "metrics": {m["name"]: {"value": value} for m in benchmark["end_to_end"]}}
+        metrics = {m["name"]: {"value": value} for m in benchmark["end_to_end"]}
+        return {"correct": True, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(pairs, "export_tree", lambda rev, dest: trees.setdefault("parent", dest))
     monkeypatch.setattr(pairs, "export_worktree", lambda dest: trees.setdefault("change", dest))
@@ -123,6 +124,32 @@ def test_bench_pairs_runs_for_the_declared_seconds_alternating_sides(monkeypatch
     assert "worse by > bound" in out
     # every run of a side reads the same, so no metric drifts
     assert "drift parent, change" in out and "+0.0%, +0.0%" in out and "unresolved" not in out
+    assert "failed ops: parent 0, change 0; runs not correct: parent 0, change 0" in out
+
+
+def test_bench_pairs_counts_the_runs_that_are_not_correct(monkeypatch, capsys):
+    """A run can fail no op and still not be correct: a missed negative control
+    or a set-up that did not repeat.  Such runs are counted per side."""
+    import json
+
+    pairs = load_script("bench_pairs")
+    with open(os.path.join(HERE, "..", "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    trees = {}
+    # per side, the seeds whose run the harness marks not correct
+    not_correct = {"parent": {7}, "change": {5, 6}}
+
+    def fake_run_once(tree, workload, seed, seconds):
+        side = {path: name for name, path in trees.items()}[tree]
+        metrics = {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]}
+        return {"correct": seed not in not_correct[side], "failed": int(seed == 6), "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "export_tree", lambda rev, dest: trees.setdefault("parent", dest))
+    monkeypatch.setattr(pairs, "export_worktree", lambda dest: trees.setdefault("change", dest))
+    monkeypatch.setattr(pairs, "run_once", fake_run_once)
+    assert pairs.main(["--workload", "eval_scale", "--parent", "HEAD", "--pairs", "3", "--seed-start", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "failed ops: parent 1, change 1; runs not correct: parent 1, change 2" in out
 
 
 def test_bench_pairs_exports_the_working_tree(tmp_path, monkeypatch):
