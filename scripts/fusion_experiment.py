@@ -103,8 +103,8 @@ def build_scenario():
 
 
 def scenario_d_eer(scores: ScoreSet) -> float:
-    bona = scores.with_label(PresentationLabel.BONA_FIDE).scores()
-    attack = scores.with_label(PresentationLabel.ATTACK).scores()
+    bona = scores.with_label(PresentationLabel.BONA_FIDE).values
+    attack = scores.with_label(PresentationLabel.ATTACK).values
     return d_eer(bona, attack)[0]
 
 

@@ -45,7 +45,7 @@ def chain_d_eer(separation: float, seed: int) -> float:
     scored = score_matrix(model, held_out, dict(zip(feats.sample_ids, labels)))
     bona = scored.with_label(PresentationLabel.BONA_FIDE)
     attack = scored.with_label(PresentationLabel.ATTACK)
-    rate, _ = d_eer(bona.scores(), attack.scores())
+    rate, _ = d_eer(bona.values, attack.values)
     return rate
 
 

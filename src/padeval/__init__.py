@@ -16,7 +16,6 @@ from .core import (
     Polarity,
     PolarityMismatchError,
     PresentationLabel,
-    ScoreRecord,
     ScoreSet,
     TrialLabel,
     ValidationError,

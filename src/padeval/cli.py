@@ -320,8 +320,8 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--features", required=True, help="training features CSV")
     p.add_argument("--model", required=True, help="output model JSON")
-    p.add_argument("--nu", type=float, default=0.5, help="margin-error budget in (0, 1]")
-    p.add_argument("--tol", type=float, default=1e-6, help="KKT residual stopping tolerance")
+    p.add_argument("--nu", type=float, default=OcsvmConfig.nu, help="margin-error budget in (0, 1]")
+    p.add_argument("--tol", type=float, default=OcsvmConfig.tol, help="KKT residual stopping tolerance")
     p.add_argument("--max-iter", type=int, help="pair-update budget (default 100*n)")
     p.add_argument(
         "--no-standardize",

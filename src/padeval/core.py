@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "Label",
     "LABEL_BY_NAME",
     "Polarity",
-    "ScoreRecord",
     "ScoreSet",
     "DepthMap",
     "LandmarkSet",
@@ -112,15 +111,6 @@ class Polarity(Enum):
 
     HIGHER_IS_BONA_FIDE = "higher_is_bonafide"
     HIGHER_IS_MATCH = "higher_is_match"
-
-
-@dataclass(frozen=True)
-class ScoreRecord:
-    """One scored sample: identifier, ground-truth label, raw score."""
-
-    sample_id: str
-    label: Label
-    score: float
 
 
 # ScoreSet.label_codes index the labels in LABEL_BY_NAME order: by code, the
@@ -238,22 +228,8 @@ class ScoreSet:
         """The label of each sample, built on each access."""
         return tuple(_LABEL_ARRAY[self.label_codes].tolist())
 
-    @property
-    def records(self) -> tuple[ScoreRecord, ...]:
-        """The samples as records, built on each access."""
-        return tuple(map(ScoreRecord, self.sample_ids, self.labels, self.values.tolist()))
-
     def __len__(self) -> int:
         return len(self.sample_ids)
-
-    def __iter__(self) -> Iterator[ScoreRecord]:
-        return iter(self.records)
-
-    def scores(self) -> list[float]:
-        return self.values.tolist()
-
-    def ids(self) -> list[str]:
-        return list(self.sample_ids)
 
     def with_label(self, label: Label) -> "ScoreSet":
         """Sub-set holding only the samples carrying ``label``.

@@ -23,7 +23,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import repeat
 from statistics import NormalDist
@@ -46,8 +46,9 @@ from .core import (
     _check_ids,
     _first_bad_id,
 )
+from .depth_variance import DEFAULT_MIN_VALID
 from .metrics import DetAxes, DetCurve, PadReport, VulnReport
-from .ocsvm import OcsvmDiagnostics, OcsvmModel
+from .ocsvm import OcsvmConfig, OcsvmDiagnostics, OcsvmModel
 
 __all__ = [
     "ParseError",
@@ -119,10 +120,10 @@ _VERSION = 1
 
 #: Package-wide parameter defaults, echoed into every report for provenance.
 DEFAULTS: dict[str, object] = {
-    "nu": 0.5,
+    "nu": OcsvmConfig.nu,
     "weights": [0.5, 0.5],
-    "min_valid": 10,
-    "tol": 1e-6,
+    "min_valid": DEFAULT_MIN_VALID,
+    "tol": OcsvmConfig.tol,
 }
 
 _SCORES_HEADER = ["sample_id", "label", "score"]
@@ -743,16 +744,7 @@ def write_report(report: Union[PadReport, VulnReport], config: Mapping[str, obje
     """
     if isinstance(report, PadReport):
         kind = "pad-report"
-        metrics: dict[str, object] = {
-            "d_eer": report.d_eer,
-            "eer_threshold": report.eer_threshold,
-            "bpcer10": report.bpcer10,
-            "bpcer10_threshold": report.bpcer10_threshold,
-            "bpcer20": report.bpcer20,
-            "bpcer20_threshold": report.bpcer20_threshold,
-            "n_bonafide": report.n_bonafide,
-            "n_attack": report.n_attack,
-        }
+        metrics: dict[str, object] = asdict(report)
     elif isinstance(report, VulnReport):
         kind = "vuln-report"
         metrics = {
@@ -812,7 +804,6 @@ def _float_list(obj: object, what: str) -> np.ndarray:
 
 def write_model(model: OcsvmModel) -> str:
     """Serialize a fitted model (weights, offset, standardizer, diagnostics)."""
-    diag = model.diagnostics
     payload: dict[str, object] = {
         "magic": _MAGIC,
         "version": _VERSION,
@@ -824,16 +815,7 @@ def write_model(model: OcsvmModel) -> str:
         "mean": None if model.mean is None else [float(v) for v in model.mean],
         "scale": None if model.scale is None else [float(v) for v in model.scale],
         "dual_alphas": [float(v) for v in model.dual_alphas],
-        "diagnostics": None
-        if diag is None
-        else {
-            "kkt_residual": diag.kkt_residual,
-            "iterations": diag.iterations,
-            "n_support": diag.n_support,
-            "n_margin_errors": diag.n_margin_errors,
-            "degenerate_data": diag.degenerate_data,
-            "objective_trace": list(diag.objective_trace),
-        },
+        "diagnostics": None if model.diagnostics is None else asdict(model.diagnostics),
     }
     return _dump_json(payload)
 

@@ -37,8 +37,9 @@ point ``alpha_i = 1/n``.
 
 from __future__ import annotations
 
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -170,12 +171,6 @@ def _initial_alphas(n: int, c_box: float, nu: float) -> np.ndarray:
     return alpha
 
 
-def _apply_standardizer(x: np.ndarray, mean: np.ndarray | None, scale: np.ndarray | None) -> np.ndarray:
-    if mean is None:
-        return x
-    return (x - mean) / scale
-
-
 _OVERFLOW = "training rows are too large: sums and products of them overflow the float range"
 
 # Largest squared row norm M that training accepts, checked after the
@@ -186,6 +181,10 @@ _OVERFLOW = "training rows are too large: sums and products of them overflow the
 # 3M; the objective, ``w`` and ``rho`` are finite too.  Only the gain
 # ``gap * gap / eta`` and the unclipped step ``gap / eta`` can overflow, and
 # they overflow to +inf, never to NaN: the step is then clipped to the box.
+# An overflowed gain ties at +inf with every other overflowed one, and
+# ``argmax`` then takes the lowest-index candidate, not the best pair, so
+# fits on rows beyond about 1e77 can take many more iterations; ROADMAP open
+# item 2 (an exact power-of-two pre-scale of the rows) removes the overflow.
 _MAX_SQUARED_NORM = sys.float_info.max / 8
 
 
@@ -239,16 +238,13 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
 
         if degenerate:
             # Q is a constant matrix, so every feasible alpha already minimises
-            # the dual; keep the forced initial weights and finish immediately.
-            w = x.T @ alpha
-            grad = x @ w
-            iterations = 0
-            residual = 0.0
-            trace = (0.5 * float(alpha @ grad),)
+            # the dual; keep the forced initial weights and finish immediately
+            # (the solver need not: gemv can round identical rows apart).
+            grad = x @ (x.T @ alpha)
+            iterations, residual, trace = 0, 0.0, [0.5 * float(alpha @ grad)]
         else:
-            alpha, grad, iterations, residual, trace_list = _smo(x, alpha, c_box, tol, max_iter)
-            w = x.T @ alpha
-            trace = tuple(trace_list)
+            alpha, grad, iterations, residual, trace = _smo(x, alpha, c_box, tol, max_iter)
+        w = x.T @ alpha
         rho = _solve_rho(grad, alpha, c_box)
     diagnostics = OcsvmDiagnostics(
         kkt_residual=float(residual),
@@ -256,7 +252,7 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
         n_support=int(np.count_nonzero(alpha > 0.0)),
         n_margin_errors=int(np.count_nonzero(alpha == c_box)),
         degenerate_data=degenerate,
-        objective_trace=trace,
+        objective_trace=tuple(trace),
     )
     return OcsvmModel(
         w=w, rho=rho, nu=nu, dual_alphas=alpha, mean=mean, scale=scale, diagnostics=diagnostics
@@ -392,8 +388,24 @@ def _solve_rho(grad: np.ndarray, alpha: np.ndarray, c_box: float) -> float:
     return float(grad[at_zero].min())
 
 
+def _row_scores(model: OcsvmModel, rows: np.ndarray) -> list[float]:
+    """``w . standardize(row) - rho`` per row, one dot product each (a matrix product may
+    reduce in another order, and a score must not depend on batching); an overflow gives
+    +-inf or NaN without a numpy warning, for the callers to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.mean is not None:
+            rows = (rows - model.mean) / model.scale
+        return [float(row @ model.w - model.rho) for row in rows]
+
+
 def decision_value(model: OcsvmModel, x: Sequence[float]) -> float:
-    """``w . standardize(x) - rho``; larger means more like the training data."""
+    """``w . standardize(x) - rho``; larger means more like the training data.
+
+    Raises:
+        DimensionMismatchError: ``x`` is not a ``model.d``-long vector.
+        ValidationError: ``x`` holds a non-finite value, or the decision
+            value overflows the float range.
+    """
     vec = np.asarray(x, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] != model.d:
         raise DimensionMismatchError(
@@ -401,7 +413,10 @@ def decision_value(model: OcsvmModel, x: Sequence[float]) -> float:
         )
     if not np.isfinite(vec).all():
         raise ValidationError("sample contains non-finite values")
-    return float(_apply_standardizer(vec, model.mean, model.scale) @ model.w - model.rho)
+    (value,) = _row_scores(model, vec[np.newaxis])
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite decision value {value!r}")
+    return value
 
 
 def score_matrix(
@@ -420,12 +435,7 @@ def score_matrix(
         raise DimensionMismatchError(
             f"model expects {model.d}-dimensional rows, features have {features.d}"
         )
-    # score row by row: a matrix product may reduce in a different order than
-    # the vector product in decision_value, and scores must not depend on
-    # whether samples were batched; an overflow is refused below, without a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        standardized = _apply_standardizer(features.values, model.mean, model.scale)
-        values = [float(row @ model.w - model.rho) for row in standardized]
+    values = _row_scores(model, features.values)  # an overflow is refused below
     if isinstance(labels, (PresentationLabel, TrialLabel)):
         per_row = [labels] * features.n
     else:

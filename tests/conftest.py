@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import HealthCheck, settings
 
 from padeval import Polarity, PresentationLabel, ScoreSet
@@ -25,3 +26,8 @@ def make_score_set(
         values=[float(s) for s in scores],
         polarity=polarity,
     )
+
+
+def score_columns(score_set):
+    """A ScoreSet's ids, labels and the exact bits of its scores (-0.0 differs from 0.0)."""
+    return score_set.sample_ids, score_set.labels, score_set.values.view(np.int64).tolist()

@@ -46,7 +46,7 @@ from padeval.ingest import (
     _Table,
 )
 from padeval.metrics import DetAxes
-from padeval.ocsvm import _ETA_FLOOR, NotConvergedError
+from padeval.ocsvm import _ETA_FLOOR, NotConvergedError, _initial_alphas, _solve_rho
 
 # ---------------------------------------------------------------------------
 # threshold-sweep metrics
@@ -905,6 +905,26 @@ def smo_cached(x, alpha, c_box, tol, max_iter, branches=None):
         if residual <= tol:
             return alpha, grad, iterations, max(residual, 0.0), trace
     raise NotConvergedError(kkt_residual=residual, iterations=iterations)
+
+
+def identical_rows_fit(x_raw, nu, standardize):
+    """``fit`` on identical rows with its shortcut written the long way: the
+    standardizer, the forced initial weights, ``w``, then the gradient from
+    ``w``; the bit-for-bit reference for that shortcut.  Returns ``(w, rho,
+    alphas, kkt_residual, iterations, objective_trace)``.
+    """
+    n = x_raw.shape[0]
+    x = x_raw
+    if standardize:
+        mean = x_raw.mean(axis=0)
+        sd = x_raw.std(axis=0)
+        x = (x_raw - mean) / np.where(sd > 0.0, sd, 1.0)
+    c_box = 1.0 / (nu * n)
+    alpha = _initial_alphas(n, c_box, nu)
+    w = x.T @ alpha
+    grad = x @ w
+    trace = (0.5 * float(alpha @ grad),)
+    return w, _solve_rho(grad, alpha, c_box), alpha, 0.0, 0, trace
 
 
 def dual_grid_search_2d(x, nu, steps=100001):

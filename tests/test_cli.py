@@ -266,8 +266,8 @@ class TestDvCommands:
         monkeypatch.chdir(tmp_path)  # cwd differs from the manifest directory
         assert run(["dv-batch", "--manifest", manifest, "--out", str(out)]) == 0
         scored = parse_scores(out.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE)
-        assert {r.sample_id: r.score for r in scored} == expected
-        assert [r.label for r in scored] == [PresentationLabel.ATTACK, PresentationLabel.BONA_FIDE]
+        assert dict(zip(scored.sample_ids, scored.values.tolist())) == expected
+        assert scored.labels == (PresentationLabel.ATTACK, PresentationLabel.BONA_FIDE)
 
     def test_dv_batch_scores_equal_the_checking_constructor(self, tmp_path, monkeypatch):
         entries, ids, labels, values = [], [], [], []
@@ -339,8 +339,8 @@ class TestOcsvmCommands:
         assert run(["ocsvm-score", "--model", str(model_path), "--features", probes,
                     "--out", str(out), "--label", "attack"]) == 0
         scored = parse_scores(out.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE)
-        assert [r.score for r in scored] == [decision_value(model, row) for row in probe_values]
-        assert all(r.label is PresentationLabel.ATTACK for r in scored)
+        assert scored.values.tolist() == [decision_value(model, row) for row in probe_values]
+        assert scored.labels == (PresentationLabel.ATTACK,) * len(probe_values)
 
     def test_train_nu_one_two_points(self, tmp_path):
         train = write_file(tmp_path / "two.csv", "sample_id,f0\na,1.0\nb,3.0\n")
@@ -373,7 +373,7 @@ class TestOcsvmCommands:
         assert run(["ocsvm-score", "--model", str(model_path), "--features", probes,
                     "--out", str(out), "--labels", labels]) == 0
         scored = parse_scores(out.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE)
-        assert [r.label for r in scored] == [PresentationLabel.BONA_FIDE, PresentationLabel.ATTACK]
+        assert scored.labels == (PresentationLabel.BONA_FIDE, PresentationLabel.ATTACK)
 
     def test_overflowing_score_is_data_error_without_a_warning(self, tmp_path, capsys):
         model = OcsvmModel(w=np.array([1e300, 0.0]), rho=0.0, nu=0.5, dual_alphas=np.array([1.0]))
@@ -426,7 +426,7 @@ class TestOcsvmCommands:
 
 class TestFuseCommand:
     def test_fuse_matches_library_and_prints_caveat(self, tmp_path, capsys):
-        from conftest import make_score_set
+        from conftest import make_score_set, score_columns
 
         a = make_score_set([0.0, 10.0, 2.0])
         b = make_score_set([0.0, 5.0, 4.0])
@@ -438,7 +438,7 @@ class TestFuseCommand:
         assert "test-time statistics" in capsys.readouterr().out
         expected = fuse(a, b, 0.25, 0.75)
         got = parse_scores(out.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE)
-        assert got.records == expected.records
+        assert score_columns(got) == score_columns(expected)
 
     def test_fuse_weight_error_is_data_error(self, tmp_path, capsys):
         path = scores_csv(tmp_path, "a.csv", [0.0, 1.0])

@@ -18,7 +18,6 @@ from padeval import (
     PadevalError,
     Polarity,
     PresentationLabel,
-    ScoreRecord,
     ScoreSet,
     TrialLabel,
     ValidationError,
@@ -34,7 +33,9 @@ class TestScoreSet:
     def test_valid_set_passes(self):
         score_set = make_score_set([0.1, 0.9, -3.5])
         assert score_set.values.dtype == np.float64
-        assert score_set.records[2] == ScoreRecord("s00002", PresentationLabel.BONA_FIDE, -3.5)
+        assert (score_set.sample_ids[2], score_set.labels[2], score_set.values[2]) == (
+            "s00002", PresentationLabel.BONA_FIDE, -3.5
+        )
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySetError, match="score set holds no records"):
@@ -110,7 +111,7 @@ class TestScoreSet:
             polarity=Polarity.HIGHER_IS_BONA_FIDE,
         )
         given_values[0] = 7.0
-        assert direct.scores() == [0.5, -1.0]
+        assert direct.values.tolist() == [0.5, -1.0]
         with pytest.raises(ValueError):
             direct.values[1] = 2.0
 
@@ -122,8 +123,8 @@ class TestScoreSet:
             polarity=Polarity.HIGHER_IS_BONA_FIDE,
         )
         bona = both.with_label(PresentationLabel.BONA_FIDE)
-        assert bona.ids() == ["a", "c"]
-        assert bona.scores() == [0.9, 0.8]
+        assert bona.sample_ids == ("a", "c")
+        assert bona.values.tolist() == [0.9, 0.8]
         assert bona.polarity is both.polarity
 
     def test_with_absent_label_raises(self):
@@ -134,8 +135,8 @@ class TestScoreSet:
     def test_accessors_preserve_order(self):
         scores = [0.5, -1.0, 2.25]
         score_set = make_score_set(scores, label=TrialLabel.MATED, polarity=Polarity.HIGHER_IS_MATCH)
-        assert score_set.scores() == scores
-        assert score_set.ids() == ["s00000", "s00001", "s00002"]
+        assert score_set.values.tolist() == scores
+        assert score_set.sample_ids == ("s00000", "s00001", "s00002")
         assert len(score_set) == 3
 
 
@@ -227,8 +228,7 @@ class TestFeatureMatrix:
 )
 def test_any_finite_scores_validate(scores):
     score_set = make_score_set(scores, label=TrialLabel.NONMATED, polarity=Polarity.HIGHER_IS_MATCH)
-    assert score_set.scores() == [float(s) for s in scores]
-    assert [r.score for r in score_set] == [float(s) for s in scores]
+    assert score_set.values.tolist() == [float(s) for s in scores]
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +364,8 @@ class TestLabelCodesMatchTupleSet:
         bona = both_labels.with_label(PresentationLabel.BONA_FIDE)
         fused = fuse(both_labels, both_labels)
         assert calls == []
-        assert bona.ids() == ["a", "c"] and bona.labels == (PresentationLabel.BONA_FIDE,) * 2
-        assert fused.labels == both_labels.labels and fused.scores() == pytest.approx([1.0, 0.0, 6 / 7])
+        assert bona.sample_ids == ("a", "c") and bona.labels == (PresentationLabel.BONA_FIDE,) * 2
+        assert fused.labels == both_labels.labels and fused.values.tolist() == pytest.approx([1.0, 0.0, 6 / 7])
 
 
 # ---------------------------------------------------------------------------

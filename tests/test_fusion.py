@@ -78,20 +78,20 @@ class TestFuse:
         a = make_score_set([0.0, 10.0, 2.0])
         b = make_score_set([0.0, 5.0, 4.0])
         fused = fuse(a, b)
-        assert fused.scores() == [0.0, 1.0, 0.5]
+        assert fused.values.tolist() == [0.0, 1.0, 0.5]
 
     def test_full_weight_on_one_side(self):
         a = make_score_set([1.0, 4.0, 13.0])
         b = make_score_set([9.0, 2.0, 5.0])
         fused = fuse(a, b, w_a=1.0, w_b=0.0)
-        assert fused.scores() == [0.0, 0.25, 1.0]
+        assert fused.values.tolist() == [0.0, 0.25, 1.0]
 
     def test_weight_symmetry(self):
         a = make_score_set([0.3, 1.7, -2.0, 0.9])
         b = make_score_set([5.0, 1.0, 2.5, 4.0])
         ab = fuse(a, b, w_a=0.3, w_b=0.7)
         ba = fuse(b, a, w_a=0.7, w_b=0.3)
-        assert ab.scores() == ba.scores()
+        assert ab.values.tolist() == ba.values.tolist()
 
     def test_join_is_by_id_not_position(self):
         a = make_score_set([1.0, 2.0, 3.0])
@@ -103,21 +103,21 @@ class TestFuse:
         )
         fused = fuse(a, shuffled, w_a=0.0, w_b=1.0)
         # output follows a's order, values come from b's matching ids
-        assert fused.ids() == a.ids()
-        assert fused.scores() == [0.0, 0.5, 1.0]
+        assert fused.sample_ids == a.sample_ids
+        assert fused.values.tolist() == [0.0, 0.5, 1.0]
 
     def test_output_keeps_first_sets_labels_and_polarity(self):
         a = make_score_set([1.0, 2.0], label=PresentationLabel.ATTACK)
         b = make_score_set([5.0, 6.0], label=PresentationLabel.BONA_FIDE)
         fused = fuse(a, b)
-        assert all(r.label is PresentationLabel.ATTACK for r in fused)
+        assert fused.labels == (PresentationLabel.ATTACK,) * 2
         assert fused.polarity is a.polarity
 
     def test_degenerate_side_contributes_neutral_half(self):
         a = make_score_set([0.0, 1.0])
         b = make_score_set([3.0, 3.0])
         fused = fuse(a, b)
-        assert fused.scores() == [0.25, 0.75]
+        assert fused.values.tolist() == [0.25, 0.75]
 
     def test_weight_validation(self):
         a = make_score_set([0.0, 1.0])
@@ -155,18 +155,18 @@ class TestFuse:
         b = make_score_set([p[1] for p in pairs])
         fused = fuse(a, b, w_a=w_a, w_b=1.0 - w_a)
         expected = oracles.fuse_reference(
-            a.ids(), [p[0] for p in pairs], b.ids(), [p[1] for p in pairs], w_a, 1.0 - w_a
+            a.sample_ids, [p[0] for p in pairs], b.sample_ids, [p[1] for p in pairs], w_a, 1.0 - w_a
         )
         assert fused.values.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
-        assert all(0.0 <= s <= 1.0 for s in fused.scores())
+        assert ((0.0 <= fused.values) & (fused.values <= 1.0)).all()
 
     def test_overflowing_range_maps_halved_values(self):
         # hi - lo overflows to inf; the halved range still spans the scores
         a = make_score_set([-1.7e308, 0.0, 1.7e308])
         b = make_score_set([0.0, 1.0, 2.0])
-        assert fuse(a, b, w_a=1.0, w_b=0.0).scores() == [0.0, 0.5, 1.0]
-        expected = oracles.fuse_reference(a.ids(), a.scores(), b.ids(), b.scores(), 0.5, 0.5)
-        assert fuse(a, b).scores() == expected == [0.0, 0.5, 1.0]
+        assert fuse(a, b, w_a=1.0, w_b=0.0).values.tolist() == [0.0, 0.5, 1.0]
+        expected = oracles.fuse_reference(a.sample_ids, a.values.tolist(), b.sample_ids, b.values.tolist(), 0.5, 0.5)
+        assert fuse(a, b).values.tolist() == expected == [0.0, 0.5, 1.0]
 
     @given(st.lists(st.tuples(finite_scores, finite_scores), min_size=2, max_size=40))
     def test_comonotone_inputs_fuse_monotonically(self, pairs):
@@ -175,5 +175,5 @@ class TestFuse:
         a_vals = sorted(p[0] for p in pairs)
         b_vals = sorted(p[1] for p in pairs)
         fused = fuse(make_score_set(a_vals), make_score_set(b_vals), 0.4, 0.6)
-        scores = fused.scores()
+        scores = fused.values.tolist()
         assert all(x <= y for x, y in zip(scores, scores[1:]))

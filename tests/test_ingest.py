@@ -16,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import score_columns
 
 from padeval import (
     DepthKind,
@@ -127,7 +128,7 @@ class TestScoresCsv:
         original = ScoreSet(sample_ids=ids, labels=labels, values=scores, polarity=polarity)
         text = write_scores(original)
         parsed = parse_scores(text.encode("utf-8"), polarity)
-        assert parsed.records == original.records
+        assert score_columns(parsed) == score_columns(original)
         assert parsed.polarity is polarity
 
     def test_ids_with_delimiters_survive(self):
@@ -139,7 +140,7 @@ class TestScoresCsv:
             polarity=Polarity.HIGHER_IS_BONA_FIDE,
         )
         parsed = parse_scores(write_scores(original), Polarity.HIGHER_IS_BONA_FIDE)
-        assert parsed.ids() == tricky
+        assert parsed.sample_ids == tuple(tricky)
 
     @pytest.mark.parametrize("bad", ["with\rreturn", "with\nnewline", "nul\x00char"])
     def test_line_break_ids_refused_on_both_sides(self, bad):
@@ -734,7 +735,7 @@ class TestPlainSplitMatchesCsvReader:
             parsed_landmarks = parse_landmarks(landmarks_csv)
             parsed_scores = parse_scores(scores_csv, Polarity.HIGHER_IS_BONA_FIDE)
         assert parsed_landmarks.points.tolist() == landmarks.points.tolist()
-        assert parsed_scores.ids() == scores.ids() and parsed_scores.scores() == scores.scores()
+        assert score_columns(parsed_scores) == score_columns(scores)
 
 
 # ---------------------------------------------------------------------------

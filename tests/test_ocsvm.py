@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import tracemalloc
 import warnings
 
@@ -67,6 +68,28 @@ class TestForcedSolutions:
         assert model.diagnostics.iterations == 0
         # the mean row sits exactly on the decision boundary
         assert decision_value(model, [3.0, 3.0]) == 0.0
+
+    def test_identical_rows_match_the_written_out_shortcut_bit_for_bit(self):
+        # gemv can round the gradient entries of identical wide rows apart (d >= 16
+        # here), so the solver alone would report a residual of about 1e-13 on some
+        # of these and take a step on the large ones; the fit must not
+        def bits(*values):
+            return [np.asarray(v, dtype=np.float64).view(np.int64).tolist() for v in values]
+
+        values = (-1e-300, 0.0, 1 / 3, -3.7, 1e-150, np.pi * 1e50, 7.3e100)
+        for n, d in itertools.product((2, 3, 7, 30, 100), (1, 2, 5, 16, 32, 100)):
+            signs = np.where(np.random.default_rng(n * d).random(d) < 0.5, 1.0, -2.5)
+            for value, nu, standardize in itertools.product(values, (1 / n, 0.73, 1.0), (False, True)):
+                x = np.full((n, d), value) * signs
+                model = fit(x, OcsvmConfig(nu=nu, standardize=standardize))
+                diag = model.diagnostics
+                w, rho, alpha, residual, iterations, trace = oracles.identical_rows_fit(x, nu, standardize)
+                c_box = 1.0 / (nu * n)
+                assert bits(model.w, model.rho, model.dual_alphas) == bits(w, rho, alpha)
+                assert bits(diag.kkt_residual, diag.objective_trace) == bits(residual, trace)
+                assert (diag.iterations, diag.n_support, diag.n_margin_errors, diag.degenerate_data) == (
+                    iterations, np.count_nonzero(alpha > 0.0), np.count_nonzero(alpha == c_box), True
+                )
 
     def test_non_degenerate_not_flagged(self):
         model = fit(gaussian_cloud(20, 2, seed=1))
@@ -384,19 +407,32 @@ class TestScoring:
             score_matrix(model, FeatureMatrix(sample_ids=("a",), values=[[1.0, 2.0]]),
                          PresentationLabel.BONA_FIDE)
 
-    def test_batch_equals_per_row(self):
-        x = gaussian_cloud(25, 4, seed=21)
-        model = fit(x)
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_batch_equals_per_row(self, seed, standardize):
+        model = fit(gaussian_cloud(25, 4, seed=seed), OcsvmConfig(standardize=standardize))
+        assert (model.mean is not None) is standardize
         probes = FeatureMatrix(
             sample_ids=tuple(f"p{k}" for k in range(8)),
-            values=gaussian_cloud(8, 4, seed=22),
+            values=gaussian_cloud(8, 4, seed=seed + 100) * 10.0 ** np.arange(-2, 2),
         )
         scored = score_matrix(model, probes, PresentationLabel.ATTACK)
         assert scored.polarity is Polarity.HIGHER_IS_BONA_FIDE
-        assert scored.ids() == list(probes.sample_ids)
-        for record, row in zip(scored, probes.values):
-            assert record.score == decision_value(model, row)
-            assert record.label is PresentationLabel.ATTACK
+        assert scored.sample_ids == probes.sample_ids
+        assert scored.labels == (PresentationLabel.ATTACK,) * probes.n
+        singles = np.array([decision_value(model, row) for row in probes.values])
+        assert scored.values.view(np.int64).tolist() == singles.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_overflowing_decision_value_is_refused_without_a_warning(self, standardize):
+        mean, scale = (np.zeros(2), np.ones(2)) if standardize else (None, None)
+        model = OcsvmModel(w=np.array([1e300, 0.0]), rho=0.0, nu=0.5, dual_alphas=np.array([1.0]),
+                           mean=mean, scale=scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decision_value(model, [1.0, 0.0]) == 1e300
+            with pytest.raises(ValidationError, match="^non-finite decision value inf$"):
+                decision_value(model, [1e10, 0.0])
 
     def test_per_id_labels(self):
         x = gaussian_cloud(6, 2, seed=2)
@@ -404,7 +440,7 @@ class TestScoring:
         probes = FeatureMatrix(sample_ids=("a", "b"), values=gaussian_cloud(2, 2, seed=4))
         labels = {"a": TrialLabel.MATED, "b": TrialLabel.NONMATED}
         scored = score_matrix(model, probes, labels)
-        assert [r.label for r in scored] == [TrialLabel.MATED, TrialLabel.NONMATED]
+        assert scored.labels == (TrialLabel.MATED, TrialLabel.NONMATED)
 
     def test_missing_label_rejected(self):
         model = fit(gaussian_cloud(6, 2, seed=2))

@@ -246,7 +246,7 @@ class TestEndToEndSeparability:
         )
         bona = scored.with_label(PresentationLabel.BONA_FIDE)
         attack = scored.with_label(PresentationLabel.ATTACK)
-        rate, _ = d_eer(bona.scores(), attack.scores())
+        rate, _ = d_eer(bona.values, attack.values)
         return rate
 
     def test_zero_separation_is_chance(self):
