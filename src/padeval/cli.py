@@ -26,7 +26,7 @@ from .core import (
     TrialLabel,
 )
 from .depth_variance import DEFAULT_MIN_VALID, dv_score
-from .fusion import fuse
+from .fusion import DEFAULT_WEIGHTS, fuse
 from .metrics import _pad, _vuln
 from .ocsvm import NotConvergedError, OcsvmConfig, fit, score_matrix
 from .synth import DepthKind, SynthDepthSpec, SynthFeatureSpec, gen_depth, gen_features
@@ -63,15 +63,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def _parse_file(parser, path: str, *args):
     """Parse one input file, prefixing structured errors with the path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return parser(_read_bytes(path), *args)
+        return parser(data, *args)
     except PadevalError as exc:
         raise PadevalError(f"{path}: {exc}") from exc
 
@@ -353,8 +350,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", required=True, help="first scores CSV")
     p.add_argument("--b", required=True, help="second scores CSV")
     p.add_argument("--out", required=True, help="output scores CSV")
-    p.add_argument("--wa", type=float, default=0.5, help="weight of the first file")
-    p.add_argument("--wb", type=float, default=0.5, help="weight of the second file")
+    p.add_argument("--wa", type=float, default=DEFAULT_WEIGHTS[0], help="weight of the first file")
+    p.add_argument("--wb", type=float, default=DEFAULT_WEIGHTS[1], help="weight of the second file")
     p.add_argument(
         "--polarity",
         choices=sorted(_POLARITY_BY_FLAG),

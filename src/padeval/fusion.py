@@ -26,6 +26,9 @@ __all__ = [
     "fuse",
 ]
 
+#: The weights of ``a`` and ``b`` that :func:`fuse` and the CLI use by default.
+DEFAULT_WEIGHTS = (0.5, 0.5)
+
 
 class WeightError(ValidationError):
     """Fusion weights are negative, non-finite, or do not sum to one."""
@@ -86,7 +89,7 @@ def _normalise(params: MinMaxParams, scores: np.ndarray) -> np.ndarray:
     return t
 
 
-def fuse(a: ScoreSet, b: ScoreSet, w_a: float = 0.5, w_b: float = 0.5) -> ScoreSet:
+def fuse(a: ScoreSet, b: ScoreSet, w_a: float = DEFAULT_WEIGHTS[0], w_b: float = DEFAULT_WEIGHTS[1]) -> ScoreSet:
     """Weighted sum of the per-set min-max-normalized scores.
 
     Records are matched by sample id; the output keeps ``a``'s ordering,

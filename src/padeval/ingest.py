@@ -7,13 +7,13 @@ reproduces ``x`` bit-for-bit.  JSON artifacts carry the magic string
 ``PADEVAL`` and a format version for forward compatibility.  Parsers
 raise only structured :class:`~padeval.core.PadevalError` subclasses, with
 one-based line numbers where the format has lines; they never raise bare
-builtins, whatever bytes they are fed.  A CSV table is parsed one block of
-rows at a time: each block's cells are converted into preallocated output
-columns and dropped before the next block is split, so a parse holds the
-input, its decoded text, one block and the parsed columns.  The score,
-feature and DET writers make their text one block of rows at a time in the
-same way; each ``write_*`` function returns the join of its blocks, and the
-CLI writes each block to the open file as it is made.
+builtins, whatever bytes they are fed.  A CSV table is parsed from its
+bytes one block of rows at a time: each block is decoded, and its cells are
+converted into preallocated output columns and dropped before the next
+block is split, so a parse holds the input, one block and the parsed
+columns.  The score, feature and DET writers make their text one block of
+rows at a time in the same way; each ``write_*`` function returns the join
+of its blocks, and the CLI writes each block to the open file as it is made.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -47,6 +48,7 @@ from .core import (
     _first_bad_id,
 )
 from .depth_variance import DEFAULT_MIN_VALID
+from .fusion import DEFAULT_WEIGHTS
 from .metrics import DetAxes, DetCurve, PadReport, VulnReport
 from .ocsvm import OcsvmConfig, OcsvmDiagnostics, OcsvmModel
 
@@ -121,7 +123,7 @@ _VERSION = 1
 #: Package-wide parameter defaults, echoed into every report for provenance.
 DEFAULTS: dict[str, object] = {
     "nu": OcsvmConfig.nu,
-    "weights": [0.5, 0.5],
+    "weights": list(DEFAULT_WEIGHTS),
     "min_valid": DEFAULT_MIN_VALID,
     "tol": OcsvmConfig.tol,
 }
@@ -157,15 +159,17 @@ def percent(rate: float, decimals: int) -> str:
 def _decode(data: Union[bytes, str], what: str) -> str:
     if isinstance(data, str):
         return data
+    if not isinstance(data, (bytes, bytearray)):
+        raise ParseError(f"{what} input must be str or bytes, got {type(data).__name__}")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
-#: About how many characters of plain CSV make one block of rows; a block
-#: always ends at a line break, so it holds whole rows.
-_BLOCK_CHARS = 1 << 20
+#: About how many bytes of plain CSV make one block of rows; a block always
+#: ends at a line break, so it holds whole rows.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -195,65 +199,72 @@ class _Table:
             start += rows
 
 
-def _spans(text: str, start: int, end: int) -> Iterator[str]:
-    """The lines of ``text[start:end]`` in spans of about :data:`_BLOCK_CHARS`
-    characters, each ending at a line break, which it drops; none if
-    ``start > end``."""
+def _spans(data: bytes, start: int, end: int) -> Iterator[bytes]:
+    """The lines of ``data[start:end]`` in spans of about :data:`_BLOCK_BYTES`
+    bytes, each ending at a line break, which it drops; none if ``start > end``."""
     while start <= end:
-        stop = text.find("\n", start + _BLOCK_CHARS - 1, end)
+        stop = data.find(b"\n", start + _BLOCK_BYTES - 1, end)
         if stop < 0:
             stop = end
-        yield text[start:stop]
+        yield data[start:stop]
         start = stop + 1
 
 
-def _split_plain(text: str) -> _Table | None:
-    """The table of plain CSV, split with ``str.split``; None for any other text.
+def _split_plain(data: bytes) -> _Table | None:
+    """The table of plain CSV, split with ``split``; None for any other input.
 
     Plain means: no ``"``, CR or NUL, no blank line (a final line break
-    aside), no line longer than ``csv.field_size_limit()``, and as many
-    commas on every line as on the header.  With the excel dialect and no
-    quotes, csv.reader splits fields on ``,`` and rows on ``\\n`` only, so
-    for such text it reads this same table.  A first pass over the lines,
-    span by span, decides plainness and counts the rows; the blocks split
-    the spans of rows again when they are read.
+    aside), no line of more than ``csv.field_size_limit()`` bytes, and as
+    many commas on every line as on the header.  With the excel dialect and
+    no quotes, csv.reader splits fields on ``,`` and rows on ``\\n`` only,
+    so for such input it reads this same table.  A first pass over the
+    lines, span by span, decides plainness and counts the rows; each block
+    decodes its span of rows and splits it when it is read.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    if b'"' in data or b"\r" in data or b"\0" in data:
         return None
-    end = len(text) - text.endswith("\n")
-    first = text.find("\n", 0, end)
+    end = len(data) - data.endswith(b"\n")
+    first = data.find(b"\n", 0, end)
     if first < 0:
         first = end
-    commas = text.count(",", 0, first)
+    commas = data.count(b",", 0, first)
     limit = csv.field_size_limit()
-    long = len(text) > limit
+    long = len(data) > limit
     n = 0
-    for span in _spans(text, 0, end):
-        lines = span.split("\n")
+    for span in _spans(data, 0, end):
+        lines = span.split(b"\n")
         if (
-            "" in lines
+            b"" in lines
             or long and max(map(len, lines)) > limit
-            or set(map(str.count, lines, repeat(","))) != {commas}
+            or set(map(bytes.count, lines, repeat(b","))) != {commas}
         ):
             return None
         n += len(lines)
-    blocks = (span.replace("\n", ",").split(",") for span in _spans(text, first + 1, end))
-    return _Table(text[:first].split(","), 1, range(2, n + 1), None, blocks)
+    spans = _spans(data, first + 1, end)
+    blocks = (str(span, "utf-8", "surrogatepass").replace("\n", ",").split(",") for span in spans)
+    return _Table(str(data[:first], "utf-8", "surrogatepass").split(","), 1, range(2, n + 1), None, blocks)
 
 
 def _read_table(data: Union[bytes, str], what: str) -> _Table:
     """Read a CSV table whose rows come one block at a time.
 
-    Plain CSV is split with ``str.split``, one span of lines per block (see
-    :func:`_split_plain`); every other input goes through csv.reader in one
-    pass and makes one block.  A CSV syntax error anywhere wins over every
-    error in the rows, which are checked only as their blocks are read.
+    The input is read as bytes, with no whole decoded copy: bytes that are
+    not all ASCII are checked to be UTF-8 up front, and a str is encoded,
+    its surrogates passed, as the blocks are decoded.  Plain CSV makes one
+    block per span of lines (see :func:`_split_plain`); every other input
+    goes through csv.reader in one pass and makes one block.  A CSV syntax
+    error anywhere wins over every error in the rows, which are checked only
+    as their blocks are read.
     """
-    text = _decode(data, what)
-    table = _split_plain(text)
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    elif not isinstance(data, (bytes, bytearray)) or not data.isascii():
+        _decode(data, what)  # refuses other types and bytes that are not UTF-8
+    data = bytes(data)
+    table = _split_plain(data)
     if table is not None:
         return table
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogatepass", newline=""))
     header: list[str] = []
     header_line = 0
     cells: list[str] = []
@@ -616,6 +627,11 @@ def parse_manifest(data: Union[bytes, str]) -> list[ManifestRow]:
 # 16-bit binary PGM depth maps
 
 
+#: A ``#`` comment, to the end of its line, or a PGM header token as group 1;
+#: a search skips the whitespace between them, one match at a time.
+_PGM_HEADER_ITEM = re.compile(rb"#[^\r\n]*|([^\s#]+)")
+
+
 def parse_depth_pgm(data: bytes) -> DepthMap:
     """Read a binary ``P5`` PGM with maxval 65535, big-endian 16-bit samples.
 
@@ -627,29 +643,13 @@ def parse_depth_pgm(data: bytes) -> DepthMap:
     data = bytes(data)
     if not data.startswith(b"P5"):
         raise BadMagicError("not a binary PGM (magic 'P5' missing)")
-    pos = 2
-
-    def next_token() -> str:
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        if pos >= len(data):
-            raise TruncatedError("PGM header ends early")
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-            pos += 1
-        return data[start:pos].decode("ascii", errors="replace")
-
+    tokens = (item for item in _PGM_HEADER_ITEM.finditer(data, 2) if item[1])
     fields = {}
     for name in ("width", "height", "maxval"):
-        token = next_token()
+        item = next(tokens, None)
+        if item is None:
+            raise TruncatedError("PGM header ends early")
+        token = item[1].decode("ascii", errors="replace")
         if not token.isdigit():
             raise ParseError(f"bad PGM {name} {token!r}")
         try:
@@ -661,11 +661,10 @@ def parse_depth_pgm(data: bytes) -> DepthMap:
         raise ParseError(f"bad PGM dimensions {width}x{height}")
     if maxval != 65535:
         raise BadMaxvalError(f"expected 16-bit PGM (maxval 65535), got maxval {maxval}")
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
+    if not data[item.end() : item.end() + 1].isspace():
         raise ParseError("expected single whitespace after PGM maxval")
-    pos += 1
     expected = width * height * 2
-    raster = data[pos:]
+    raster = data[item.end() + 1 :]
     if len(raster) < expected:
         raise TruncatedError(f"PGM raster holds {len(raster)} bytes, expected {expected}")
     if len(raster) > expected:

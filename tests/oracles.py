@@ -16,12 +16,14 @@ import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from padeval.core import (
     _LABEL_NAMES,
     LABEL_BY_NAME,
+    DepthMap,
     DuplicateIdError,
     EmptySetError,
     Label,
@@ -37,10 +39,13 @@ from padeval.core import (
 from padeval.depth_variance import DvScore, TooFewValidLandmarksError
 from padeval.fusion import IdMismatchError, WeightError, _normalise, minmax_fit
 from padeval.ingest import (
+    BadMagicError,
+    BadMaxvalError,
     EmptyFileError,
     ManifestRow,
     ParseError,
     RaggedRowError,
+    TruncatedError,
     _decode,
     _reprs,
     _Table,
@@ -164,6 +169,52 @@ def read_table(data, what):
     if not header:
         raise EmptyFileError(f"{what} holds no content")
     return _Table(header, header_line, lines, ragged, [cells])
+
+
+# The table reader as it was when it split a whole decoded copy of the input,
+# kept unchanged but for its block size, in characters, which is an argument
+# here: the reference of the reader that splits the input's bytes.
+
+
+def _text_spans(text, start, end, block_chars):
+    while start <= end:
+        stop = text.find("\n", start + block_chars - 1, end)
+        if stop < 0:
+            stop = end
+        yield text[start:stop]
+        start = stop + 1
+
+
+def split_plain_text(text, block_chars=1 << 20):
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    end = len(text) - text.endswith("\n")
+    first = text.find("\n", 0, end)
+    if first < 0:
+        first = end
+    commas = text.count(",", 0, first)
+    limit = csv.field_size_limit()
+    long = len(text) > limit
+    n = 0
+    for span in _text_spans(text, 0, end, block_chars):
+        lines = span.split("\n")
+        if (
+            "" in lines
+            or long and max(map(len, lines)) > limit
+            or set(map(str.count, lines, repeat(","))) != {commas}
+        ):
+            return None
+        n += len(lines)
+    blocks = (span.replace("\n", ",").split(",") for span in _text_spans(text, first + 1, end, block_chars))
+    return _Table(text[:first].split(","), 1, range(2, n + 1), None, blocks)
+
+
+def read_text_table(data, what, block_chars=1 << 20):
+    text = _decode(data, what)
+    table = split_plain_text(text, block_chars)
+    if table is not None:
+        return table
+    return read_table(text, what)
 
 
 def csv_lines(header, rows):
@@ -398,6 +449,62 @@ def whole_det_svg(curve):
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# The PGM reader as it was when it read its header one byte at a time, kept
+# unchanged as the reference of the reader that matches the header's items.
+
+
+def parse_depth_pgm_bytewise(data):
+    if not isinstance(data, (bytes, bytearray)):
+        raise ParseError("PGM input must be bytes")
+    data = bytes(data)
+    if not data.startswith(b"P5"):
+        raise BadMagicError("not a binary PGM (magic 'P5' missing)")
+    pos = 2
+
+    def next_token() -> str:
+        nonlocal pos
+        while pos < len(data):
+            ch = data[pos : pos + 1]
+            if ch == b"#":
+                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+                    pos += 1
+            elif ch.isspace():
+                pos += 1
+            else:
+                break
+        if pos >= len(data):
+            raise TruncatedError("PGM header ends early")
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
+            pos += 1
+        return data[start:pos].decode("ascii", errors="replace")
+
+    fields = {}
+    for name in ("width", "height", "maxval"):
+        token = next_token()
+        if not token.isdigit():
+            raise ParseError(f"bad PGM {name} {token!r}")
+        try:
+            fields[name] = int(token)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"bad PGM {name} of {len(token)} digits") from None
+    width, height, maxval = fields["width"], fields["height"], fields["maxval"]
+    if width < 1 or height < 1:
+        raise ParseError(f"bad PGM dimensions {width}x{height}")
+    if maxval != 65535:
+        raise BadMaxvalError(f"expected 16-bit PGM (maxval 65535), got maxval {maxval}")
+    if pos >= len(data) or not data[pos : pos + 1].isspace():
+        raise ParseError("expected single whitespace after PGM maxval")
+    pos += 1
+    expected = width * height * 2
+    raster = data[pos:]
+    if len(raster) < expected:
+        raise TruncatedError(f"PGM raster holds {len(raster)} bytes, expected {expected}")
+    if len(raster) > expected:
+        raise ParseError(f"{len(raster) - expected} trailing bytes after PGM raster")
+    return DepthMap(values=np.frombuffer(raster, dtype=">u2").reshape(height, width))
 
 
 # The per-table row walks that checked each kind of table before one walk

@@ -392,7 +392,8 @@ def _run_pipeline() -> dict[str, bytes]:
         "--labels", "data/labels.csv", "--out", "data/ad_scores.csv",
     ]) == 0
 
-    labels = parse_labels(open("data/labels.csv", "rb").read())
+    with open("data/labels.csv", "rb") as fh:
+        labels = parse_labels(fh.read())
     manifest_lines = ["sample_id,depth,landmarks,label"]
     for k, (sid, label) in enumerate(labels.items()):
         capture = f"captures/{sid}"

@@ -771,19 +771,29 @@ def traced_peak(argv) -> int:
     return peak
 
 
+def assert_linear(ratios, bounds):
+    """Each op's two ratios, at n and at 4n, fall and stay under its bound."""
+    for name, bound in bounds.items():
+        small, large = ratios[name]
+        assert large <= small < bound, (name, ratios[name])
+
+
 def test_evaluation_and_fusion_memory_is_linear_in_the_input(tmp_path, monkeypatch, capsys):
-    """eval-pad and fuse hold their data and one block at a time: the peak
-    beyond the input bytes, per input byte, stays under a constant and does
-    not grow from n to 4n rows.
+    """eval-pad, eval-vuln and fuse hold their data and one block at a time:
+    the peak beyond the input bytes, per input byte, stays under a constant
+    and does not grow from n to 4n rows.
 
     The blocks are made small so that they are small beside these inputs, as
     the real ones are beside inputs of a million rows.  Here the block writers
     read about 4.5 (eval-pad) and 2.8 (fuse) at n and less at 4n; writers that
     joined each output whole from columns of cells read about 10.7 and 4.3.
+    eval-vuln reads about 4.3 at n.
     """
-    monkeypatch.setattr(ingest, "_BLOCK_CHARS", 1 << 14)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 14)
     monkeypatch.setattr(ingest, "_BLOCK_CELLS", 3 * 256)
-    ratios = {"eval-pad": [], "fuse": []}
+    from padeval import TrialLabel
+
+    ratios = {"eval-pad": [], "eval-vuln": [], "fuse": []}
     for n in (5000, 20000):
         rng = np.random.default_rng(n)
         ids = [f"s{k:06d}" for k in range(2 * n)]
@@ -794,13 +804,57 @@ def test_evaluation_and_fusion_memory_is_linear_in_the_input(tmp_path, monkeypat
         b = write_file(tmp_path / "b.csv", write_scores(ScoreSet(
             sample_ids=[ids[k] for k in perm], labels=[labels[k] for k in perm], values=rng.normal(size=2 * n),
             polarity=Polarity.HIGHER_IS_BONA_FIDE)))
-        size_a, size_b = os.path.getsize(a), os.path.getsize(b)
-        # a file named by both roles is read once
+        trials = write_file(tmp_path / "trials.csv", write_scores(ScoreSet(
+            sample_ids=ids, labels=[list(TrialLabel)[k % 3] for k in range(2 * n)],
+            values=rng.normal(size=2 * n), polarity=Polarity.HIGHER_IS_MATCH)))
+        size_a, size_b, size_trials = map(os.path.getsize, (a, b, trials))
+        # a file named by several roles is read once
         peak = traced_peak(["eval-pad", "--bonafide", a, "--attack", a, "--output-dir", str(tmp_path / "pad")])
         ratios["eval-pad"].append((peak - size_a) / size_a)
+        peak = traced_peak(["eval-vuln", "--mated", trials, "--nonmated", trials, "--attack", trials,
+                            "--output-dir", str(tmp_path / "vuln")])
+        ratios["eval-vuln"].append((peak - size_trials) / size_trials)
         peak = traced_peak(["fuse", "--a", a, "--b", b, "--out", str(tmp_path / "fused.csv")])
         ratios["fuse"].append((peak - size_a - size_b) / (size_a + size_b))
         capsys.readouterr()
-    for name, bound in (("eval-pad", 7.0), ("fuse", 3.5)):
-        small, large = ratios[name]
-        assert large <= small < bound, (name, ratios[name])
+    assert_linear(ratios, {"eval-pad": 7.0, "eval-vuln": 5.0, "fuse": 3.5})
+
+
+def test_detector_memory_is_linear_in_the_input(tmp_path, monkeypatch, capsys):
+    """ocsvm-train, ocsvm-score and dv-batch hold their data and one block at
+    a time: the peak beyond the input bytes that they hold, per input byte,
+    stays under a constant and does not grow from n to 4n rows.
+
+    A features CSV is parsed from its bytes one block at a time, so
+    ocsvm-train and ocsvm-score read about 1.6 and 1.7 at n; a parse that
+    kept a whole decoded copy of the input beside its bytes read about 2.4
+    and 2.5.  dv-batch holds its manifest and one capture at a time, so its
+    ratio is per byte of the manifest; it reads about 14.3 at n.
+    """
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 14)
+    monkeypatch.setattr(ingest, "_BLOCK_CELLS", 3 * 256)
+    from padeval import FeatureMatrix, LandmarkSet
+
+    depth, _ = gen_depth(SynthDepthSpec(kind=DepthKind.CURVED_FACE, width=32, height=32, seed=1))
+    write_file(tmp_path / "d.pgm", write_depth_pgm(depth))
+    grid = [[12.0 + k % 4, 12.0 + k // 4] for k in range(12)]
+    write_file(tmp_path / "l.csv", write_landmarks(LandmarkSet(points=np.array(grid))))
+    ratios = {"ocsvm-train": [], "ocsvm-score": [], "dv-batch": []}
+    for n in (2500, 10000):
+        rng = np.random.default_rng(n)
+        ids = [f"s{k:06d}" for k in range(n)]
+        features = write_file(tmp_path / "f.csv", write_features(
+            FeatureMatrix(sample_ids=ids, values=rng.normal(size=(n, 8)))))
+        manifest = write_file(tmp_path / "m.csv", "sample_id,depth,landmarks,label\n" + "".join(
+            f"{sample_id},d.pgm,l.csv,attack\n" for sample_id in ids))
+        size, size_manifest = os.path.getsize(features), os.path.getsize(manifest)
+        model = str(tmp_path / "model.json")
+        peak = traced_peak(["ocsvm-train", "--features", features, "--model", model])
+        ratios["ocsvm-train"].append((peak - size) / size)
+        peak = traced_peak(["ocsvm-score", "--model", model, "--features", features, "--label", "bonafide",
+                            "--out", str(tmp_path / "scores.csv")])
+        ratios["ocsvm-score"].append((peak - size) / size)
+        peak = traced_peak(["dv-batch", "--manifest", manifest, "--out", str(tmp_path / "dv.csv")])
+        ratios["dv-batch"].append((peak - size_manifest) / size_manifest)
+        capsys.readouterr()
+    assert_linear(ratios, {"ocsvm-train": 2.0, "ocsvm-score": 2.0, "dv-batch": 16.0})

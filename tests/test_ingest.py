@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import re
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -481,17 +483,17 @@ def _outcome(parse, *args):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
-# block sizes, in characters, that the reader is run with besides its own
+# block sizes, in bytes, that the reader is run with besides its own
 # (None), so that tables span several blocks
 _BLOCK_SIZES = [None, 1, 7, 64]
 
 
 @contextlib.contextmanager
-def _blocks_of(block_chars):
-    """Plain CSV read in blocks of about ``block_chars`` characters (None: the reader's own)."""
+def _blocks_of(block_bytes):
+    """Plain CSV read in blocks of about ``block_bytes`` bytes (None: the reader's own)."""
     with pytest.MonkeyPatch.context() as mp:
-        if block_chars is not None:
-            mp.setattr(ingest, "_BLOCK_CHARS", block_chars)
+        if block_bytes is not None:
+            mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
         yield
 
 
@@ -504,25 +506,31 @@ def _table_outcome(read, text):
     return table.header, table.header_line, cells, list(table.lines), table.ragged
 
 
-def _block_outcomes(kind, text, block_chars):
-    """The table and parse outcomes with blocks of about ``block_chars``
-    characters, and with the whole-table csv.reader of ``oracles``."""
-    with _blocks_of(block_chars):
+def _block_outcomes(kind, text, block_bytes):
+    """The table and parse outcomes with blocks of about ``block_bytes``
+    bytes, and with the whole-table csv.reader of ``oracles``, which the
+    reader of a decoded copy in ``oracles`` matches, in blocks of as many
+    characters."""
+    with _blocks_of(block_bytes):
         new = _table_outcome(ingest._read_table, text), _outcome(_parse, kind, text)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_read_table", oracles.read_table)
-        return new, (_table_outcome(oracles.read_table, text), _outcome(_parse, kind, text))
+    old = []
+    for read in (oracles.read_table, functools.partial(oracles.read_text_table, block_chars=block_bytes or 1 << 20)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_read_table", read)
+            old.append((_table_outcome(read, text), _outcome(_parse, kind, text)))
+    assert old[0] == old[1]
+    return new, old[0]
 
 
 class TestColumnParsersMatchRowWalk:
     @given(st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(st.just(kind), _tables(kind))),
            st.lists(st.integers(min_value=0, max_value=9), max_size=3),
            st.sampled_from(_BLOCK_SIZES))
-    def test_valid_tables_parse_like_the_row_walk(self, kind_table, blank_rows, block_chars):
+    def test_valid_tables_parse_like_the_row_walk(self, kind_table, blank_rows, block_bytes):
         kind, (header, rows) = kind_table
         blanks = [(("blank", None), r % len(rows), 0) for r in blank_rows]
         text = oracles.csv_lines(header, _inject(rows, blanks))
-        with _blocks_of(block_chars):
+        with _blocks_of(block_bytes):
             parsed = _parse(kind, text)
         assert _columns(parsed) == _columns(_parse_by_rows(kind, text))
 
@@ -533,11 +541,11 @@ class TestColumnParsersMatchRowWalk:
         ),
         st.sampled_from(_BLOCK_SIZES),
     )
-    def test_faulty_tables_fail_like_the_row_walk(self, kind_table, faults, block_chars):
+    def test_faulty_tables_fail_like_the_row_walk(self, kind_table, faults, block_bytes):
         kind, (header, rows) = kind_table
         faults = [(fault, r % len(rows), c) for fault, r, c in faults]
         text = oracles.csv_lines(header, _inject(rows, faults))
-        new, old = _block_outcomes(kind, text, block_chars)
+        new, old = _block_outcomes(kind, text, block_bytes)
         assert new == old
         assert new[1] == _outcome(_parse_by_rows, kind, text)
 
@@ -577,8 +585,8 @@ class TestColumnParsersMatchRowWalk:
         outcome = _outcome(_parse, kind, text)
         assert outcome == _outcome(_parse_by_rows, kind, text)
         assert issubclass(outcome[0], ParseError) and outcome[2] == line
-        for block_chars in _BLOCK_SIZES:
-            new, old = _block_outcomes(kind, text, block_chars)
+        for block_bytes in _BLOCK_SIZES:
+            new, old = _block_outcomes(kind, text, block_bytes)
             assert new == old and new[1] == outcome
 
 
@@ -679,10 +687,10 @@ class TestPlainSplitMatchesCsvReader:
         st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 10**6)), max_size=3),
         st.sampled_from(_BLOCK_SIZES),
     )
-    def test_same_table_and_parse(self, kind_table, edits, block_chars):
+    def test_same_table_and_parse(self, kind_table, edits, block_bytes):
         kind, (header, rows) = kind_table
         text = _edit(oracles.csv_lines(header, rows), edits)
-        new, old = _block_outcomes(kind, text, block_chars)
+        new, old = _block_outcomes(kind, text, block_bytes)
         assert new == old
 
     @pytest.mark.parametrize(
@@ -712,7 +720,7 @@ class TestPlainSplitMatchesCsvReader:
         ],
     )
     def test_each_fallback_trigger(self, text, plain):
-        assert (ingest._split_plain(text) is not None) == plain
+        assert (ingest._split_plain(text.encode()) is not None) == plain
         for kind in _KINDS:
             new, old = _block_outcomes(kind, text, None)
             assert new == old
@@ -765,30 +773,30 @@ class TestBlockReader:
     )
     @pytest.mark.parametrize("ending", ["\n", ""], ids=["final-newline", "no-final-newline"])
     def test_every_span_boundary(self, kind, faults, ending):
-        # every block size from one character to the whole table, so that
+        # every block size from one byte to the whole table, so that
         # each row ends on a span boundary for some size and the last block
         # holds the fault, the line that is not plain, or the last row alone
         rows = _valid_rows(kind, 12)
         text = oracles.csv_lines(_header(kind, 2), _inject(rows, faults))
         text = text if ending else text[:-1]
-        for block_chars in [*range(1, 80), len(text) - 1, len(text), len(text) + 1]:
-            new, old = _block_outcomes(kind, text, block_chars)
-            assert new == old, block_chars
+        for block_bytes in [*range(1, 80), len(text) - 1, len(text), len(text) + 1]:
+            new, old = _block_outcomes(kind, text, block_bytes)
+            assert new == old, block_bytes
 
-    # rows of one or two characters put a line break next to every span end
+    # rows of one or two bytes put a line break next to every span end
     @pytest.mark.parametrize("text", ["index\n1\n2\n", "index\n1\n2", "i\n1\n22\n333\n", "a,b\n1,2\n,\n", "x,y\n,"])
     def test_short_rows_at_every_block_size(self, text):
-        for block_chars in range(1, len(text) + 2):
+        for block_bytes in range(1, len(text) + 2):
             for kind in _KINDS:
-                new, old = _block_outcomes(kind, text, block_chars)
-                assert new == old, (kind, block_chars)
+                new, old = _block_outcomes(kind, text, block_bytes)
+                assert new == old, (kind, block_bytes)
 
     @pytest.mark.parametrize("kind", _KINDS)
     @pytest.mark.parametrize("ending", ["\n", ""], ids=["final-newline", "no-final-newline"])
     def test_header_only_tables(self, kind, ending):
         text = ",".join(_header(kind, 2)) + ending
-        for block_chars in _BLOCK_SIZES:
-            new, old = _block_outcomes(kind, text, block_chars)
+        for block_bytes in _BLOCK_SIZES:
+            new, old = _block_outcomes(kind, text, block_bytes)
             assert new == old
             assert new[1][0] is EmptyFileError
 
@@ -797,8 +805,8 @@ class TestBlockReader:
         with _blocks_of(1):
             blocks = list(ingest._read_table(text, "landmarks CSV").row_blocks())
         assert blocks == [(k, [str(k), "0.5", "-1.5"]) for k in range(12)]
-        # a span of 24 characters ends at the first line break from its 24th
-        # character on, which closes its third row of 11 or 12 characters
+        # a span of 24 bytes ends at the first line break from its 24th byte
+        # on, which closes its third row of 11 or 12 bytes
         with _blocks_of(2 * len("10,0.5,-1.5\n")):
             starts = [start for start, _ in ingest._read_table(text, "landmarks CSV").row_blocks()]
         assert starts == [0, 3, 6, 9]
@@ -816,6 +824,54 @@ class TestBlockReader:
                 tracemalloc.stop()
         assert parsed.sample_ids == tuple(ids)
         assert peak < 3 * len(data)
+
+
+# ids of two-, three- and four-byte UTF-8 characters, so that block ends,
+# which are counted in bytes, fall inside characters for some block sizes
+_WIDE_IDS = ["é", "中文", "\U0001f600x", "a€b", "ü" * 5, "z"]
+
+
+class TestTableReaderOfBytes:
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_non_ascii_ids_across_every_block_end(self, kind, as_bytes):
+        rows = [[sample_id, *row[1:]] for sample_id, row in zip(_WIDE_IDS, _valid_rows(kind, len(_WIDE_IDS)))]
+        text = oracles.csv_lines(_header(kind, 2), rows)
+        data = text.encode()
+        assert ingest._split_plain(data) is not None
+        for block_bytes in range(1, len(data) + 2):
+            new, old = _block_outcomes(kind, data if as_bytes else text, block_bytes)
+            assert new == old, block_bytes
+
+    def test_line_beyond_the_limit_in_bytes_but_not_in_characters(self):
+        cell = "é" * (_LIMIT // 2 + 1)
+        text = f"sample_id,label\n{cell},bonafide\nb,attack\n"
+        assert ingest._split_plain(text.encode()) is None
+        assert oracles.split_plain_text(text) is not None
+        for kind in _KINDS:
+            new, old = _block_outcomes(kind, text, None)
+            assert new == old
+        assert parse_labels(text) == {cell: PresentationLabel.BONA_FIDE, "b": PresentationLabel.ATTACK}
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize(
+        "fault",
+        [("cell", "abc"), ("ragged", "extra"), ("id", None), ("syntax", 'a"b'), ("syntax", "x" * (_LIMIT + 1))],
+        ids=["bad-cell", "ragged-row", "duplicate-id", "quote", "field-beyond-the-limit"],
+    )
+    def test_invalid_utf8_wins_over_an_earlier_faulty_row(self, kind, fault):
+        rows = [[sample_id, *row[1:]] for sample_id, row in zip(_WIDE_IDS, _valid_rows(kind, len(_WIDE_IDS)))]
+        head = oracles.csv_lines(_header(kind, 2), _inject(rows, [(fault, 1, 1)])).encode()
+        data = head + b"tail\xff,x\n"
+        for block_bytes in _BLOCK_SIZES:
+            new, old = _block_outcomes(kind, data, block_bytes)
+            assert new == old
+            assert new[0][1] == f"some CSV is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position " \
+                f"{len(head) + 4}: invalid start byte"
+
+    def test_bytearray_reads_as_bytes(self):
+        data = oracles.csv_lines(["sample_id", "label"], [[sample_id, "attack"] for sample_id in _WIDE_IDS]).encode()
+        assert parse_labels(bytearray(data)) == parse_labels(data)
 
 
 class TestLandmarksCsv:
@@ -856,9 +912,9 @@ class TestLandmarksCsv:
         assert (ingest._index_fault(tokens, start) is None) == accepted
 
     @given(index_tokens.filter(len), st.sampled_from(_BLOCK_SIZES))
-    def test_landmarks_with_any_index_spelling_parse_as_before(self, tokens, block_chars):
+    def test_landmarks_with_any_index_spelling_parse_as_before(self, tokens, block_bytes):
         text = "index,x,y\n" + "".join(f"{t},1.5,{k}.0\n" for k, t in enumerate(tokens))
-        with _blocks_of(block_chars):
+        with _blocks_of(block_bytes):
             outcome = _outcome(_parse, "landmarks", text)
         assert outcome == _outcome(_parse_by_rows, "landmarks", text)
         try:
@@ -904,6 +960,18 @@ class TestManifestCsv:
         with pytest.raises(ParseError, match=reason) as err:
             parse_manifest("sample_id,depth,landmarks,label\n" + rows)
         assert err.value.line == 2
+
+
+# pieces of PGM headers: numbers, tokens that are none, whitespace and comments
+_PGM_PIECES = [b"1", b"2", b"0", b"65535", b"255", b"x", b"\xff", b"\x00", b" ", b"\t", b"\n", b"\r", b"\x0b",
+               b"\x0c", b"#", b"# c", b"#\r", b"##1"]
+
+
+def _pgm_outcome(parse, data):
+    try:
+        return parse(data).values.tolist()
+    except PadevalError as exc:
+        return type(exc), str(exc)
 
 
 class TestDepthPgm:
@@ -959,6 +1027,32 @@ class TestDepthPgm:
     def test_bytes_required(self):
         with pytest.raises(ParseError, match="bytes"):
             parse_depth_pgm("P5\n2 2\n65535\n")
+
+    @given(
+        st.sampled_from([b"P5", b"P5", b"P2", b""]),
+        st.lists(st.sampled_from(_PGM_PIECES), max_size=12).map(b"".join),
+        st.sampled_from([b"", bytes(2), bytes(4), bytes(8)]),
+        st.binary(max_size=3),
+    )
+    @example(b"P5", b"#x\r", b"", b"")
+    @example(b"P5", b"#x\r2 1 65535\n", bytes(4), b"")
+    def test_header_reads_as_the_bytewise_tokenizer(self, magic, header, raster, tail):
+        data = magic + header + raster + tail
+        assert _pgm_outcome(parse_depth_pgm, data) == _pgm_outcome(oracles.parse_depth_pgm_bytewise, data)
+
+    @pytest.mark.parametrize("filler", [b" ", b"#\n", b"# a comment\r\n\t"], ids=["spaces", "empty-comments", "comments"])
+    def test_two_megabyte_header_reads_in_linear_time_and_constant_memory(self, filler):
+        data = b"P5" + filler * ((2 << 20) // len(filler)) + b"1 1 65535\n" + bytes(2)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            parsed = parse_depth_pgm(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the header is read about once: reading it once per byte would take hours
+        assert time.perf_counter() - start < 30
+        assert parsed.values.tolist() == [[0]] and peak < 1 << 16
 
     @pytest.mark.parametrize("name", ["width", "height", "maxval"])
     def test_over_long_header_number(self, name):
@@ -1363,25 +1457,36 @@ class TestBlockWritersMatchWholeWriters:
 class TestParserRobustnessSmoke:
     """A quick random probe; the heavyweight fuzz lives in the acceptance suite."""
 
+    parsers = [
+        lambda b: parse_scores(b, Polarity.HIGHER_IS_BONA_FIDE),
+        parse_labels,
+        parse_features,
+        parse_landmarks,
+        parse_manifest,
+        parse_depth_pgm,
+        parse_report,
+        parse_model,
+    ]
+
     def test_parsers_raise_only_structured_errors(self):
         rng = np.random.default_rng(99)
-        parsers = [
-            lambda b: parse_scores(b, Polarity.HIGHER_IS_BONA_FIDE),
-            parse_labels,
-            parse_features,
-            parse_landmarks,
-            parse_manifest,
-            parse_depth_pgm,
-            parse_report,
-            parse_model,
-        ]
         for _ in range(300):
             blob = rng.bytes(int(rng.integers(0, 120)))
-            for parser in parsers:
+            for parser in self.parsers:
                 try:
                     parser(blob)
                 except PadevalError:
                     pass
+
+    @pytest.mark.parametrize(
+        "data",
+        [memoryview(b"sample_id,label\na,attack\n"), None, 7, [b"sample_id,label\n"]],
+        ids=["memoryview", "none", "int", "list"],
+    )
+    def test_inputs_other_than_str_or_bytes_are_parse_errors(self, data):
+        for parser in self.parsers:
+            with pytest.raises(ParseError, match=" must be "):
+                parser(data)
 
     def test_over_long_digit_runs_raise_structured_errors(self):
         digits = "1" * 5000  # more digits than int() converts
