@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Iterable, Sequence
@@ -27,7 +28,7 @@ from .core import (
 )
 from .depth_variance import DEFAULT_MIN_VALID, dv_score
 from .fusion import DEFAULT_WEIGHTS, fuse
-from .metrics import _pad, _vuln
+from .metrics import APCER_TARGETS, _pad, _vuln
 from .ocsvm import NotConvergedError, OcsvmConfig, fit, score_matrix
 from .synth import DepthKind, SynthDepthSpec, SynthFeatureSpec, gen_depth, gen_features
 
@@ -37,6 +38,9 @@ _POLARITY_BY_FLAG = {
     "bonafide": Polarity.HIGHER_IS_BONA_FIDE,
     "match": Polarity.HIGHER_IS_MATCH,
 }
+
+#: The FMR operating points eval-vuln reports when no --fmr is given.
+_DEFAULT_FMR_TARGETS = (0.001, 0.01)
 
 
 class _UsageError(Exception):
@@ -80,11 +84,6 @@ def _write_text(path: str, blocks: Iterable[str]) -> None:
         fh.writelines(blocks)
 
 
-def _write_bytes(path: str, blob: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(blob)
-
-
 def _out_path(args, name: str) -> str:
     os.makedirs(args.output_dir, exist_ok=True)
     return os.path.join(args.output_dir, name)
@@ -104,22 +103,18 @@ def _cmd_dv_score(args) -> None:
 def _cmd_dv_batch(args) -> None:
     manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
     rows = _parse_file(ingest.parse_manifest, args.manifest)
-
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(manifest_dir, p)
-
     scores = []
     for row in rows:
-        depth = _parse_file(ingest.parse_depth_pgm, resolve(row.depth_path))
-        landmarks = _parse_file(ingest.parse_landmarks, resolve(row.landmarks_path))
+        # os.path.join keeps an absolute path as it is
+        depth = _parse_file(ingest.parse_depth_pgm, os.path.join(manifest_dir, row.depth_path))
+        landmarks = _parse_file(ingest.parse_landmarks, os.path.join(manifest_dir, row.landmarks_path))
         try:
             score = dv_score(depth, landmarks, min_valid=args.min_valid)
         except PadevalError as exc:
             raise PadevalError(f"sample {row.sample_id!r}: {exc}") from exc
         scores.append(score.value)
-    # parse_manifest has checked the ids
-    ids = tuple(row.sample_id for row in rows)
-    out = ScoreSet._detector_output(ids, [row.label for row in rows], scores, Polarity.HIGHER_IS_BONA_FIDE)
+    ids, labels = [row.sample_id for row in rows], [row.label for row in rows]
+    out = ScoreSet(ids, labels, scores, Polarity.HIGHER_IS_BONA_FIDE)
     _write_text(args.out, ingest._scores_blocks(out))
 
 
@@ -179,22 +174,9 @@ def _write_evaluation(args, report, curve, config, report_name) -> None:
         print(line)
 
 
-def _score_parser(polarity: Polarity):
-    """A parser of score files that reads each distinct path once, so that a
-    file named by two roles is parsed once; errors keep their path prefix and
-    come in the order of the roles."""
-    parsed: dict[str, ScoreSet] = {}
-
-    def parse(path: str) -> ScoreSet:
-        if path not in parsed:
-            parsed[path] = _parse_file(ingest.parse_scores, path, polarity)
-        return parsed[path]
-
-    return parse
-
-
 def _cmd_eval_pad(args) -> None:
-    scores = _score_parser(Polarity.HIGHER_IS_BONA_FIDE)
+    # a file named by both roles is parsed once (a failed parse is not cached)
+    scores = functools.cache(lambda path: _parse_file(ingest.parse_scores, path, Polarity.HIGHER_IS_BONA_FIDE))
     full_bona = scores(args.bonafide)
     full_attack = scores(args.attack)
     bona = full_bona.with_label(PresentationLabel.BONA_FIDE)
@@ -203,17 +185,17 @@ def _cmd_eval_pad(args) -> None:
         "bonafide": args.bonafide,
         "attack": args.attack,
         "polarity": Polarity.HIGHER_IS_BONA_FIDE.value,
-        "apcer_targets": [0.1, 0.05],
+        "apcer_targets": list(APCER_TARGETS),
     }
     _write_evaluation(args, *_pad(bona, attack), config, "pad_report.json")
 
 
 def _cmd_eval_vuln(args) -> None:
-    scores = _score_parser(Polarity.HIGHER_IS_MATCH)
+    scores = functools.cache(lambda path: _parse_file(ingest.parse_scores, path, Polarity.HIGHER_IS_MATCH))
     mated = scores(args.mated).with_label(TrialLabel.MATED)
     nonmated = scores(args.nonmated).with_label(TrialLabel.NONMATED)
     attack = scores(args.attack).with_label(TrialLabel.ATTACK_MATED)
-    targets = args.fmr if args.fmr else [0.001, 0.01]
+    targets = args.fmr if args.fmr else list(_DEFAULT_FMR_TARGETS)
     config = {
         "mated": args.mated,
         "nonmated": args.nonmated,
@@ -238,7 +220,8 @@ def _cmd_synth_depth(args) -> None:
         seed=args.seed,
     )
     depth, landmarks = gen_depth(spec)
-    _write_bytes(_out_path(args, "depth.pgm"), ingest.write_depth_pgm(depth))
+    with open(_out_path(args, "depth.pgm"), "wb") as fh:
+        fh.write(ingest.write_depth_pgm(depth))
     _write_text(_out_path(args, "landmarks.csv"), [ingest.write_landmarks(landmarks)])
 
 
@@ -385,7 +368,7 @@ def _build_parser() -> _Parser:
         "--fmr",
         action="append",
         type=float,
-        help="target FMR operating point (repeatable; default: 0.001 and 0.01)",
+        help=f"target FMR operating point (repeatable; default: {' and '.join(map(str, _DEFAULT_FMR_TARGETS))})",
     )
     p.set_defaults(func=_cmd_eval_vuln)
 
@@ -464,10 +447,7 @@ def run(argv: Sequence[str]) -> int:
     except NotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PadevalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PadevalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

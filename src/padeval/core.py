@@ -197,7 +197,7 @@ class ScoreSet:
     def _trusted(
         cls, sample_ids: tuple[str, ...], codes: np.ndarray, values: np.ndarray, polarity: Polarity
     ) -> "ScoreSet":
-        """A set from columns that already hold every invariant; nothing is checked.
+        """The one unchecked constructor: a set from columns that already hold every invariant.
 
         ``codes`` and ``values`` are taken as they are and made read-only, so
         the caller hands over arrays that nobody else writes to.
@@ -205,17 +205,6 @@ class ScoreSet:
         score_set = object.__new__(cls)
         score_set._fill(sample_ids, codes, values, polarity)
         return score_set
-
-    @classmethod
-    def _detector_output(
-        cls, ids: tuple[str, ...], labels: Sequence[object], values: Sequence[float], polarity: Polarity
-    ) -> "ScoreSet":
-        """A detector's scores for ids that already hold every invariant; the labels, then the
-        scores (a detector's arithmetic can overflow), are checked as the constructor checks them."""
-        codes = _label_codes(labels)
-        scores = np.array(values, dtype=np.float64)
-        _check_finite(ids, scores)
-        return cls._trusted(ids, codes, scores, polarity)
 
     def _fill(self, ids: tuple[str, ...], codes: np.ndarray, values: np.ndarray, polarity: Polarity) -> None:
         object.__setattr__(self, "sample_ids", ids)
@@ -383,19 +372,6 @@ class FeatureMatrix:
         if not np.isfinite(arr).all():
             raise ValidationError("feature values must be finite")
         self.values = _read_only(arr)
-
-    @classmethod
-    def _trusted(cls, sample_ids: tuple[str, ...], values: np.ndarray) -> "FeatureMatrix":
-        """A matrix from columns that already hold every invariant; nothing is checked.
-
-        ``values`` (non-empty, 2-D, float64, finite, one row per id) is taken
-        as it is and made read-only, so the caller hands over an array that
-        nobody else writes to.
-        """
-        matrix = object.__new__(cls)
-        matrix.sample_ids = sample_ids
-        matrix.values = _read_only(values)
-        return matrix
 
     @property
     def n(self) -> int:

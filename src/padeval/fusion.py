@@ -80,7 +80,8 @@ def _normalise(params: MinMaxParams, scores: np.ndarray) -> np.ndarray:
         return np.full(scores.shape, 0.5)
     lo, hi = params.lo, params.hi
     if math.isfinite(hi - lo):
-        t = (scores - lo) / (hi - lo)
+        with np.errstate(over="ignore"):  # a score far outside a tiny range gives +-inf, clamped below
+            t = (scores - lo) / (hi - lo)
     else:
         t = (scores / 2 - lo / 2) / (hi / 2 - lo / 2)
     # the comparisons of min(max(t, 0.0), 1.0), which keep a -0.0

@@ -210,6 +210,20 @@ def _spans(data: bytes, start: int, end: int) -> Iterator[bytes]:
         start = stop + 1
 
 
+def _check_utf8(data: bytes, what: str) -> None:
+    """ParseError unless ``data`` is UTF-8, worded as :func:`_decode` words it; each span of about
+    :data:`_BLOCK_BYTES` bytes decoded ends just after a line break, so no error crosses its end."""
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(data)
+        try:
+            str(data[start:stop], "utf-8")
+        except UnicodeDecodeError as exc:
+            whole = UnicodeDecodeError("utf-8", data, start + exc.start, start + exc.end, exc.reason)
+            raise ParseError(f"{what} is not valid UTF-8: {whole}") from None
+        start = stop
+
+
 def _split_plain(data: bytes) -> _Table | None:
     """The table of plain CSV, split with ``split``; None for any other input.
 
@@ -249,17 +263,19 @@ def _read_table(data: Union[bytes, str], what: str) -> _Table:
     """Read a CSV table whose rows come one block at a time.
 
     The input is read as bytes, with no whole decoded copy: bytes that are
-    not all ASCII are checked to be UTF-8 up front, and a str is encoded,
-    its surrogates passed, as the blocks are decoded.  Plain CSV makes one
-    block per span of lines (see :func:`_split_plain`); every other input
-    goes through csv.reader in one pass and makes one block.  A CSV syntax
-    error anywhere wins over every error in the rows, which are checked only
-    as their blocks are read.
+    not all ASCII are checked to be UTF-8 up front, span by span, and a str
+    is encoded, its surrogates passed, as the blocks are decoded.  Plain CSV
+    makes one block per span of lines (see :func:`_split_plain`); every
+    other input goes through csv.reader in one pass and makes one block.  A
+    CSV syntax error anywhere wins over every error in the rows, which are
+    checked only as their blocks are read.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
-    elif not isinstance(data, (bytes, bytearray)) or not data.isascii():
-        _decode(data, what)  # refuses other types and bytes that are not UTF-8
+    elif not isinstance(data, (bytes, bytearray)):
+        _decode(data, what)  # refuses other types
+    elif not data.isascii():
+        _check_utf8(data, what)
     data = bytes(data)
     table = _split_plain(data)
     if table is not None:
@@ -525,8 +541,7 @@ def parse_features(data: Union[bytes, str]) -> FeatureMatrix:
             break
         values[start : start + len(block) // d] = block.reshape(-1, d)
     _raise_first(table, _id_fault(ids), *faults)
-    # the column rules above are the constructor's checks, so they are not run twice
-    return FeatureMatrix._trusted(tuple(ids), values)
+    return FeatureMatrix(tuple(ids), values)
 
 
 def _features_blocks(features: FeatureMatrix) -> Iterator[str]:

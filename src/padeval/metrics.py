@@ -70,6 +70,9 @@ __all__ = [
     "evaluate_vuln",
 ]
 
+#: The APCER operating points of a PAD report, at which BPCER10 and BPCER20 are read.
+APCER_TARGETS = (0.10, 0.05)
+
 #: Decision thresholds are plain finite floats.
 Threshold = float
 
@@ -381,7 +384,7 @@ def _pad(bonafide: ScoreSet, attack: ScoreSet) -> tuple[PadReport, Callable[[], 
     att = _checked_scores(attack, PresentationLabel.ATTACK, Polarity.HIGHER_IS_BONA_FIDE, "attack")
     pooled = _pooled(bona, att)
     eer, eer_tau = _d_eer(bona, att, pooled)
-    tau10, tau20 = _first_feasible(att, [0.10, 0.05])
+    tau10, tau20 = _first_feasible(att, APCER_TARGETS)
     report = PadReport(
         d_eer=eer,
         eer_threshold=eer_tau,

@@ -443,5 +443,4 @@ def score_matrix(
         if missing:
             raise ValidationError(f"no label for sample_id {missing[0]!r}")
         per_row = [labels[sid] for sid in features.sample_ids]
-    # the feature matrix vouches for its ids
-    return ScoreSet._detector_output(features.sample_ids, per_row, values, Polarity.HIGHER_IS_BONA_FIDE)
+    return ScoreSet(features.sample_ids, per_row, values, Polarity.HIGHER_IS_BONA_FIDE)

@@ -787,13 +787,15 @@ def test_evaluation_and_fusion_memory_is_linear_in_the_input(tmp_path, monkeypat
     the real ones are beside inputs of a million rows.  Here the block writers
     read about 4.5 (eval-pad) and 2.8 (fuse) at n and less at 4n; writers that
     joined each output whole from columns of cells read about 10.7 and 4.3.
-    eval-vuln reads about 4.3 at n.
+    eval-vuln reads about 4.3 at n.  Ids that hold a comma are quoted, so
+    their file goes through csv.reader, which reads it as one block: eval-pad
+    on it reads about 9.4 at n.
     """
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 14)
     monkeypatch.setattr(ingest, "_BLOCK_CELLS", 3 * 256)
     from padeval import TrialLabel
 
-    ratios = {"eval-pad": [], "eval-vuln": [], "fuse": []}
+    ratios = {"eval-pad": [], "eval-vuln": [], "fuse": [], "eval-pad quoted": []}
     for n in (5000, 20000):
         rng = np.random.default_rng(n)
         ids = [f"s{k:06d}" for k in range(2 * n)]
@@ -807,17 +809,23 @@ def test_evaluation_and_fusion_memory_is_linear_in_the_input(tmp_path, monkeypat
         trials = write_file(tmp_path / "trials.csv", write_scores(ScoreSet(
             sample_ids=ids, labels=[list(TrialLabel)[k % 3] for k in range(2 * n)],
             values=rng.normal(size=2 * n), polarity=Polarity.HIGHER_IS_MATCH)))
-        size_a, size_b, size_trials = map(os.path.getsize, (a, b, trials))
+        quoted = write_file(tmp_path / "quoted.csv", write_scores(ScoreSet(
+            sample_ids=[f"s,{k:06d}" for k in range(2 * n)], labels=labels, values=rng.normal(size=2 * n),
+            polarity=Polarity.HIGHER_IS_BONA_FIDE)))
+        size_a, size_b, size_quoted, size_trials = map(os.path.getsize, (a, b, quoted, trials))
         # a file named by several roles is read once
         peak = traced_peak(["eval-pad", "--bonafide", a, "--attack", a, "--output-dir", str(tmp_path / "pad")])
         ratios["eval-pad"].append((peak - size_a) / size_a)
+        peak = traced_peak(["eval-pad", "--bonafide", quoted, "--attack", quoted,
+                            "--output-dir", str(tmp_path / "pad-quoted")])
+        ratios["eval-pad quoted"].append((peak - size_quoted) / size_quoted)
         peak = traced_peak(["eval-vuln", "--mated", trials, "--nonmated", trials, "--attack", trials,
                             "--output-dir", str(tmp_path / "vuln")])
         ratios["eval-vuln"].append((peak - size_trials) / size_trials)
         peak = traced_peak(["fuse", "--a", a, "--b", b, "--out", str(tmp_path / "fused.csv")])
         ratios["fuse"].append((peak - size_a - size_b) / (size_a + size_b))
         capsys.readouterr()
-    assert_linear(ratios, {"eval-pad": 7.0, "eval-vuln": 5.0, "fuse": 3.5})
+    assert_linear(ratios, {"eval-pad": 7.0, "eval-vuln": 5.0, "fuse": 3.5, "eval-pad quoted": 11.0})
 
 
 def test_detector_memory_is_linear_in_the_input(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -67,6 +67,7 @@ class TestMinMax:
         assert _normalise(params, np.array([-100.0, 7.0, 100.0])).tolist() == [0.5, 0.5, 0.5]
 
     @given(st.lists(finite_scores, min_size=1, max_size=50), st.lists(finite_scores, min_size=1, max_size=10))
+    @example([0.0, 5e-324], [1.0])  # a quotient beyond the float range
     def test_normalise_stays_in_unit_interval(self, scores, probes):
         values = _normalise(minmax_fit(scores), np.array(probes))
         assert ((0.0 <= values) & (values <= 1.0)).all()

@@ -327,6 +327,12 @@ class TestFeaturesCsv:
         parsed = parse_features(write_features(feats))
         assert parsed.values.tolist() == feats.values.tolist()
 
+    def test_parsed_matrix_is_read_only(self):
+        parsed = parse_features("sample_id,f0,f1\na,1.0,2.0\nb,3.0,-0.0\n")
+        assert parsed.sample_ids == ("a", "b") and isinstance(parsed.sample_ids, tuple)
+        with pytest.raises(ValueError):
+            parsed.values[0, 0] = 5.0
+
     def test_header_must_enumerate_columns(self):
         with pytest.raises(ParseError, match="header"):
             parse_features("sample_id,f0,f2\na,1.0,2.0\n")
@@ -590,38 +596,6 @@ class TestColumnParsersMatchRowWalk:
             assert new == old and new[1] == outcome
 
 
-def _feature_outcome(text):
-    """A parsed feature matrix as ids, value bits, shape and write flag, or the error."""
-    try:
-        parsed = parse_features(text)
-    except PadevalError as exc:
-        return type(exc), str(exc), getattr(exc, "line", None)
-    values = parsed.values
-    return parsed.sample_ids, values.view(np.uint64).tolist(), values.shape, values.dtype, values.flags.writeable
-
-
-class TestTrustedFeatureMatrix:
-    @given(
-        _tables("features"),
-        st.lists(st.tuples(st.sampled_from(_FAULTS), st.integers(0, 9), st.integers(0, 9)), max_size=2),
-    )
-    def test_parse_matches_the_checking_constructor(self, table, faults):
-        header, rows = table
-        faults = [(fault, r % len(rows), c) for fault, r, c in faults]
-        text = oracles.csv_lines(header, _inject(rows, faults))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(FeatureMatrix, "_trusted",
-                       classmethod(lambda cls, ids, values: cls(sample_ids=ids, values=values)))
-            expected = _feature_outcome(text)
-        assert _feature_outcome(text) == expected
-
-    def test_trusted_matrix_is_read_only(self):
-        parsed = parse_features("sample_id,f0,f1\na,1.0,2.0\nb,3.0,-0.0\n")
-        assert parsed.sample_ids == ("a", "b") and isinstance(parsed.sample_ids, tuple)
-        with pytest.raises(ValueError):
-            parsed.values[0, 0] = 5.0
-
-
 # ---------------------------------------------------------------------------
 # the str.split reading of plain CSV against csv.reader
 
@@ -811,9 +785,12 @@ class TestBlockReader:
             starts = [start for start, _ in ingest._read_table(text, "landmarks CSV").row_blocks()]
         assert starts == [0, 3, 6, 9]
 
-    def test_peak_memory_is_one_block_beside_the_input(self):
+    # ids of four-byte characters are checked to be UTF-8 first; a check
+    # that decoded the input whole would read about 5.0 here, not 0.9
+    @pytest.mark.parametrize("prefix", ["sample-", "\U0001f600-"], ids=["ascii", "non-ascii"])
+    def test_peak_memory_is_one_block_beside_the_input(self, prefix):
         rng = np.random.default_rng(12)
-        ids = [f"sample-{k:05d}" for k in range(4000)]
+        ids = [f"{prefix}{k:05d}" for k in range(4000)]
         data = write_features(FeatureMatrix(sample_ids=ids, values=rng.normal(size=(4000, 32)))).encode()
         with _blocks_of(1 << 16):
             tracemalloc.start()
@@ -829,6 +806,19 @@ class TestBlockReader:
 # ids of two-, three- and four-byte UTF-8 characters, so that block ends,
 # which are counted in bytes, fall inside characters for some block sizes
 _WIDE_IDS = ["é", "中文", "\U0001f600x", "a€b", "ü" * 5, "z"]
+
+
+# line breaks, ASCII, and whole, cut and invalid UTF-8 sequences
+_UTF8_PIECES = [b"\n", b"a", b",", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80",
+                b"\xe2", b"\x82", b"\xf0\x9f", b"\xff", b"\xc0\xaf", b"\xed\xa0\x80"]
+
+
+def _utf8_outcome(check, data):
+    try:
+        check(data, "some CSV")
+    except ParseError as exc:
+        return str(exc)
+    return None
 
 
 class TestTableReaderOfBytes:
@@ -868,6 +858,12 @@ class TestTableReaderOfBytes:
             assert new == old
             assert new[0][1] == f"some CSV is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position " \
                 f"{len(head) + 4}: invalid start byte"
+
+    @given(st.lists(st.sampled_from(_UTF8_PIECES), max_size=16).map(b"".join), st.sampled_from([1, 2, 3, 5, 8]))
+    @example(b"\xe2\n", 1)
+    def test_utf8_check_span_by_span_reports_as_the_whole_decode(self, data, block_bytes):
+        with _blocks_of(block_bytes):
+            assert _utf8_outcome(ingest._check_utf8, data) == _utf8_outcome(ingest._decode, data)
 
     def test_bytearray_reads_as_bytes(self):
         data = oracles.csv_lines(["sample_id", "label"], [[sample_id, "attack"] for sample_id in _WIDE_IDS]).encode()
