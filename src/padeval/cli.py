@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -41,6 +42,9 @@ _POLARITY_BY_FLAG = {
 
 #: The FMR operating points eval-vuln reports when no --fmr is given.
 _DEFAULT_FMR_TARGETS = (0.001, 0.01)
+
+#: The evaluation outputs --format picks from; all are written by default.
+_FORMATS = ("csv", "json", "svg")
 
 
 class _UsageError(Exception):
@@ -161,7 +165,7 @@ def _cmd_fuse(args) -> None:
 
 def _write_evaluation(args, report, curve, config, report_name) -> None:
     """Write the report JSON, then the DET exports from ``curve()``, then print the summary."""
-    formats = set(args.format) if args.format else {"csv", "json", "svg"}
+    formats = set(args.format or _FORMATS)
     if "json" in formats:
         _write_text(_out_path(args, report_name), [ingest.write_report(report, config=config)])
     if formats & {"csv", "svg"}:
@@ -206,35 +210,20 @@ def _cmd_eval_vuln(args) -> None:
     _write_evaluation(args, *_vuln(mated, nonmated, attack, targets), config, "vuln_report.json")
 
 
+def _spec(cls, args, **given):
+    """The generator spec ``cls`` whose fields are the options of the same name, but those ``given``."""
+    return cls(**{field.name: getattr(args, field.name) for field in dataclasses.fields(cls)} | given)
+
+
 def _cmd_synth_depth(args) -> None:
-    spec = SynthDepthSpec(
-        kind=DepthKind(args.kind),
-        width=args.width,
-        height=args.height,
-        base_depth_mm=args.base_depth_mm,
-        curvature_amp_mm=args.curvature_amp_mm,
-        wrinkle_amp_mm=args.wrinkle_amp_mm,
-        wrinkle_wavelength_px=args.wrinkle_wavelength_px,
-        noise_sigma_mm=args.noise_sigma_mm,
-        invalid_fraction=args.invalid_fraction,
-        seed=args.seed,
-    )
-    depth, landmarks = gen_depth(spec)
+    depth, landmarks = gen_depth(_spec(SynthDepthSpec, args, kind=DepthKind(args.kind)))
     with open(_out_path(args, "depth.pgm"), "wb") as fh:
         fh.write(ingest.write_depth_pgm(depth))
     _write_text(_out_path(args, "landmarks.csv"), [ingest.write_landmarks(landmarks)])
 
 
 def _cmd_synth_features(args) -> None:
-    spec = SynthFeatureSpec(
-        n_bonafide=args.n_bonafide,
-        n_attack=args.n_attack,
-        d=args.d,
-        mean_separation=args.separation,
-        center_norm=args.center_norm,
-        seed=args.seed,
-    )
-    features, labels = gen_features(spec)
+    features, labels = gen_features(_spec(SynthFeatureSpec, args))
     _write_text(_out_path(args, "features.csv"), ingest._features_blocks(features))
     _write_text(
         _out_path(args, "labels.csv"),
@@ -249,14 +238,14 @@ def _cmd_synth_features(args) -> None:
 def _build_parser() -> _Parser:
     # each one-option parent is shared by the subcommands that read its option
     seed = _Parser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="seed for generated data")
+    seed.add_argument("--seed", type=int, default=SynthDepthSpec.seed, help="seed for generated data")
     output_dir = _Parser(add_help=False)
     output_dir.add_argument("--output-dir", default=".", help="directory for multi-file outputs")
     formats = _Parser(add_help=False)
     formats.add_argument(
         "--format",
         action="append",
-        choices=["csv", "json", "svg"],
+        choices=_FORMATS,
         help="restrict which evaluation outputs are written (repeatable; default: all)",
     )
 
@@ -393,22 +382,20 @@ def _build_parser() -> _Parser:
         choices=[k.value for k in DepthKind],
         help="surface model",
     )
-    q.add_argument("--width", type=int, default=128, help="map width in pixels")
-    q.add_argument("--height", type=int, default=128, help="map height in pixels")
-    q.add_argument("--base-depth-mm", type=float, default=1000.0, help="background distance")
-    q.add_argument(
-        "--curvature-amp-mm", type=float, default=20.0, help="face cap height (curved-face)"
-    )
-    q.add_argument(
-        "--wrinkle-amp-mm", type=float, default=3.0, help="fold amplitude (wrinkled-shirt)"
-    )
-    q.add_argument(
-        "--wrinkle-wavelength-px", type=float, default=24.0, help="fold wavelength (wrinkled-shirt)"
-    )
-    q.add_argument("--noise-sigma-mm", type=float, default=1.0, help="sensor noise sigma")
-    q.add_argument(
-        "--invalid-fraction", type=float, default=0.0, help="fraction of dropped pixels in [0, 1)"
-    )
+    q.add_argument("--width", type=int, default=SynthDepthSpec.width, help="map width in pixels")
+    q.add_argument("--height", type=int, default=SynthDepthSpec.height, help="map height in pixels")
+    q.add_argument("--base-depth-mm", type=float, default=SynthDepthSpec.base_depth_mm,
+                   help="background distance")
+    q.add_argument("--curvature-amp-mm", type=float, default=SynthDepthSpec.curvature_amp_mm,
+                   help="face cap height (curved-face)")
+    q.add_argument("--wrinkle-amp-mm", type=float, default=SynthDepthSpec.wrinkle_amp_mm,
+                   help="fold amplitude (wrinkled-shirt)")
+    q.add_argument("--wrinkle-wavelength-px", type=float, default=SynthDepthSpec.wrinkle_wavelength_px,
+                   help="fold wavelength (wrinkled-shirt)")
+    q.add_argument("--noise-sigma-mm", type=float, default=SynthDepthSpec.noise_sigma_mm,
+                   help="sensor noise sigma")
+    q.add_argument("--invalid-fraction", type=float, default=SynthDepthSpec.invalid_fraction,
+                   help="fraction of dropped pixels in [0, 1)")
     q.set_defaults(func=_cmd_synth_depth)
 
     q = synth_sub.add_parser(
@@ -420,13 +407,12 @@ def _build_parser() -> _Parser:
     )
     q.add_argument("--n-bonafide", type=int, required=True, help="bona fide row count")
     q.add_argument("--n-attack", type=int, required=True, help="attack row count")
-    q.add_argument("--d", type=int, default=16, help="feature dimension")
-    q.add_argument(
-        "--separation", type=float, default=4.0, help="cluster mean distance in within-cluster sigmas"
-    )
-    q.add_argument(
-        "--center-norm", type=float, default=10.0, help="distance of the bona fide mean from the origin"
-    )
+    q.add_argument("--d", type=int, default=SynthFeatureSpec.d, help="feature dimension")
+    q.add_argument("--separation", dest="mean_separation", metavar="SEPARATION", type=float,
+                   default=SynthFeatureSpec.mean_separation,
+                   help="cluster mean distance in within-cluster sigmas")
+    q.add_argument("--center-norm", type=float, default=SynthFeatureSpec.center_norm,
+                   help="distance of the bona fide mean from the origin")
     q.set_defaults(func=_cmd_synth_features)
 
     return parser

@@ -336,6 +336,7 @@ class LandmarkSet:
     Coordinates are continuous (sub-pixel) positions with ``x`` across
     columns and ``y`` down rows; they may fall outside the image they are
     later applied to, in which case the consumer decides how to treat them.
+    A float64 array is kept, not copied, and made read-only, the caller's too.
     """
 
     points: np.ndarray
@@ -354,7 +355,8 @@ class LandmarkSet:
 
 @dataclass(eq=False)
 class FeatureMatrix:
-    """Dense float features, one row per sample, with aligned identifiers."""
+    """Dense float features, one row per sample, with aligned identifiers; a float64
+    ``values`` array is kept, not copied, and made read-only, the caller's too."""
 
     sample_ids: tuple[str, ...]
     values: np.ndarray

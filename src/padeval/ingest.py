@@ -156,17 +156,6 @@ def percent(rate: float, decimals: int) -> str:
 # shared text plumbing
 
 
-def _decode(data: Union[bytes, str], what: str) -> str:
-    if isinstance(data, str):
-        return data
-    if not isinstance(data, (bytes, bytearray)):
-        raise ParseError(f"{what} input must be str or bytes, got {type(data).__name__}")
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
-
-
 #: About how many bytes of plain CSV make one block of rows; a block always
 #: ends at a line break, so it holds whole rows.
 _BLOCK_BYTES = 1 << 20
@@ -199,29 +188,38 @@ class _Table:
             start += rows
 
 
-def _spans(data: bytes, start: int, end: int) -> Iterator[bytes]:
-    """The lines of ``data[start:end]`` in spans of about :data:`_BLOCK_BYTES`
-    bytes, each ending at a line break, which it drops; none if ``start > end``."""
+def _spans(data: bytes, start: int, end: int) -> Iterator[tuple[int, int]]:
+    """The lines of ``data[start:end]`` in spans of about :data:`_BLOCK_BYTES` bytes, as
+    ``(start, stop)`` offsets, each span ending at a line break at ``stop`` or at ``end``;
+    none if ``start > end``."""
     while start <= end:
         stop = data.find(b"\n", start + _BLOCK_BYTES - 1, end)
         if stop < 0:
             stop = end
-        yield data[start:stop]
+        yield start, stop
         start = stop + 1
 
 
 def _check_utf8(data: bytes, what: str) -> None:
-    """ParseError unless ``data`` is UTF-8, worded as :func:`_decode` words it; each span of about
-    :data:`_BLOCK_BYTES` bytes decoded ends just after a line break, so no error crosses its end."""
-    start = 0
-    while start < len(data):
-        stop = data.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(data)
+    """ParseError unless ``data`` is UTF-8, worded as a decode of the whole input words it; each
+    span decoded ends just after its line break, so no error crosses its end."""
+    for start, stop in _spans(data, 0, len(data)):
         try:
-            str(data[start:stop], "utf-8")
+            str(data[start : stop + 1], "utf-8")
         except UnicodeDecodeError as exc:
             whole = UnicodeDecodeError("utf-8", data, start + exc.start, start + exc.end, exc.reason)
             raise ParseError(f"{what} is not valid UTF-8: {whole}") from None
-        start = stop
+
+
+def _utf8(data: Union[bytes, str], what: str) -> bytes:
+    """The bytes of a text input: a str encoded, its surrogates passed, or bytes checked to be UTF-8."""
+    if isinstance(data, str):
+        return data.encode("utf-8", "surrogatepass")
+    if not isinstance(data, (bytes, bytearray)):
+        raise ParseError(f"{what} input must be str or bytes, got {type(data).__name__}")
+    if not data.isascii():
+        _check_utf8(data, what)
+    return bytes(data)
 
 
 def _split_plain(data: bytes) -> _Table | None:
@@ -245,8 +243,8 @@ def _split_plain(data: bytes) -> _Table | None:
     limit = csv.field_size_limit()
     long = len(data) > limit
     n = 0
-    for span in _spans(data, 0, end):
-        lines = span.split(b"\n")
+    for start, stop in _spans(data, 0, end):
+        lines = data[start:stop].split(b"\n")
         if (
             b"" in lines
             or long and max(map(len, lines)) > limit
@@ -254,8 +252,10 @@ def _split_plain(data: bytes) -> _Table | None:
         ):
             return None
         n += len(lines)
-    spans = _spans(data, first + 1, end)
-    blocks = (str(span, "utf-8", "surrogatepass").replace("\n", ",").split(",") for span in spans)
+    blocks = (
+        str(data[start:stop], "utf-8", "surrogatepass").replace("\n", ",").split(",")
+        for start, stop in _spans(data, first + 1, end)
+    )
     return _Table(str(data[:first], "utf-8", "surrogatepass").split(","), 1, range(2, n + 1), None, blocks)
 
 
@@ -270,13 +270,7 @@ def _read_table(data: Union[bytes, str], what: str) -> _Table:
     CSV syntax error anywhere wins over every error in the rows, which are
     checked only as their blocks are read.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8", "surrogatepass")
-    elif not isinstance(data, (bytes, bytearray)):
-        _decode(data, what)  # refuses other types
-    elif not data.isascii():
-        _check_utf8(data, what)
-    data = bytes(data)
+    data = _utf8(data, what)
     table = _split_plain(data)
     if table is not None:
         return table
@@ -676,6 +670,8 @@ def parse_depth_pgm(data: bytes) -> DepthMap:
         raise ParseError(f"bad PGM dimensions {width}x{height}")
     if maxval != 65535:
         raise BadMaxvalError(f"expected 16-bit PGM (maxval 65535), got maxval {maxval}")
+    if item.end() == len(data):
+        raise TruncatedError("PGM header ends early")
     if not data[item.end() : item.end() + 1].isspace():
         raise ParseError("expected single whitespace after PGM maxval")
     expected = width * height * 2
@@ -702,7 +698,7 @@ def _reject_const(token: str) -> float:
 
 
 def _load_versioned_json(data: Union[bytes, str], kind: str) -> dict:
-    text = _decode(data, kind)
+    text = str(_utf8(data, kind), "utf-8", "surrogatepass")
     if not text.strip():
         raise EmptyFileError(f"{kind} holds no content")
     try:

@@ -94,7 +94,8 @@ class DetCurve:
 
     ``x_rates[i]`` (APCER or FMR) is non-increasing and ``y_rates[i]``
     (BPCER or FNMR) non-decreasing along the strictly increasing
-    ``thresholds``.
+    ``thresholds``.  Float64 arrays are kept, not copied, and made read-only,
+    the caller's too.
     """
 
     thresholds: np.ndarray

@@ -269,26 +269,26 @@ def _smo(
     n = x.shape[0]
     diag = np.einsum("ij,ij->i", x, x)
     # Which rows may grow (alpha < c_box) and shrink (alpha > 0), kept in step
-    # with alpha: as penalties of 0 or an infinity to add to the gradient, and
-    # as counts.  Only rows i and j change in a step.
-    pen_up = np.where(alpha < c_box, 0.0, np.inf)
-    pen_low = np.where(alpha > 0.0, 0.0, -np.inf)
-    n_up = int(np.count_nonzero(pen_up == 0.0))
-    n_low = int(np.count_nonzero(pen_low == 0.0))
+    # with alpha as penalties of 0 or an infinity to add to the gradient.  Only
+    # rows i and j change in a step.  Some row can always shrink: the initial
+    # weights hold c_box > 0, and a step moves weight from j to i, so one of
+    # them keeps it.
+    grow_pen = np.where(alpha < c_box, 0.0, np.inf)
+    shrink_pen = np.where(alpha > 0.0, 0.0, -np.inf)
     # the O(n) passes and the two Gram columns write into these
     search, gap, pair_eta, gain, col_i, col_j = (np.empty(n) for _ in range(6))
 
     def most_violating() -> tuple[float, int]:
         """KKT gap of the most-violating pair (non-positive means optimal)
-        and its growing row; -inf and -1 when no row can grow or shrink.
+        and its growing row; -inf and -1 when no row can grow.
 
-        Otherwise leaves ``grad + pen_low`` in ``search``.
+        Otherwise leaves ``grad + shrink_pen`` in ``search``.
         """
-        if n_up == 0 or n_low == 0:
-            return -np.inf, -1
-        np.add(grad, pen_up, out=search)
+        np.add(grad, grow_pen, out=search)
         i = int(search.argmin())
-        np.add(grad, pen_low, out=search)
+        if search[i] == np.inf:  # no row can grow: the gradient is finite (see _MAX_SQUARED_NORM)
+            return -np.inf, -1
+        np.add(grad, shrink_pen, out=search)
         j = int(search.argmax())
         return float(grad[j] - grad[i]), i
 
@@ -313,7 +313,7 @@ def _smo(
             # candidate set is never empty here.
             #
             # The gain is taken from the gap clamped at 0 and read off
-            # grad + pen_low, which is -inf on rows that cannot shrink, so
+            # grad + shrink_pen, which is -inf on rows that cannot shrink, so
             # every row outside the candidate set gains 0 and every candidate
             # its exact gain.  A positive maximum thus picks the row that
             # masking the others to -inf picks; on a maximum of 0 (every gain
@@ -352,12 +352,9 @@ def _smo(
             np.multiply(delta_j, col_j, out=col_j)
             np.add(col_i, col_j, out=col_i)
             np.add(grad, col_i, out=grad)
-            for k in (i, j):  # when i == j the second pass finds nothing to change
-                up, low = bool(alpha[k] < c_box), bool(alpha[k] > 0.0)
-                n_up += up - bool(pen_up[k] == 0.0)
-                n_low += low - bool(pen_low[k] == 0.0)
-                pen_up[k] = 0.0 if up else np.inf
-                pen_low[k] = 0.0 if low else -np.inf
+            for k in (i, j):
+                grow_pen[k] = 0.0 if alpha[k] < c_box else np.inf
+                shrink_pen[k] = 0.0 if alpha[k] > 0.0 else -np.inf
             iterations += 1
         # re-derive the gradient without incremental drift and re-check
         grad = x @ (x.T @ alpha)
@@ -373,19 +370,16 @@ def _solve_rho(grad: np.ndarray, alpha: np.ndarray, c_box: float) -> float:
     Free support vectors satisfy ``w . x_i = rho`` exactly, so their mean
     gradient is the estimate of choice.  Without free vectors the KKT
     system only brackets rho between ``max(grad at ceiling)`` and
-    ``min(grad at zero)``; the midpoint is used, or the finite edge when
-    one side is absent (e.g. nu = 1 puts every row at the ceiling).
+    ``min(grad at zero)``; the midpoint is used, or the ceiling edge when no
+    row is at zero (e.g. nu = 1 puts every row at the ceiling).  Some weight
+    is positive, so without free vectors some row is at the ceiling.
     """
     free = (alpha > 0.0) & (alpha < c_box)
     if free.any():
         return float(grad[free].mean())
-    at_ceiling = alpha == c_box
+    ceiling = grad[alpha == c_box].max()
     at_zero = alpha == 0.0
-    if at_ceiling.any() and at_zero.any():
-        return float((grad[at_ceiling].max() + grad[at_zero].min()) / 2.0)
-    if at_ceiling.any():
-        return float(grad[at_ceiling].max())
-    return float(grad[at_zero].min())
+    return float((ceiling + grad[at_zero].min()) / 2.0 if at_zero.any() else ceiling)
 
 
 def _row_scores(model: OcsvmModel, rows: np.ndarray) -> list[float]:

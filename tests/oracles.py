@@ -46,7 +46,6 @@ from padeval.ingest import (
     ParseError,
     RaggedRowError,
     TruncatedError,
-    _decode,
     _reprs,
     _Table,
 )
@@ -144,10 +143,22 @@ def csv_rows(text):
     return rows
 
 
+def decode(data, what):
+    """A text input decoded whole: a str as it is, bytes as UTF-8, any other type refused."""
+    if isinstance(data, str):
+        return data
+    if not isinstance(data, (bytes, bytearray)):
+        raise ParseError(f"{what} input must be str or bytes, got {type(data).__name__}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
+
+
 def read_table(data, what):
     """The table reader as it was before plain CSV was split with ``str.split``:
     every input goes through csv.reader, one row at a time."""
-    reader = csv.reader(io.StringIO(_decode(data, what), newline=""))
+    reader = csv.reader(io.StringIO(decode(data, what), newline=""))
     header: list[str] = []
     header_line = 0
     cells: list[str] = []
@@ -210,7 +221,7 @@ def split_plain_text(text, block_chars=1 << 20):
 
 
 def read_text_table(data, what, block_chars=1 << 20):
-    text = _decode(data, what)
+    text = decode(data, what)
     table = split_plain_text(text, block_chars)
     if table is not None:
         return table
@@ -495,7 +506,9 @@ def parse_depth_pgm_bytewise(data):
         raise ParseError(f"bad PGM dimensions {width}x{height}")
     if maxval != 65535:
         raise BadMaxvalError(f"expected 16-bit PGM (maxval 65535), got maxval {maxval}")
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
+    if pos >= len(data):
+        raise TruncatedError("PGM header ends early")
+    if not data[pos : pos + 1].isspace():
         raise ParseError("expected single whitespace after PGM maxval")
     pos += 1
     expected = width * height * 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -203,6 +204,17 @@ class TestSynthGen:
             dict(zip(feats.sample_ids, labels))
         )
 
+    @pytest.mark.parametrize("what, spec", [("depth", SynthDepthSpec), ("features", SynthFeatureSpec)])
+    def test_each_spec_field_is_an_option_with_the_spec_default(self, what, spec):
+        # the subcommand builds its spec from the options of the fields' names
+        declared = {action.dest: action for action in options(dict(parsers(_build_parser()))["synth-gen", what])}
+        for field in dataclasses.fields(spec):
+            action = declared[field.name]
+            if field.default is dataclasses.MISSING:
+                assert action.required
+            else:
+                assert (action.default, type(action.default)) == (field.default, type(field.default))
+
     def test_bad_spec_is_a_data_error(self, tmp_path, capsys):
         assert (
             run(["synth-gen", "features", "--n-bonafide", "0", "--n-attack", "1",
@@ -241,6 +253,12 @@ class TestDvCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "bad PGM width of 5000 digits" in captured.err
+
+    def test_dv_score_pgm_that_ends_at_the_maxval_is_a_data_error(self, tmp_path, capsys):
+        bad = write_file(tmp_path / "short.pgm", b"P5 1 1 65535")
+        _, _, _, marks_path = make_capture(tmp_path)
+        assert run(["dv-score", "--depth", bad, "--landmarks", marks_path]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: PGM header ends early\n"
 
     def test_dv_score_missing_file(self, tmp_path, capsys):
         _, _, _, marks_path = make_capture(tmp_path)

@@ -863,7 +863,7 @@ class TestTableReaderOfBytes:
     @example(b"\xe2\n", 1)
     def test_utf8_check_span_by_span_reports_as_the_whole_decode(self, data, block_bytes):
         with _blocks_of(block_bytes):
-            assert _utf8_outcome(ingest._check_utf8, data) == _utf8_outcome(ingest._decode, data)
+            assert _utf8_outcome(ingest._check_utf8, data) == _utf8_outcome(oracles.decode, data)
 
     def test_bytearray_reads_as_bytes(self):
         data = oracles.csv_lines(["sample_id", "label"], [[sample_id, "attack"] for sample_id in _WIDE_IDS]).encode()
@@ -1007,6 +1007,15 @@ class TestDepthPgm:
     def test_truncated_header(self):
         with pytest.raises(TruncatedError):
             parse_depth_pgm(b"P5\n2 2\n")
+
+    def test_header_that_ends_at_the_maxval_is_truncated(self):
+        with pytest.raises(TruncatedError, match="^PGM header ends early$"):
+            parse_depth_pgm(b"P5 1 1 65535")
+
+    def test_comment_right_after_the_maxval_rejected(self):
+        with pytest.raises(ParseError, match="^expected single whitespace after PGM maxval$") as err:
+            parse_depth_pgm(b"P5 1 1 65535#c\n\0\0")
+        assert type(err.value) is ParseError
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ParseError, match="trailing"):
@@ -1193,6 +1202,8 @@ class TestModels:
             pytest.param("w", [1.0, 10**400, 1.0], "w", id="w-int-past-the-float-range"),
             pytest.param("scale", [1.0, 1.0, 10**400], "scale", id="scale-int-past-the-float-range"),
             pytest.param("dual_alphas", [10**400], "dual_alphas", id="dual_alphas-int-past-the-float-range"),
+            pytest.param("mean", [1.0, 2.0], "^standardizer dimensions do not match w$", id="mean-shorter-than-w"),
+            pytest.param("diagnostics", [], "^diagnostics must be an object$", id="diagnostics-not-an-object"),
         ],
     )
     def test_field_validation(self, field, value, match):

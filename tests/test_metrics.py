@@ -206,6 +206,10 @@ class TestDEer:
     def test_oracle_equivalence(self, bona, attack):
         assert d_eer(bona, attack) == oracles.d_eer(bona, attack)
 
+    def test_two_dimensional_scores_rejected(self):
+        with pytest.raises(ValidationError, match="^bonafide_scores must be a flat sequence of scores$"):
+            d_eer([[1.0, 2.0]], [0.0])
+
     @given(
         st.lists(st.integers(0, 10_000), min_size=1, max_size=50, unique=True),
         st.lists(st.integers(10_001, 20_000), min_size=1, max_size=50, unique=True),

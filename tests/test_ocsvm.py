@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, reject
 from hypothesis import strategies as st
 
 import oracles
@@ -113,6 +113,29 @@ class TestKktAndNuProperty:
         diag = model.diagnostics
         assert diag.n_margin_errors / n <= nu + 1.0 / n
         assert diag.n_support / n >= nu - 1.0 / n
+
+    @given(
+        n=st.integers(2, 60),
+        d=st.integers(1, 8),
+        share=st.floats(0.0, 1.0),
+        standardize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=7, d=3, share=1.0, standardize=True, seed=0)
+    def test_some_weight_is_positive_and_none_is_above_the_ceiling(self, n, d, share, standardize, seed):
+        # the solver's stopping test and the offset's bracket rely on both
+        nu = 1.0 if share == 1.0 else 1.0 / n + share * (1.0 - 1.0 / n)
+        assume(nu * n >= 1.0)
+        try:
+            model = fit(gaussian_cloud(n, d, seed=seed), OcsvmConfig(nu=nu, standardize=standardize))
+        except NotConvergedError:
+            # centred rows near nu = 1/n can need more than the default budget
+            # (8 x 7 at seed 0 takes 10681 steps); convergence is not checked here
+            reject()
+        alpha, c_box = model.dual_alphas, 1.0 / (nu * n)
+        assert (alpha > 0.0).any() and (alpha <= c_box).all()
+        if nu == 1.0:
+            assert (alpha == c_box).all() and model.diagnostics.iterations == 0
 
     def test_dual_feasibility_exact(self):
         n, nu = 80, 0.3
@@ -358,6 +381,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             fit(np.ones((1, 3)), OcsvmConfig())
 
+    def test_rows_must_be_two_dimensional(self):
+        with pytest.raises(ValidationError, match=r"^training features must be 2-D, got shape \(5,\)$"):
+            fit(np.ones(5))
+
     def test_non_finite_rows_rejected(self):
         x = gaussian_cloud(5, 2, seed=0)
         x[2, 1] = np.nan
@@ -398,6 +425,11 @@ class TestScoring:
         model = OcsvmModel(w=np.array([1.0, 0.0]), rho=0.5, nu=0.5, dual_alphas=np.array([1.0]))
         assert decision_value(model, [1.0, 0.0]) == 0.5
         assert decision_value(model, [0.0, 0.0]) == -0.5
+
+    def test_non_finite_sample_rejected(self):
+        model = OcsvmModel(w=np.array([1.0, 0.0]), rho=0.5, nu=0.5, dual_alphas=np.array([1.0]))
+        with pytest.raises(ValidationError, match="^sample contains non-finite values$"):
+            decision_value(model, [np.nan, 0.0])
 
     def test_dimension_mismatch(self):
         model = fit(gaussian_cloud(10, 3, seed=0))

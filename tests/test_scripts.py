@@ -175,3 +175,17 @@ def test_bench_pairs_exports_the_working_tree(tmp_path, monkeypatch):
     files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert files == [".gitignore", "new.py", "perfbench/run.py"]
     assert (dest / "perfbench" / "run.py").read_text() == "edited\n"
+
+
+def test_line_hits_lists_the_lines_a_run_never_reaches():
+    import subprocess
+    import sys
+
+    root = os.path.join(HERE, "..")
+    argv = [sys.executable, os.path.join("scripts", "line_hits.py"), os.path.join("tests", "test_api.py"),
+            "-q", "-p", "no:cacheprovider"]
+    lines = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+    # test_api.py imports every module and trains no model
+    assert any(line.startswith("src/padeval/ocsvm.py:") and line.endswith(": x_raw = _training_array(features)")
+               for line in lines)
+    assert not [line for line in lines if line.endswith(": import numpy as np")]
