@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from . import ingest
 from .core import (
     LABEL_BY_NAME,
+    EmptySetError,
     PadevalError,
     Polarity,
     PresentationLabel,
@@ -163,6 +164,14 @@ def _cmd_fuse(args) -> None:
     )
 
 
+def _role(scores, path: str, label) -> ScoreSet:
+    """The rows of ``scores(path)`` that carry ``label``, or an error naming the file."""
+    try:
+        return scores(path).with_label(label)
+    except EmptySetError as exc:
+        raise PadevalError(f"{path}: no {label.value} rows") from exc
+
+
 def _write_evaluation(args, report, curve, config, report_name) -> None:
     """Write the report JSON, then the DET exports from ``curve()``, then print the summary."""
     formats = set(args.format or _FORMATS)
@@ -181,10 +190,9 @@ def _write_evaluation(args, report, curve, config, report_name) -> None:
 def _cmd_eval_pad(args) -> None:
     # a file named by both roles is parsed once (a failed parse is not cached)
     scores = functools.cache(lambda path: _parse_file(ingest.parse_scores, path, Polarity.HIGHER_IS_BONA_FIDE))
-    full_bona = scores(args.bonafide)
-    full_attack = scores(args.attack)
-    bona = full_bona.with_label(PresentationLabel.BONA_FIDE)
-    attack = full_attack.with_label(PresentationLabel.ATTACK)
+    scores(args.bonafide), scores(args.attack)  # both files are read before either role is selected
+    bona = _role(scores, args.bonafide, PresentationLabel.BONA_FIDE)
+    attack = _role(scores, args.attack, PresentationLabel.ATTACK)
     config = {
         "bonafide": args.bonafide,
         "attack": args.attack,
@@ -196,9 +204,9 @@ def _cmd_eval_pad(args) -> None:
 
 def _cmd_eval_vuln(args) -> None:
     scores = functools.cache(lambda path: _parse_file(ingest.parse_scores, path, Polarity.HIGHER_IS_MATCH))
-    mated = scores(args.mated).with_label(TrialLabel.MATED)
-    nonmated = scores(args.nonmated).with_label(TrialLabel.NONMATED)
-    attack = scores(args.attack).with_label(TrialLabel.ATTACK_MATED)
+    mated = _role(scores, args.mated, TrialLabel.MATED)
+    nonmated = _role(scores, args.nonmated, TrialLabel.NONMATED)
+    attack = _role(scores, args.attack, TrialLabel.ATTACK_MATED)
     targets = args.fmr if args.fmr else list(_DEFAULT_FMR_TARGETS)
     config = {
         "mated": args.mated,

@@ -279,7 +279,6 @@ def _first_bad_id(ids: Sequence[object]) -> tuple[int, bool] | None:
         if sid in seen:
             return k, True
         seen.add(sid)
-    return None  # not reached: a column that fails _ids_ok has a faulty id
 
 
 def _check_ids(ids: Sequence[str]) -> None:
@@ -388,5 +387,5 @@ class FeatureMatrix:
         idx = list(index)
         return FeatureMatrix(
             sample_ids=tuple(self.sample_ids[i] for i in idx),
-            values=self.values[idx].copy(),
+            values=self.values[idx],
         )

@@ -367,20 +367,20 @@ def _float_cells(tokens: list[str], names: Sequence[str]) -> tuple[np.ndarray | 
     """
     try:
         values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-    except ValueError:
-        values = None
+    except ValueError:  # some token is no float: walk to the first that is no finite float
+        for k, token in enumerate(tokens):
+            r, what = divmod(k, len(names))
+            try:
+                if not math.isfinite(float(token)):
+                    return None, (r, f"{names[what]} must be finite, got {token!r}")
+            except ValueError:
+                return None, (r, f"bad {names[what]} {token!r}")
     else:
-        if np.isfinite(values).all():
+        finite = np.isfinite(values)
+        if finite.all():
             return values, None
-    for k, token in enumerate(tokens):
-        r, what = divmod(k, len(names))
-        try:
-            value = float(token)
-        except ValueError:
-            return values, (r, f"bad {names[what]} {token!r}")
-        if not math.isfinite(value):
-            return values, (r, f"{names[what]} must be finite, got {token!r}")
-    return values, None  # not reached: the array holds a non-finite value
+        k = int(finite.argmin())
+        return values, (k // len(names), f"{names[k % len(names)]} must be finite, got {tokens[k]!r}")
 
 
 def _path_fault(depths: list[str], landmarks: list[str]) -> _Fault | None:

@@ -163,7 +163,7 @@ def _check_tau(tau: float) -> float:
 
 def _check_target(target: float) -> float:
     target = float(target)
-    if not (0.0 < target < 1.0) or not np.isfinite(target):
+    if not (0.0 < target < 1.0):
         raise InvalidTargetError(f"target rate must lie in (0, 1), got {target!r}")
     return target
 

@@ -73,7 +73,7 @@ _ETA_FLOOR = 1e-12
 
 
 class InfeasibleNuError(ValidationError):
-    """nu is outside (0, 1] or nu * n < 1, so the dual has no solution."""
+    """nu is outside (0, 1] or below 1/n for n training rows."""
 
 
 class DimensionMismatchError(ValidationError):
@@ -81,7 +81,8 @@ class DimensionMismatchError(ValidationError):
 
 
 class NotConvergedError(PadevalError):
-    """The iteration budget ran out before the KKT residual reached tol."""
+    """The KKT residual was above tol when the pair-update budget ran out, or after
+    three exact gradient refreshes (a tol below the gradient's rounding)."""
 
     def __init__(self, kkt_residual: float, iterations: int):
         super().__init__(
@@ -163,7 +164,7 @@ def _training_array(features: Union[FeatureMatrix, np.ndarray]) -> np.ndarray:
 
 def _initial_alphas(n: int, c_box: float, nu: float) -> np.ndarray:
     alpha = np.zeros(n, dtype=np.float64)
-    k = min(int(np.floor(nu * n)), n)
+    k = int(np.floor(nu * n))
     alpha[:k] = c_box
     if k < n:
         rest = 1.0 - c_box * k
@@ -192,9 +193,9 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
     """Train on bona fide rows; see the module docstring for the programme.
 
     Raises:
-        InfeasibleNuError: ``nu`` outside (0, 1] or ``nu * n < 1``.
+        InfeasibleNuError: ``nu`` outside (0, 1] or ``nu < 1/n``.
         NotConvergedError: KKT residual still above ``config.tol`` after
-            the pair-update budget.
+            the pair-update budget or after three exact gradient refreshes.
         ValidationError: fewer than two rows, non-finite rows, a bad
             ``tol``/``max_iter``, a standardizer (mean or scale) that is
             not finite, or rows, after the standardizer, whose largest
@@ -206,9 +207,9 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
     if n < 2:
         raise ValidationError(f"training needs at least 2 rows, got {n}")
     nu = float(config.nu)
-    if not (0.0 < nu <= 1.0) or not np.isfinite(nu):
+    if not (0.0 < nu <= 1.0):
         raise InfeasibleNuError(f"nu must lie in (0, 1], got {nu!r}")
-    if nu * n < 1.0:
+    if nu < 1.0 / n:  # nu * n < 1 would refuse nu = 1/n where (1/n) * n rounds below 1, as at n = 49
         raise InfeasibleNuError(f"nu * n must be at least 1, got nu={nu!r} with n={n}")
     tol = float(config.tol)
     if not (tol > 0.0) or not np.isfinite(tol):
@@ -270,9 +271,9 @@ def _smo(
     diag = np.einsum("ij,ij->i", x, x)
     # Which rows may grow (alpha < c_box) and shrink (alpha > 0), kept in step
     # with alpha as penalties of 0 or an infinity to add to the gradient.  Only
-    # rows i and j change in a step.  Some row can always shrink: the initial
-    # weights hold c_box > 0, and a step moves weight from j to i, so one of
-    # them keeps it.
+    # rows i and j change in a step.  Some row can always shrink: some initial
+    # weight is positive, and a step moves weight from j to i, so one of them
+    # keeps it.
     grow_pen = np.where(alpha < c_box, 0.0, np.inf)
     shrink_pen = np.where(alpha > 0.0, 0.0, -np.inf)
     # the O(n) passes and the two Gram columns write into these
@@ -296,8 +297,8 @@ def _smo(
     trace: list[float] = []
     # Outer restarts refresh the incrementally maintained gradient from the
     # exact alphas, so tiny float drift cannot fake convergence.
+    grad = x @ (x.T @ alpha)
     for _refresh in range(3):
-        grad = x @ (x.T @ alpha)
         while True:
             residual, i = most_violating()
             trace.append(0.5 * float(alpha @ grad))

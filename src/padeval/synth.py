@@ -168,7 +168,7 @@ def _check_depth_spec(spec: SynthDepthSpec) -> None:
         raise SpecError(f"base_depth_mm must lie in [1, 65535], got {spec.base_depth_mm!r}")
     if not (spec.wrinkle_wavelength_px > 0) or not math.isfinite(spec.wrinkle_wavelength_px):
         raise SpecError(f"wrinkle_wavelength_px must be positive, got {spec.wrinkle_wavelength_px!r}")
-    if not (0.0 <= spec.invalid_fraction < 1.0) or not math.isfinite(spec.invalid_fraction):
+    if not (0.0 <= spec.invalid_fraction < 1.0):
         raise SpecError(f"invalid_fraction must lie in [0, 1), got {spec.invalid_fraction!r}")
     # reject bad seeds even when no stream ends up being drawn from
     _check_seed(spec.seed)

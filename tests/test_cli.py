@@ -6,6 +6,8 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -376,6 +378,15 @@ class TestOcsvmCommands:
                     "--max-iter", "1"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_train_accepts_nu_one_over_n(self, tmp_path, capsys):
+        # (1/49) * 49 rounds to 0.9999999999999999, below 1
+        x = np.random.default_rng(49).normal(3.0, 1.0, (49, 4))
+        train = features_csv(tmp_path, "train.csv", x.tolist())
+        model_path = tmp_path / "m.json"
+        assert run(["ocsvm-train", "--features", train, "--model", str(model_path), "--nu", repr(1 / 49)]) == 0
+        assert capsys.readouterr().out.startswith("trained on 49 x 4: iterations ")
+        assert parse_model(model_path.read_bytes()).nu == 1 / 49
+
     def test_infeasible_nu_is_data_error(self, tmp_path):
         train = write_file(tmp_path / "two.csv", "sample_id,f0\na,1.0\nb,3.0\n")
         assert run(["ocsvm-train", "--features", train, "--model", str(tmp_path / "m.json"),
@@ -530,6 +541,18 @@ class TestEvalPad:
         attack_only = scores_csv(tmp_path, "atk.csv", [0.0, 1.0], label=PresentationLabel.ATTACK)
         assert run(["eval-pad", "--bonafide", attack_only, "--attack", attack_only,
                     "--output-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr()[:2] == ("", f"error: {attack_only}: no bonafide rows\n")
+        bona_only = scores_csv(tmp_path, "bona.csv", [3.0, 4.0], prefix="b")
+        assert run(["eval-pad", "--bonafide", bona_only, "--attack", bona_only,
+                    "--output-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr()[:2] == ("", f"error: {bona_only}: no attack rows\n")
+
+    def test_both_files_are_read_before_a_role_is_selected(self, tmp_path, capsys):
+        attack_only = scores_csv(tmp_path, "atk.csv", [0.0], label=PresentationLabel.ATTACK)
+        missing = str(tmp_path / "missing.csv")
+        argv = ["eval-pad", "--bonafide", attack_only, "--attack", missing, "--output-dir", str(tmp_path / "r")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 class TestEvalVuln:
@@ -750,7 +773,7 @@ class TestSharedScoreFiles:
         code, stdout, stderr, _ = run_and_capture(
             ["eval-vuln", "--mated", shared, "--nonmated", missing, "--attack", shared], tmp_path / "v", capsys
         )
-        assert (code, stdout, stderr) == (2, "", "error: score set holds no records\n")
+        assert (code, stdout, stderr) == (2, "", f"error: {shared}: no mated rows\n")
 
 
 class TestDeterminism:
@@ -767,6 +790,16 @@ class TestDeterminism:
             })
         assert outputs[0] == outputs[1]
         assert set(outputs[0]) == {"pad_report.json", "det.csv", "det.svg"}
+
+
+def test_module_runs_as_a_script():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "padeval.cli", "--help"], capture_output=True, text=True, env=env, timeout=120
+    )
+    with open(os.path.join(GOLDEN_HELP, "padeval.txt"), encoding="utf-8") as fh:
+        assert (result.returncode, result.stdout, result.stderr) == (0, fh.read(), "")
 
 
 def test_main_exits_with_run_code(monkeypatch, capsys):

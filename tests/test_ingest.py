@@ -570,6 +570,8 @@ class TestColumnParsersMatchRowWalk:
                          id="ragged-row-after-a-ragged-row"),
             pytest.param([(("cell", "inf"), 1, 2), (("id", None), 2, 0)], 3,
                          id="duplicate-id-after-a-non-finite-score"),
+            pytest.param([(("cell", "nan"), 1, 2), (("cell", "abc"), 3, 2)], 3,
+                         id="bad-cell-after-a-non-finite-cell"),
             pytest.param([(("blank", None), 0, 0), (("blank", None), 2, 0), (("cell", "nan"), 2, 2)], 6,
                          id="blank-lines"),
             pytest.param([(("cell", "1e999"), 3, 2)], 5, id="quoted-ids-with-commas"),

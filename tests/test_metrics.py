@@ -173,7 +173,7 @@ class TestThresholdAtFmr:
             if t < tau:
                 assert oracles.rate_ge(scores, t) > want
 
-    @pytest.mark.parametrize("target", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.1, 1.5, float("nan"), float("inf"), float("-inf")])
     def test_bad_target_rejected(self, target):
         with pytest.raises(InvalidTargetError):
             threshold_at_fmr([0.1, 0.2], target)

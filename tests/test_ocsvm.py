@@ -125,7 +125,7 @@ class TestKktAndNuProperty:
     def test_some_weight_is_positive_and_none_is_above_the_ceiling(self, n, d, share, standardize, seed):
         # the solver's stopping test and the offset's bracket rely on both
         nu = 1.0 if share == 1.0 else 1.0 / n + share * (1.0 - 1.0 / n)
-        assume(nu * n >= 1.0)
+        assume(nu >= 1.0 / n)
         try:
             model = fit(gaussian_cloud(n, d, seed=seed), OcsvmConfig(nu=nu, standardize=standardize))
         except NotConvergedError:
@@ -269,7 +269,7 @@ class TestSolverWithoutColumnCache:
     def test_matches_the_cached_solver_bit_for_bit(self, n, d, seed, draw, nu, standardize, max_iter):
         if isinstance(nu, int):
             nu = min(nu, n) / n
-        assume(nu * n >= 1.0)
+        assume(nu >= 1.0 / n)
         x = _draw_rows(np.random.default_rng(seed), n, d, draw)
         config = OcsvmConfig(nu=nu, standardize=standardize, max_iter=max_iter)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -309,7 +309,7 @@ class TestSolverWithoutColumnCache:
         st.floats(min_value=0.05, max_value=1.0),
     )
     def test_rows_just_under_the_norm_limit_fit_as_the_cached_solver(self, n, d, seed, draw, nu):
-        assume(nu * n >= 1.0)
+        assume(nu >= 1.0 / n)
         x = _draw_rows(np.random.default_rng(seed), n, d, draw)
         norms = np.einsum("ij,ij->i", x, x)
         assume(norms.max() > 0.0)
@@ -367,7 +367,7 @@ class TestSolverWithoutColumnCache:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("nu", [0.0, -0.5, 1.5, float("nan")])
+    @pytest.mark.parametrize("nu", [0.0, -0.5, 1.5, float("nan"), float("inf"), float("-inf")])
     def test_nu_range(self, nu):
         with pytest.raises(InfeasibleNuError):
             fit(gaussian_cloud(10, 2, seed=0), OcsvmConfig(nu=nu))
@@ -376,6 +376,30 @@ class TestValidation:
         with pytest.raises(InfeasibleNuError):
             fit(gaussian_cloud(2, 2, seed=0), OcsvmConfig(nu=0.4))
         fit(gaussian_cloud(2, 2, seed=0), OcsvmConfig(nu=0.5))  # boundary is fine
+
+    @pytest.mark.parametrize("n", [49, 98, 103])
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_nu_one_over_n_is_accepted(self, n, standardize):
+        nu = 1.0 / n
+        assert nu * n < 1.0  # the product rounds below 1 at these n
+        x = gaussian_cloud(n, 4, seed=n)
+        model = fit(x, OcsvmConfig(nu=nu, standardize=standardize))
+        assert model.diagnostics.kkt_residual <= 1e-6
+        with pytest.raises(InfeasibleNuError, match=r"^nu \* n must be at least 1"):
+            fit(x, OcsvmConfig(nu=np.nextafter(nu, 0.0), standardize=standardize))
+
+    def test_a_tol_below_the_gradient_rounding_stops_at_the_third_refresh(self):
+        # gradients near 1e11 round in steps far above the default tol of 1e-6, so
+        # three exact refreshes end the fit long before the budget of 100 n steps
+        x = np.random.default_rng(20).normal(3.0, 1.0, (5, 8)) * 1e5
+        stops = []
+        for max_iter in (None, 10**6):
+            with pytest.raises(NotConvergedError) as err:
+                fit(x, OcsvmConfig(nu=0.3, standardize=False, max_iter=max_iter))
+            assert err.value.iterations < 100 * 5
+            assert err.value.kkt_residual > 1e-6
+            stops.append(str(err.value))
+        assert stops[0] == stops[1]  # a larger budget does not help
 
     def test_needs_two_rows(self):
         with pytest.raises(ValidationError):

@@ -175,6 +175,8 @@ class TestGenDepth:
             {"wrinkle_wavelength_px": 0.0},
             {"invalid_fraction": 1.0},
             {"invalid_fraction": -0.1},
+            {"invalid_fraction": math.nan},
+            {"invalid_fraction": math.inf},
             {"seed": -1},
         ],
     )
@@ -212,6 +214,20 @@ class TestGenFeatures:
         assert float(np.linalg.norm(gap)) == pytest.approx(4.0, abs=0.1)
         # unit within-cluster deviation in every coordinate
         assert np.allclose(bona.std(axis=0), 1.0, atol=0.1)
+
+    def test_an_all_zero_direction_falls_back_to_the_first_basis_vector(self):
+        # SplitMix64's finalizer is a bijection that maps 0 to 0, so this seed (the
+        # finalizer's preimage of -GOLDEN mod 2**64, xor the direction tag) makes the
+        # direction stream's first key and uniform 0: the first Box-Muller radius is
+        # 0, and so are both normals of the pair
+        seed = 176493733711377272
+        direction = _Stream(seed, _TAG_FEAT_DIRECTION).normal(2)
+        assert np.linalg.norm(direction) == 0.0
+        spec = SynthFeatureSpec(n_bonafide=3, n_attack=2, d=2, seed=seed)
+        feats, _ = gen_features(spec)
+        noise = _Stream(seed, _TAG_FEAT_BONAFIDE).normal(6).reshape(3, 2)
+        expected = spec.center_norm * np.array([1.0, 0.0]) + noise
+        assert feats.values[:3].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     @pytest.mark.parametrize(
         "kwargs",
