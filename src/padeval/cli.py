@@ -30,7 +30,7 @@ from .core import (
 )
 from .depth_variance import DEFAULT_MIN_VALID, dv_score
 from .fusion import DEFAULT_WEIGHTS, fuse
-from .metrics import APCER_TARGETS, _pad, _vuln
+from .metrics import APCER_TARGETS, DetAxes, _pad, det_curve, evaluate_vuln
 from .ocsvm import NotConvergedError, OcsvmConfig, fit, score_matrix
 from .synth import DepthKind, SynthDepthSpec, SynthFeatureSpec, gen_depth, gen_features
 
@@ -173,7 +173,9 @@ def _role(scores, path: str, label) -> ScoreSet:
 
 
 def _write_evaluation(args, report, curve, config, report_name) -> None:
-    """Write the report JSON, then the DET exports from ``curve()``, then print the summary."""
+    """Write the report JSON, then the DET exports from ``curve()``, then print the summary.
+
+    ``curve`` is called only for csv or svg, after the JSON, so a failed sweep leaves the report."""
     formats = set(args.format or _FORMATS)
     if "json" in formats:
         _write_text(_out_path(args, report_name), [ingest.write_report(report, config=config)])
@@ -199,7 +201,8 @@ def _cmd_eval_pad(args) -> None:
         "polarity": Polarity.HIGHER_IS_BONA_FIDE.value,
         "apcer_targets": list(APCER_TARGETS),
     }
-    _write_evaluation(args, *_pad(bona, attack), config, "pad_report.json")
+    report, det = _pad(bona, attack)
+    _write_evaluation(args, report, lambda: det, config, "pad_report.json")
 
 
 def _cmd_eval_vuln(args) -> None:
@@ -215,7 +218,8 @@ def _cmd_eval_vuln(args) -> None:
         "polarity": Polarity.HIGHER_IS_MATCH.value,
         "fmr_targets": targets,
     }
-    _write_evaluation(args, *_vuln(mated, nonmated, attack, targets), config, "vuln_report.json")
+    curve = functools.partial(det_curve, mated.values, nonmated.values, DetAxes.FMR_FNMR)
+    _write_evaluation(args, evaluate_vuln(mated, nonmated, attack, targets), curve, config, "vuln_report.json")
 
 
 def _spec(cls, args, **given):

@@ -42,8 +42,8 @@ def dv_score(depth: DepthMap, landmarks: LandmarkSet, min_valid: int = DEFAULT_M
 
     Each continuous landmark coordinate is mapped to the nearest pixel with
     ``floor(coord + 0.5)`` per axis (halves round up).  A landmark is
-    unmeasurable when the rounded pixel falls outside the grid or holds the
-    no-measurement sentinel ``0``; the others are valid.
+    unmeasurable when the rounded pixel falls outside the grid, however far,
+    or holds the no-measurement sentinel ``0``; the others are valid.
 
     Args:
         depth: depth grid in integer millimetres, ``0`` meaning unmeasured.
@@ -62,10 +62,11 @@ def dv_score(depth: DepthMap, landmarks: LandmarkSet, min_valid: int = DEFAULT_M
     """
     if min_valid < 2:
         raise ValidationError(f"min_valid must be at least 2, got {min_valid}")
-    cols = np.floor(landmarks.points[:, 0] + 0.5).astype(np.int64)
-    rows = np.floor(landmarks.points[:, 1] + 0.5).astype(np.int64)
+    # the bounds are tested on the floored floats: a far-out landmark has no int64 pixel
+    cols = np.floor(landmarks.points[:, 0] + 0.5)
+    rows = np.floor(landmarks.points[:, 1] + 0.5)
     inside = (cols >= 0) & (cols < depth.width) & (rows >= 0) & (rows < depth.height)
-    picked = depth.values[rows[inside], cols[inside]]
+    picked = depth.values[rows[inside].astype(np.int64), cols[inside].astype(np.int64)]
     values = picked[picked != 0].astype(np.float64)
     if values.size < min_valid:
         raise TooFewValidLandmarksError(int(values.size), min_valid)

@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -243,22 +243,10 @@ def _d_eer(pos: np.ndarray, neg: np.ndarray, pooled) -> tuple[float, Threshold]:
     return float(eer), float(grid[best])
 
 
-def _det_maker(pos: np.ndarray, neg: np.ndarray, axes: DetAxes, pooled=None) -> Callable[[], DetCurve]:
-    """A maker of the DET curve of sorted ``pos`` and ``neg`` that can be called once.
-
-    It hands over the two classes and their :func:`_pooled` sweep (made when
-    it is called unless given) as it makes the curve, so that once the rates
-    exist nothing holds the sorted scores or the counts.
-    """
-    held = [pos, neg, pooled]
-
-    def curve() -> DetCurve:
-        pos, neg, pooled = held
-        held.clear()
-        grid, accepts, rejects = _pooled(pos, neg) if pooled is None else pooled
-        return DetCurve(grid, accepts / neg.size, rejects / pos.size, axes)
-
-    return curve
+def _curve(pos: np.ndarray, neg: np.ndarray, axes: DetAxes, pooled) -> DetCurve:
+    """The DET curve of sorted ``pos`` and ``neg`` from their :func:`_pooled` sweep."""
+    grid, accepts, rejects = pooled
+    return DetCurve(grid, accepts / neg.size, rejects / pos.size, axes)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +337,13 @@ def det_curve(
     that should be rejected (attacks, or non-mated trials).  ``x_rates``
     holds the negative-class acceptance rate (APCER/FMR) and ``y_rates``
     the positive-class rejection rate (BPCER/FNMR) at each threshold.
+    The sorted copies and counts die when it returns; the curve is finished.
     """
     if not isinstance(axes, DetAxes):
         raise ValidationError(f"axes must be a DetAxes, got {axes!r}")
     pos = _sorted(positive_scores, "positive_scores")
     neg = _sorted(negative_scores, "negative_scores")
-    return _det_maker(pos, neg, axes)()
+    return _curve(pos, neg, axes, _pooled(pos, neg))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +366,8 @@ def _checked_scores(score_set: ScoreSet, expected_label, expected_polarity: Pola
     return np.sort(score_set.values)
 
 
-def _pad(bonafide: ScoreSet, attack: ScoreSet) -> tuple[PadReport, Callable[[], DetCurve]]:
-    """:func:`evaluate_pad`'s report, and a one-shot maker of its DET curve from the D-EER sweep."""
+def _pad(bonafide: ScoreSet, attack: ScoreSet) -> tuple[PadReport, DetCurve]:
+    """:func:`evaluate_pad`'s report and its finished DET curve, both from one pooled sweep."""
     bona = _checked_scores(
         bonafide, PresentationLabel.BONA_FIDE, Polarity.HIGHER_IS_BONA_FIDE, "bonafide"
     )
@@ -396,7 +385,7 @@ def _pad(bonafide: ScoreSet, attack: ScoreSet) -> tuple[PadReport, Callable[[], 
         n_bonafide=bona.size,
         n_attack=att.size,
     )
-    return report, _det_maker(bona, att, DetAxes.APCER_BPCER, pooled)
+    return report, _curve(bona, att, DetAxes.APCER_BPCER, pooled)
 
 
 def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
@@ -406,26 +395,6 @@ def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
     their own presentation label, which guards against swapped inputs.
     """
     return _pad(bonafide, attack)[0]
-
-
-def _vuln(mated, nonmated, attack, fmr_targets) -> tuple[VulnReport, Callable[[], DetCurve]]:
-    """:func:`evaluate_vuln`'s report, and a one-shot maker of its DET curve from the sorted scores."""
-    mates = _checked_scores(mated, TrialLabel.MATED, Polarity.HIGHER_IS_MATCH, "mated")
-    nonmates = _checked_scores(nonmated, TrialLabel.NONMATED, Polarity.HIGHER_IS_MATCH, "nonmated")
-    attacks = _checked_scores(attack, TrialLabel.ATTACK_MATED, Polarity.HIGHER_IS_MATCH, "attack")
-    targets = [_check_target(t) for t in fmr_targets]
-    if not targets:
-        raise ValidationError("at least one FMR target is required")
-    thresholds = dict(zip(targets, _first_feasible(nonmates, targets)))
-    rates = {t: _accept_rate(attacks, tau) for t, tau in thresholds.items()}
-    report = VulnReport(
-        thresholds=thresholds,
-        iapmr=rates,
-        n_mated=mates.size,
-        n_nonmated=nonmates.size,
-        n_attack=attacks.size,
-    )
-    return report, _det_maker(mates, nonmates, DetAxes.FMR_FNMR)
 
 
 def evaluate_vuln(
@@ -441,4 +410,18 @@ def evaluate_vuln(
     attack-mated scores at that threshold.  All three sets must declare
     ``HIGHER_IS_MATCH`` polarity.
     """
-    return _vuln(mated, nonmated, attack, fmr_targets)[0]
+    mates = _checked_scores(mated, TrialLabel.MATED, Polarity.HIGHER_IS_MATCH, "mated")
+    nonmates = _checked_scores(nonmated, TrialLabel.NONMATED, Polarity.HIGHER_IS_MATCH, "nonmated")
+    attacks = _checked_scores(attack, TrialLabel.ATTACK_MATED, Polarity.HIGHER_IS_MATCH, "attack")
+    targets = [_check_target(t) for t in fmr_targets]
+    if not targets:
+        raise ValidationError("at least one FMR target is required")
+    thresholds = dict(zip(targets, _first_feasible(nonmates, targets)))
+    rates = {t: _accept_rate(attacks, tau) for t, tau in thresholds.items()}
+    return VulnReport(
+        thresholds=thresholds,
+        iapmr=rates,
+        n_mated=mates.size,
+        n_nonmated=nonmates.size,
+        n_attack=attacks.size,
+    )

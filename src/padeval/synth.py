@@ -168,6 +168,8 @@ def _check_depth_spec(spec: SynthDepthSpec) -> None:
         raise SpecError(f"base_depth_mm must lie in [1, 65535], got {spec.base_depth_mm!r}")
     if not (spec.wrinkle_wavelength_px > 0) or not math.isfinite(spec.wrinkle_wavelength_px):
         raise SpecError(f"wrinkle_wavelength_px must be positive, got {spec.wrinkle_wavelength_px!r}")
+    if not math.isfinite(2.0 * math.pi * (spec.width - 1) / spec.wrinkle_wavelength_px):
+        raise SpecError(f"wrinkle_wavelength_px {spec.wrinkle_wavelength_px!r} makes the fold phase overflow")
     if not (0.0 <= spec.invalid_fraction < 1.0):
         raise SpecError(f"invalid_fraction must lie in [0, 1), got {spec.invalid_fraction!r}")
     # reject bad seeds even when no stream ends up being drawn from
@@ -216,7 +218,8 @@ def gen_depth(spec: SynthDepthSpec) -> tuple[DepthMap, LandmarkSet]:
 
     if spec.noise_sigma_mm > 0.0:
         noise = _Stream(spec.seed, _TAG_DEPTH_NOISE).normal(w * h).reshape(h, w)
-        surface = surface + spec.noise_sigma_mm * noise
+        with np.errstate(over="ignore"):  # an overflowing sum is +-inf, which clamps below
+            surface = surface + spec.noise_sigma_mm * noise
 
     quantised = np.floor(surface + 0.5)
     quantised = np.clip(quantised, 1.0, 65535.0).astype(np.uint16)

@@ -16,6 +16,7 @@ import pytest
 
 from padeval import (
     DepthKind,
+    DetAxes,
     OcsvmConfig,
     OcsvmModel,
     PadevalError,
@@ -623,34 +624,38 @@ class TestEvalVuln:
 
 @pytest.mark.parametrize("formats", [(), ("json",), ("csv",), ("svg",), ("json", "svg")])
 def test_one_pooled_sweep_per_evaluation(tmp_path, monkeypatch, formats):
-    """eval-pad pools its classes once, for the D-EER and the DET curve alike;
-    eval-vuln pools mated and non-mated scores only for a DET export."""
-    from padeval import TrialLabel, metrics
+    """eval-pad pools its classes once, for the D-EER and the DET curve alike, and
+    never calls det_curve; eval-vuln calls det_curve once, and pools mated and
+    non-mated scores, only for a DET export."""
+    from padeval import TrialLabel, cli, metrics
 
-    calls = []
-    real = metrics._pooled
+    calls, det_calls = [], []
+    real, real_det_curve = metrics._pooled, cli.det_curve
 
     def pooled(pos, neg):
         calls.append(pos.size + neg.size)
         return real(pos, neg)
 
-    def no_det_curve(*args):
-        raise AssertionError("det_curve called on the CLI path")
+    def det_curve(*args):
+        det_calls.append(args[2])
+        return real_det_curve(*args)
 
     monkeypatch.setattr(metrics, "_pooled", pooled)
-    monkeypatch.setattr(metrics, "det_curve", no_det_curve)
+    monkeypatch.setattr(cli, "det_curve", det_curve)
     extra = [arg for fmt in formats for arg in ("--format", fmt)]
     bona = scores_csv(tmp_path, "bona.csv", [3.0, 4.0, 5.0], prefix="b")
     attack = scores_csv(tmp_path, "atk.csv", [0.0, 4.0], label=PresentationLabel.ATTACK, prefix="a")
     assert run(["eval-pad", "--bonafide", bona, "--attack", attack,
                 "--output-dir", str(tmp_path / "pad"), *extra]) == 0
-    assert calls == [5]
+    assert (calls, det_calls) == ([5], [])
     mated = scores_csv(tmp_path, "m.csv", [2.0, 3.0], label=TrialLabel.MATED, prefix="m")
     nonmated = scores_csv(tmp_path, "n.csv", [0.0, 1.0, 2.0], label=TrialLabel.NONMATED, prefix="n")
     attack = scores_csv(tmp_path, "x.csv", [2.5], label=TrialLabel.ATTACK_MATED, prefix="x")
     assert run(["eval-vuln", "--mated", mated, "--nonmated", nonmated, "--attack", attack,
                 "--output-dir", str(tmp_path / "vuln"), *extra]) == 0
-    assert calls == [5] + ([] if formats == ("json",) else [5])
+    exports = formats != ("json",)
+    assert calls == [5] + [5] * exports
+    assert det_calls == [DetAxes.FMR_FNMR] * exports
 
 
 def mixed_scores_text(labels_and_values, polarity):

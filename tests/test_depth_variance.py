@@ -50,6 +50,15 @@ class TestLandmarkSampling:
         assert err.value.n_valid == 1
         assert dv_score(depth, LandmarkSet(points=points + [[2.0, 2.0]]), min_valid=2).n_valid == 2
 
+    @pytest.mark.parametrize("far", [1e300, -1e300, 2.0**63, -(2.0**63), 9.3e18])
+    def test_far_out_landmarks_are_invalid(self, far):
+        """A landmark beyond int64's range is outside the grid like any other, with no cast warning."""
+        depth = grid_map(np.arange(9, dtype=np.int64).reshape(3, 3) + 1)
+        points = [[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]
+        want = dv_score(depth, LandmarkSet(points=points), min_valid=2)
+        for extra in ([far, 1.0], [1.0, far], [far, far]):
+            assert dv_score(depth, LandmarkSet(points=points + [extra]), min_valid=2) == want
+
     def test_sentinel_zero_is_invalid(self):
         depth = grid_map(np.array([[5, 0], [3, 9]], dtype=np.int64))
         lms = LandmarkSet(points=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -32,7 +32,7 @@ from padeval import (
     iapmr,
     threshold_at_fmr,
 )
-from padeval.metrics import _grid, _pad, _vuln
+from padeval.metrics import _grid, _pad
 from conftest import make_score_set
 
 # tie-rich lattice scores: eighths are exact in binary, so arithmetic on them
@@ -420,23 +420,11 @@ class TestOneSweep:
         expected = evaluate_pad(bona, attack)
         assert bits(dataclasses.astuple(report)) == bits(dataclasses.astuple(expected))
         want = det_curve(bona_scores, attack_scores, DetAxes.APCER_BPCER)
-        assert curve_bits(curve()) == curve_bits(want)
+        assert curve_bits(curve) == curve_bits(want)
 
-    @given(edge_scores, edge_scores, edge_scores, targets)
-    def test_vuln(self, mated_scores, nonmated_scores, attack_scores, fmr_targets):
-        sets = TestEvaluateVuln._sets(mated_scores, nonmated_scores, attack_scores)
-        report, curve = _vuln(*sets, fmr_targets)
-        expected = evaluate_vuln(*sets, fmr_targets)
-        for got, want in ((report.thresholds, expected.thresholds), (report.iapmr, expected.iapmr)):
-            assert list(got) == list(want) and bits(got.values()) == bits(want.values())
-        counts = (report.n_mated, report.n_nonmated, report.n_attack)
-        assert counts == (expected.n_mated, expected.n_nonmated, expected.n_attack)
-        want = det_curve(mated_scores, nonmated_scores, DetAxes.FMR_FNMR)
-        assert curve_bits(curve()) == curve_bits(want)
-
-    @pytest.mark.parametrize("evaluation", ["pad", "vuln"])
+    @pytest.mark.parametrize("evaluation", ["pad", "det_curve"])
     def test_curve_maker_lets_go_of_the_sweep(self, monkeypatch, evaluation):
-        """Once the curve exists, nothing holds the sorted classes or their counts."""
+        """Once the curve is returned, nothing holds the sorted classes or their counts."""
         import gc
         import weakref
 
@@ -453,12 +441,9 @@ class TestOneSweep:
         monkeypatch.setattr(metrics, "_pooled", pooled)
         if evaluation == "pad":
             attack = make_score_set([0.0, 4.0], label=PresentationLabel.ATTACK, prefix="a")
-            _, curve = _pad(make_score_set([3.0, 4.0, 5.0]), attack)
+            _, made = _pad(make_score_set([3.0, 4.0, 5.0]), attack)
         else:
-            _, curve = _vuln(*TestEvaluateVuln._sets([2.0, 3.0], [0.0, 1.0, 2.0], [2.5]), [0.5])
-        made = curve()
+            made = det_curve([3.0, 2.0], [0.0, 2.0, 1.0], DetAxes.FMR_FNMR)
         gc.collect()
         assert len(refs) == 4 and [ref() for ref in refs] == [None] * 4
         assert made.thresholds.size == made.x_rates.size == made.y_rates.size > 0
-        with pytest.raises(ValueError):
-            curve()  # the maker is one-shot

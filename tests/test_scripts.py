@@ -189,3 +189,40 @@ def test_line_hits_lists_the_lines_a_run_never_reaches():
     assert any(line.startswith("src/padeval/ocsvm.py:") and line.endswith(": x_raw = _training_array(features)")
                for line in lines)
     assert not [line for line in lines if line.endswith(": import numpy as np")]
+
+
+def copy_of_the_checkout(dest):
+    """The checkout's ``src`` and ``perfbench``, all the diff script runs, copied under ``dest``."""
+    import shutil
+
+    ignore = shutil.ignore_patterns("__pycache__", "_out", "_work")
+    for part in ("src", "perfbench"):
+        shutil.copytree(os.path.join(HERE, "..", part), os.path.join(dest, part), ignore=ignore)
+
+
+def test_diff_outputs_finds_no_difference_between_copies_of_one_tree(monkeypatch, capsys):
+    diff = load_script("diff_outputs")
+    monkeypatch.setattr(diff.bench_pairs, "export_tree", lambda rev, dest: copy_of_the_checkout(dest))
+    monkeypatch.setattr(diff.bench_pairs, "export_worktree", copy_of_the_checkout)
+    assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", "eval_scale"]) == 0
+    assert capsys.readouterr().out == "eval_scale: 3 ops (exit codes: parent 0 0 0, change 0 0 0), 0 paths differ\n"
+
+
+def test_diff_outputs_names_the_file_a_changed_writer_makes(monkeypatch, capsys):
+    diff = load_script("diff_outputs")
+
+    def changed(dest):
+        # one byte of the DET CSV header differs: "threshold" becomes "Threshold"
+        copy_of_the_checkout(dest)
+        path = os.path.join(dest, "src", "padeval", "ingest.py")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace('_DET_HEADER = ["threshold"', '_DET_HEADER = ["Threshold"', 1))
+
+    monkeypatch.setattr(diff.bench_pairs, "export_tree", lambda rev, dest: copy_of_the_checkout(dest))
+    monkeypatch.setattr(diff.bench_pairs, "export_worktree", changed)
+    assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", "eval_scale"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "eval_scale: 3 ops (exit codes: parent 0 0 0, change 0 0 0), 2 paths differ"
+    assert out[1:] == ["eval_scale/out/pad/det.csv", "eval_scale/out/vuln/det.csv"]

@@ -155,6 +155,18 @@ class TestGenDepth:
         dm, _ = gen_depth(depth_spec(base_depth_mm=65535.0, noise_sigma_mm=50.0, seed=5))
         assert int(dm.values.max()) == 65535
 
+    def test_overflowing_noise_clamps_without_warning(self):
+        dm, _ = gen_depth(depth_spec(width=8, height=8, noise_sigma_mm=1e308, seed=5))
+        assert set(np.unique(dm.values).tolist()) == {1, 65535}
+
+    def test_fold_phase_overflow_rejected(self):
+        # 2*pi*7 / 1e-320 overflows, and sin(inf) would write the 0 sentinel
+        spec = depth_spec(kind=DepthKind.WRINKLED_SHIRT, width=8, height=8, wrinkle_wavelength_px=1e-320)
+        with pytest.raises(SpecError, match="fold phase overflow"):
+            gen_depth(spec)
+        tiny = depth_spec(kind=DepthKind.WRINKLED_SHIRT, width=8, height=8, wrinkle_wavelength_px=1e-300)
+        assert int(gen_depth(tiny)[0].values.min()) >= 1
+
     def test_map_matches_spec_shape_and_landmarks_fit(self):
         dm, marks = gen_depth(depth_spec(width=48, height=32))
         assert (dm.height, dm.width) == (32, 48)
