@@ -612,6 +612,11 @@ class ManifestRow:
     landmarks_path: str
     label: Label
 
+    def __reduce__(self):
+        # pickled from its fields: the default pickles ``__dict__``, which then
+        # stays made beside each row that dv-batch sends to a worker
+        return ManifestRow, (self.sample_id, self.depth_path, self.landmarks_path, self.label)
+
 
 def parse_manifest(data: Union[bytes, str]) -> list[ManifestRow]:
     """Read a ``sample_id,depth,landmarks,label`` batch manifest."""

@@ -350,8 +350,8 @@ def det_curve(
 # set-level evaluations
 
 
-def _checked_scores(score_set: ScoreSet, expected_label, expected_polarity: Polarity, role: str) -> np.ndarray:
-    """The sorted scores of a set that fits its role; the set itself is valid when built."""
+def _check_role(score_set: ScoreSet, expected_label, expected_polarity: Polarity, role: str) -> None:
+    """Refuse a set that does not fit its role; the set itself is valid when built."""
     if score_set.polarity is not expected_polarity:
         raise PolarityMismatchError(
             f"{role} scores must declare polarity {expected_polarity.value!r}, "
@@ -363,15 +363,13 @@ def _checked_scores(score_set: ScoreSet, expected_label, expected_polarity: Pola
             f"{role} set must contain only {expected_label.value!r} records; "
             f"found other labels (first: {score_set.sample_ids[int(off_label.argmax())]!r})"
         )
-    return np.sort(score_set.values)
 
 
 def _pad(bonafide: ScoreSet, attack: ScoreSet) -> tuple[PadReport, DetCurve]:
     """:func:`evaluate_pad`'s report and its finished DET curve, both from one pooled sweep."""
-    bona = _checked_scores(
-        bonafide, PresentationLabel.BONA_FIDE, Polarity.HIGHER_IS_BONA_FIDE, "bonafide"
-    )
-    att = _checked_scores(attack, PresentationLabel.ATTACK, Polarity.HIGHER_IS_BONA_FIDE, "attack")
+    _check_role(bonafide, PresentationLabel.BONA_FIDE, Polarity.HIGHER_IS_BONA_FIDE, "bonafide")
+    _check_role(attack, PresentationLabel.ATTACK, Polarity.HIGHER_IS_BONA_FIDE, "attack")
+    bona, att = np.sort(bonafide.values), np.sort(attack.values)
     pooled = _pooled(bona, att)
     eer, eer_tau = _d_eer(bona, att, pooled)
     tau10, tau20 = _first_feasible(att, APCER_TARGETS)
@@ -410,9 +408,11 @@ def evaluate_vuln(
     attack-mated scores at that threshold.  All three sets must declare
     ``HIGHER_IS_MATCH`` polarity.
     """
-    mates = _checked_scores(mated, TrialLabel.MATED, Polarity.HIGHER_IS_MATCH, "mated")
-    nonmates = _checked_scores(nonmated, TrialLabel.NONMATED, Polarity.HIGHER_IS_MATCH, "nonmated")
-    attacks = _checked_scores(attack, TrialLabel.ATTACK_MATED, Polarity.HIGHER_IS_MATCH, "attack")
+    _check_role(mated, TrialLabel.MATED, Polarity.HIGHER_IS_MATCH, "mated")
+    _check_role(nonmated, TrialLabel.NONMATED, Polarity.HIGHER_IS_MATCH, "nonmated")
+    _check_role(attack, TrialLabel.ATTACK_MATED, Polarity.HIGHER_IS_MATCH, "attack")
+    # only the mated scores' count is read, so they alone stay unsorted
+    nonmates, attacks = np.sort(nonmated.values), np.sort(attack.values)
     targets = [_check_target(t) for t in fmr_targets]
     if not targets:
         raise ValidationError("at least one FMR target is required")
@@ -421,7 +421,7 @@ def evaluate_vuln(
     return VulnReport(
         thresholds=thresholds,
         iapmr=rates,
-        n_mated=mates.size,
+        n_mated=mated.values.size,
         n_nonmated=nonmates.size,
         n_attack=attacks.size,
     )

@@ -125,6 +125,7 @@ _TEMPLATE_GRID = 22  # 22 x 22 = 484 grid points; the first 468 are used
 _TEMPLATE_SPREAD = 0.7  # landmark extent relative to the face ellipse axes
 _FACE_RX = 0.35  # face ellipse semi-axes as fractions of map size
 _FACE_RY = 0.42
+_MAX_DEPTH_PIXELS = 2**22  # 2048 x 2048: its work arrays peak near 300 MB (74 MB per 2**20 pixels)
 
 
 class DepthKind(Enum):
@@ -160,6 +161,9 @@ def _check_depth_spec(spec: SynthDepthSpec) -> None:
         raise SpecError(f"kind must be a DepthKind, got {spec.kind!r}")
     if spec.width < 8 or spec.height < 8:
         raise SpecError("maps smaller than 8x8 cannot hold the landmark template")
+    # Python ints: an int64 product can wrap, and a float one overflow
+    if int(spec.width) * int(spec.height) > _MAX_DEPTH_PIXELS:
+        raise SpecError(f"maps larger than {_MAX_DEPTH_PIXELS} pixels (width x height) are refused")
     for name in ("base_depth_mm", "curvature_amp_mm", "wrinkle_amp_mm", "noise_sigma_mm"):
         v = getattr(spec, name)
         if not math.isfinite(v) or v < 0:

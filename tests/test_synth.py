@@ -167,6 +167,12 @@ class TestGenDepth:
         tiny = depth_spec(kind=DepthKind.WRINKLED_SHIRT, width=8, height=8, wrinkle_wavelength_px=1e-300)
         assert int(gen_depth(tiny)[0].values.min()) >= 1
 
+    def test_pixel_count_is_bounded(self):
+        # an int64 product of these would wrap to 0, and a float one to inf
+        for width, height in [(2048, 2049), (np.int64(2**32), np.int64(2**32)), (10**400, 8)]:
+            with pytest.raises(SpecError, match="maps larger than 4194304 pixels"):
+                gen_depth(depth_spec(width=width, height=height))
+
     def test_map_matches_spec_shape_and_landmarks_fit(self):
         dm, marks = gen_depth(depth_spec(width=48, height=32))
         assert (dm.height, dm.width) == (32, 48)
