@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import argparse
+import concurrent.futures.process  # at start-up: dv-batch's first pool would import it, 1.6 MB traced
 import dataclasses
 import functools
-import multiprocessing.pool  # at start-up: dv-batch's first pool would import it, 0.7 MB traced
+import multiprocessing
 import os
 import signal
 import sys
@@ -110,22 +111,21 @@ def _cmd_dv_score(args) -> None:
     print(f"{ingest.fmt_float(score.value)}\t{score.n_valid}")
 
 
-def _dv_row(manifest_dir: str, min_valid: int, row: ingest.ManifestRow):
-    """The depth-variance score of one manifest row, or the error that stopped it.
+def _dv_row(manifest_dir: str, min_valid: int, row: ingest.ManifestRow) -> float:
+    """The depth-variance score of one manifest row.
 
-    A ``PadevalError`` or ``OSError`` is returned, not raised, so that a
-    worker process hands it back whole: both keep their message when
-    pickled, which the parsers' own error classes need not."""
-    try:
-        # os.path.join keeps an absolute path as it is
-        depth = _parse_file(ingest.parse_depth_pgm, os.path.join(manifest_dir, row.depth_path))
-        landmarks = _parse_file(ingest.parse_landmarks, os.path.join(manifest_dir, row.landmarks_path))
-    except (PadevalError, OSError) as exc:
-        return exc
+    A file or parse error is raised as ``_parse_file`` gives it (the
+    ``OSError``, or a ``PadevalError`` naming the path), and a scoring error
+    as a ``PadevalError`` naming the sample.  Both keep their message when
+    pickled, which the scorer's own error classes need not, so a worker's
+    error reaches the parent whole."""
+    # os.path.join keeps an absolute path as it is
+    depth = _parse_file(ingest.parse_depth_pgm, os.path.join(manifest_dir, row.depth_path))
+    landmarks = _parse_file(ingest.parse_landmarks, os.path.join(manifest_dir, row.landmarks_path))
     try:
         return dv_score(depth, landmarks, min_valid=min_valid).value
     except PadevalError as exc:
-        return PadevalError(f"sample {row.sample_id!r}: {exc}")
+        raise PadevalError(f"sample {row.sample_id!r}: {exc}") from exc
 
 
 def _workers(n_rows: int) -> int:
@@ -136,30 +136,26 @@ def _workers(n_rows: int) -> int:
     return min(len(os.sched_getaffinity(0)), -(-n_rows // _CHUNK_ROWS))
 
 
-def _scores_until_error(results) -> list[float]:
-    """The scores of ``results`` in order; the first returned error is raised."""
-    scores = []
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-        scores.append(result)
-    return scores
-
-
 def _cmd_dv_batch(args) -> None:
     manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
     rows = _parse_file(ingest.parse_manifest, args.manifest)
     work = functools.partial(_dv_row, manifest_dir, args.min_valid)
     workers = _workers(len(rows))
     if workers > 1:
-        # leaving the block, by an error too, terminates and joins the workers;
-        # they ignore Ctrl-C, which stops the parent, so that only it reports
+        # map raises the first error in manifest order and cancels the chunks not
+        # yet started; leaving the block waits for the started ones and joins the
+        # workers (Pool.terminate could kill a worker holding its result queue's
+        # lock, and then hang); they ignore Ctrl-C, which stops the parent, so
+        # that only it reports
         context = multiprocessing.get_context("fork")
-        with context.Pool(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            scores = _scores_until_error(pool.imap(work, rows, chunksize=_CHUNK_ROWS))
+        with concurrent.futures.ProcessPoolExecutor(
+            workers, context, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        ) as pool:
+            scores = list(pool.map(work, rows, chunksize=_CHUNK_ROWS))
     else:
-        scores = _scores_until_error(map(work, rows))
+        scores = list(map(work, rows))
     ids, labels = [row.sample_id for row in rows], [row.label for row in rows]
+    del rows  # not held while the scores are written
     out = ScoreSet(ids, labels, scores, Polarity.HIGHER_IS_BONA_FIDE)
     _write_text(args.out, ingest._scores_blocks(out))
 

@@ -7,9 +7,12 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
+import runpy
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -350,9 +353,17 @@ class TestDvCommands:
 _SCORES_BLOCKS = ingest._scores_blocks
 
 
-def sigint_handler(manifest_dir, min_valid, row):
-    """A stand-in for ``cli._dv_row`` that reports how its process handles Ctrl-C."""
-    return signal.getsignal(signal.SIGINT)
+def ignores_ctrl_c(manifest_dir, min_valid, row):
+    """A stand-in for ``cli._dv_row`` that scores 1.0 where its process ignores Ctrl-C."""
+    return float(signal.getsignal(signal.SIGINT) is signal.SIG_IGN)
+
+
+def first_chunk_slow(manifest_dir, min_valid, row):
+    """A stand-in for ``cli._dv_row`` that scores row ``k`` as ``k``, slowly in the first chunk."""
+    k = int(row.sample_id[1:])
+    if k < cli._CHUNK_ROWS:
+        time.sleep(0.002)
+    return float(k)
 
 
 class TestDvBatchPool:
@@ -419,6 +430,14 @@ class TestDvBatchPool:
             "too few valid": (few_depth, few_marks),
         }
 
+    def error_line(self, files, fault, row):
+        """The start of the one stderr line that reports ``fault`` at manifest row ``row``."""
+        return {
+            "missing depth": f"error: [Errno 2] No such file or directory: {files['missing depth'][0]!r}\n",
+            "bad landmarks": f"error: {files['bad landmarks'][1]}: line 3: bad x 'x",
+            "too few valid": f"error: sample 'r{row:03d}': only ",
+        }[fault]
+
     @pytest.mark.parametrize("fault", ["missing depth", "bad landmarks", "too few valid"])
     def test_failure_matches(self, fault, tmp_path, monkeypatch, capsys):
         files = self.faulty_files(tmp_path)
@@ -426,34 +445,63 @@ class TestDvBatchPool:
         manifest = self.manifest(tmp_path, {row: files[fault]})
         code, stdout, stderr, data, bits = self.assert_pool_matches(monkeypatch, capsys, manifest)
         assert (code, stdout, data, bits) == (2, "", None, [])
-        expected = {
-            "missing depth": f"error: [Errno 2] No such file or directory: {files['missing depth'][0]!r}\n",
-            "bad landmarks": f"error: {files['bad landmarks'][1]}: line 3: bad x 'x",
-            "too few valid": f"error: sample 'r{row:03d}': only ",
-        }[fault]
-        assert stderr.startswith(expected) and stderr.count("\n") == 1
+        assert stderr.startswith(self.error_line(files, fault, row)) and stderr.count("\n") == 1
 
-    def test_first_failing_row_in_manifest_order_is_reported(self, tmp_path, monkeypatch, capsys):
-        files = self.faulty_files(tmp_path)
+    @pytest.mark.parametrize("early, late, first, second", [
         # the later row is in the third chunk, which a second worker may finish first
-        early, late = cli._CHUNK_ROWS + cli._CHUNK_ROWS - 1, 2 * cli._CHUNK_ROWS
-        manifest = self.manifest(tmp_path, {early: files["too few valid"], late: files["missing depth"]})
+        (2 * cli._CHUNK_ROWS - 1, 2 * cli._CHUNK_ROWS, "too few valid", "missing depth"),
+        # both rows are in the second chunk, whose worker stops at the earlier
+        (cli._CHUNK_ROWS + 3, cli._CHUNK_ROWS + 9, "too few valid", "missing depth"),
+        (cli._CHUNK_ROWS + 3, cli._CHUNK_ROWS + 9, "missing depth", "too few valid"),
+    ])
+    def test_first_failing_row_in_manifest_order_is_reported(self, early, late, first, second,
+                                                             tmp_path, monkeypatch, capsys):
+        files = self.faulty_files(tmp_path)
+        manifest = self.manifest(tmp_path, {early: files[first], late: files[second]})
         code, _, stderr, _, _ = self.assert_pool_matches(monkeypatch, capsys, manifest)
-        assert code == 2 and stderr.startswith(f"error: sample 'r{early:03d}': only ")
+        assert code == 2 and stderr.startswith(self.error_line(files, first, early)) and stderr.count("\n") == 1
+
+    def test_scores_keep_manifest_order_when_a_later_chunk_ends_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_workers", lambda n_rows: 2)
+        monkeypatch.setattr(cli, "_dv_row", first_chunk_slow)
+        out = tmp_path / "scores.csv"
+        assert run(["dv-batch", "--manifest", self.manifest(tmp_path), "--out", str(out)]) == 0
+        assert parse_scores(out.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE).values.tolist() == list(range(self.ROWS))
 
     def test_workers_leave_ctrl_c_to_the_parent(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_workers", lambda n_rows: 2)
-        monkeypatch.setattr(cli, "_dv_row", sigint_handler)
-        handlers = []
-        monkeypatch.setattr(cli, "_scores_until_error", lambda results: handlers.extend(results) or [0.0] * self.ROWS)
-        assert run(["dv-batch", "--manifest", self.manifest(tmp_path), "--out", str(tmp_path / "scores.csv")]) == 0
-        assert handlers == [signal.SIG_IGN] * self.ROWS
+        monkeypatch.setattr(cli, "_dv_row", ignores_ctrl_c)
+        out = tmp_path / "scores.csv"
+        assert run(["dv-batch", "--manifest", self.manifest(tmp_path), "--out", str(out)]) == 0
+        assert parse_scores(out.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE).values.tolist() == [1.0] * self.ROWS
         assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
-    def test_workers_follow_the_affinity_mask_and_the_chunks(self):
+    def test_rows_cross_to_the_workers_from_their_fields(self):
+        # the default pickles a row's ``__dict__``, which then stays made beside
+        # the row, about 60 bytes of each for as long as the rows are held
+        rows = ingest.parse_manifest("sample_id,depth,landmarks,label\n" + "".join(
+            f"s{k:04d},d.pgm,l.csv,attack\n" for k in range(2000)))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for row in rows:
+                pickle.dumps(row)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 8 * len(rows)
+        assert pickle.loads(pickle.dumps(rows)) == rows
+
+    def test_workers_follow_the_affinity_mask_and_the_chunks(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
         for n_rows in (0, 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1, 10**6):
             assert cli._workers(n_rows) == min(cpus, -(-n_rows // cli._CHUNK_ROWS))
+        # one, where workers cannot be forked or the mask cannot be read
+        with monkeypatch.context() as patch:
+            patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert cli._workers(10**6) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._workers(10**6) == 1
 
 
 def features_csv(tmp_path, name, values, ids=None):
@@ -931,6 +979,12 @@ def test_main_exits_with_run_code(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 1
+    # as ``python -m padeval.cli``, but in this process: a fresh copy of the
+    # module runs its ``__main__`` guard
+    monkeypatch.delitem(sys.modules, "padeval.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("padeval.cli", run_name="__main__")
+    assert exc.value.code == 1
 
 
 def traced_peak(argv) -> int:
@@ -1012,10 +1066,12 @@ def test_detector_memory_is_linear_in_the_input(tmp_path, monkeypatch, capsys):
     and 2.5.  dv-batch holds its manifest and one capture at a time, so its
     ratio is per byte of the manifest.  It is measured in one process, where
     each capture is parsed, and with a pool of two workers, where only the
-    parent's share is traced; both read about 15.7 at n and 14.9 at 4n, since
-    the peak comes as the scores are written.  A pool's rows are pickled from
-    their fields: pickling a row's ``__dict__`` kept it made, which read 18.0
-    and 17.3.
+    parent's share is traced.  In one process it reads about 14.3 at n and
+    13.6 at 4n, the peak of the manifest parse, since the parsed rows are
+    dropped before the scores are written (kept, the write set the peak at
+    about 15.8 and 14.9).  The pool reads about 14.7 at n, since its map
+    holds every chunk's tuple of rows until the chunk is scored, and 13.6 at
+    4n.
     """
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 14)
     monkeypatch.setattr(ingest, "_BLOCK_CELLS", 3 * 256)
