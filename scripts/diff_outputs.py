@@ -15,6 +15,12 @@ exit code are stored under ``streams/`` beside its outputs.  The paths of
 the two run directories that differ in bytes, or that only one side has, are
 printed; the exit code is 1 if there is any, else 0.
 
+Byte identity holds for one numpy build and one OpenBLAS kernel: the
+solver's and scorer's matrix products sum in the order of the kernel, so
+ocsvm-train and ocsvm-score may differ in their last bits across kernels.
+The first line printed names the numpy version and the OpenBLAS core that
+this process, and so every op it starts, runs under.
+
 Run from the repository root:
 
     python3 scripts/diff_outputs.py --parent HEAD --seed 11 --scale full
@@ -23,13 +29,17 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import filecmp
+import glob
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+
+import numpy
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_pairs  # noqa: E402
@@ -43,6 +53,18 @@ import workloads
 workload = workloads.setup(sys.argv[1], int(sys.argv[2]), sys.argv[3])
 print(json.dumps([op.argv for op in workload.ops]))
 """
+
+
+def blas_core() -> str:
+    """The OpenBLAS core that numpy's bundled OpenBLAS runs on (``OPENBLAS_CORETYPE``
+    forces one), or ``unknown`` where that library or its core query is missing."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
 
 
 def _env(*paths: str) -> dict:
@@ -98,6 +120,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="workload to run (repeatable; default: all)")
     args = parser.parse_args(argv)
+    print(f"numpy {numpy.__version__}, OpenBLAS core {blas_core()}", flush=True)
     diffs = []
     with tempfile.TemporaryDirectory(prefix="diff-outputs-") as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}

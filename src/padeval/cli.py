@@ -3,7 +3,9 @@
 Subcommands cover the full pipeline: synthetic data generation, depth
 scoring (single and batch), one-class model training and scoring, score
 fusion, and PAD/vulnerability evaluation.  Every command is deterministic:
-identical invocations on identical inputs produce byte-identical outputs.
+for one numpy build and OpenBLAS kernel, identical invocations on identical
+inputs produce byte-identical outputs.  Across kernels, ocsvm-train and
+ocsvm-score may differ in their last bits (docs/formats.md).
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 solver non-convergence.
@@ -111,7 +113,7 @@ def _cmd_dv_score(args) -> None:
     print(f"{ingest.fmt_float(score.value)}\t{score.n_valid}")
 
 
-def _dv_row(manifest_dir: str, min_valid: int, row: ingest.ManifestRow) -> float:
+def _dv_row(manifest_dir: str, min_valid: int, sample_id: str, depth_path: str, landmarks_path: str) -> float:
     """The depth-variance score of one manifest row.
 
     A file or parse error is raised as ``_parse_file`` gives it (the
@@ -120,12 +122,12 @@ def _dv_row(manifest_dir: str, min_valid: int, row: ingest.ManifestRow) -> float
     pickled, which the scorer's own error classes need not, so a worker's
     error reaches the parent whole."""
     # os.path.join keeps an absolute path as it is
-    depth = _parse_file(ingest.parse_depth_pgm, os.path.join(manifest_dir, row.depth_path))
-    landmarks = _parse_file(ingest.parse_landmarks, os.path.join(manifest_dir, row.landmarks_path))
+    depth = _parse_file(ingest.parse_depth_pgm, os.path.join(manifest_dir, depth_path))
+    landmarks = _parse_file(ingest.parse_landmarks, os.path.join(manifest_dir, landmarks_path))
     try:
         return dv_score(depth, landmarks, min_valid=min_valid).value
     except PadevalError as exc:
-        raise PadevalError(f"sample {row.sample_id!r}: {exc}") from exc
+        raise PadevalError(f"sample {sample_id!r}: {exc}") from exc
 
 
 def _workers(n_rows: int) -> int:
@@ -138,9 +140,9 @@ def _workers(n_rows: int) -> int:
 
 def _cmd_dv_batch(args) -> None:
     manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
-    rows = _parse_file(ingest.parse_manifest, args.manifest)
+    ids, depths, landmarks, labels = _parse_file(ingest.parse_manifest, args.manifest)
     work = functools.partial(_dv_row, manifest_dir, args.min_valid)
-    workers = _workers(len(rows))
+    workers = _workers(len(ids))
     if workers > 1:
         # map raises the first error in manifest order and cancels the chunks not
         # yet started; leaving the block waits for the started ones and joins the
@@ -151,11 +153,10 @@ def _cmd_dv_batch(args) -> None:
         with concurrent.futures.ProcessPoolExecutor(
             workers, context, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
         ) as pool:
-            scores = list(pool.map(work, rows, chunksize=_CHUNK_ROWS))
+            scores = list(pool.map(work, ids, depths, landmarks, chunksize=_CHUNK_ROWS))
     else:
-        scores = list(map(work, rows))
-    ids, labels = [row.sample_id for row in rows], [row.label for row in rows]
-    del rows  # not held while the scores are written
+        scores = list(map(work, ids, depths, landmarks))
+    del depths, landmarks  # not held while the scores are written
     out = ScoreSet(ids, labels, scores, Polarity.HIGHER_IS_BONA_FIDE)
     _write_text(args.out, ingest._scores_blocks(out))
 

@@ -61,7 +61,6 @@ __all__ = [
     "UnsupportedVersionError",
     "EmptyFileError",
     "DEFAULTS",
-    "ManifestRow",
     "fmt_float",
     "percent",
     "parse_scores",
@@ -603,38 +602,30 @@ def write_landmarks(landmarks: LandmarkSet) -> str:
     return "".join(_csv_blocks(_LANDMARKS_HEADER, len(points), columns))
 
 
-@dataclass(frozen=True)
-class ManifestRow:
-    """One sample of a depth-scoring batch: file paths plus ground truth."""
-
-    sample_id: str
-    depth_path: str
-    landmarks_path: str
-    label: Label
-
-    def __reduce__(self):
-        # pickled from its fields: the default pickles ``__dict__``, which then
-        # stays made beside each row that dv-batch sends to a worker
-        return ManifestRow, (self.sample_id, self.depth_path, self.landmarks_path, self.label)
-
-
-def parse_manifest(data: Union[bytes, str]) -> list[ManifestRow]:
-    """Read a ``sample_id,depth,landmarks,label`` batch manifest."""
+def parse_manifest(data: Union[bytes, str]) -> tuple[list[str], list[str], list[str], list[Label]]:
+    """Read a ``sample_id,depth,landmarks,label`` batch manifest as its four
+    columns in row order: sample ids, depth paths, landmarks paths and labels."""
     table = _read_table(data, "manifest CSV")
     _check_header(table, _MANIFEST_HEADER, "manifest")
     ids: list[str] = []
-    rows: list[ManifestRow] = []
+    depths: list[str] = []
+    landmarks: list[str] = []
+    labels: list[Label] = []
     faults: list[_Fault] = []
     for start, cells in table.row_blocks():
-        block_ids, depths, landmarks, tokens = cells[::4], cells[1::4], cells[2::4], cells[3::4]
-        ids += block_ids
-        labels = list(map(LABEL_BY_NAME.get, tokens))
-        faults = _block_faults(start, _path_fault(depths, landmarks), _label_fault(tokens, labels))
+        ids += cells[::4]
+        block_depths, block_landmarks, tokens = cells[1::4], cells[2::4], cells[3::4]
+        block_labels = list(map(LABEL_BY_NAME.get, tokens))
+        faults = _block_faults(
+            start, _path_fault(block_depths, block_landmarks), _label_fault(tokens, block_labels)
+        )
         if faults:
             break
-        rows += map(ManifestRow, block_ids, depths, landmarks, labels)
+        depths += block_depths
+        landmarks += block_landmarks
+        labels += block_labels
     _raise_first(table, _id_fault(ids), *faults)
-    return rows
+    return ids, depths, landmarks, labels
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ matrices), solves the one-dimensional sub-problem exactly, and clips to
 the box.  Convergence is still declared from the most violating pair's
 gap.  Pair updates preserve the simplex constraint by construction, every
 tie in pair selection breaks toward the lowest index, and no randomness is
-involved, so fitting is bit-for-bit deterministic for identical inputs.
+involved, so fitting is bit-for-bit deterministic for identical inputs
+under one numpy build and OpenBLAS kernel.  The Gram columns are BLAS
+matrix products, whose kernels sum in different orders, so another kernel
+may change the last bits of the model, while the fit still certifies.
 
 One iteration computes two Gram columns, ``x @ x[i]`` and ``x @ x[j]``
 (matrix-vector products, O(n*d) each), and otherwise only makes O(n)

@@ -239,6 +239,12 @@ def gen_depth(spec: SynthDepthSpec) -> tuple[DepthMap, LandmarkSet]:
 # feature clusters
 
 
+#: synth-gen features traces about 210 bytes per value at d = 1, where each row's id
+#: and label cost most, and as much for two rows, where the header and each row's
+#: text block hold a string per value; about 28 at d = 16: at most about 900 MB
+_MAX_FEATURE_VALUES = 2**22
+
+
 @dataclass(frozen=True)
 class SynthFeatureSpec:
     """Parameters of one two-cluster synthetic feature draw.
@@ -268,6 +274,11 @@ def gen_features(spec: SynthFeatureSpec) -> tuple[FeatureMatrix, list[Label]]:
         raise SpecError("n_bonafide and n_attack must be at least 1")
     if spec.d < 1:
         raise SpecError(f"d must be at least 1, got {spec.d}")
+    # Python ints, as for the depth maps
+    if (int(spec.n_bonafide) + int(spec.n_attack)) * int(spec.d) > _MAX_FEATURE_VALUES:
+        raise SpecError(
+            f"draws of more than {_MAX_FEATURE_VALUES} values ((n_bonafide + n_attack) x d) are refused"
+        )
     if not math.isfinite(spec.mean_separation) or spec.mean_separation < 0:
         raise SpecError(f"mean_separation must be finite and non-negative, got {spec.mean_separation!r}")
     if not math.isfinite(spec.center_norm) or spec.center_norm <= 0:

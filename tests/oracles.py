@@ -42,7 +42,6 @@ from padeval.ingest import (
     BadMagicError,
     BadMaxvalError,
     EmptyFileError,
-    ManifestRow,
     ParseError,
     RaggedRowError,
     TruncatedError,
@@ -615,7 +614,9 @@ def landmark_rows(rows):
 
 
 def manifest_rows(rows):
-    """Check a manifest row by row; raises the first row error in file order."""
+    """Check a manifest row by row; raises the first row error in file order.
+
+    Returns ``(sample_id, depth_path, landmarks_path, label)`` per row."""
     seen: set[str] = set()
     out = []
     for line, fields in rows:
@@ -626,14 +627,7 @@ def manifest_rows(rows):
             raise ParseError("depth and landmarks paths must be non-empty", line=line)
         if "\x00" in fields[1] + fields[2]:
             raise ParseError("depth and landmarks paths must not hold NUL", line=line)
-        out.append(
-            ManifestRow(
-                sample_id=sid,
-                depth_path=fields[1],
-                landmarks_path=fields[2],
-                label=_parse_label(fields[3], line),
-            )
-        )
+        out.append((sid, fields[1], fields[2], _parse_label(fields[3], line)))
     return out
 
 

@@ -7,7 +7,6 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import pickle
 import runpy
 import signal
 import subprocess
@@ -231,6 +230,39 @@ class TestSynthGen:
         assert capsys.readouterr() == ("", "error: maps larger than 4194304 pixels (width x height) are refused\n")
         assert not out.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the address space size from /proc")
+    def test_enormous_feature_draws_are_refused_before_they_allocate(self, tmp_path):
+        # the 400-digit sizes ended in a ValueError traceback, and 3e9 x 16 values asked
+        # for 358 GiB; each runs in a child whose address space has 512 MB to spare, and
+        # just over the cap, a draw of d = 1 or of two rows would trace about 900 MB
+        cap = 2**22
+        sizes = [
+            ["--n-bonafide", "1" + "0" * 400, "--n-attack", "1"],
+            ["--n-bonafide", "2", "--n-attack", "2", "--d", "1" + "0" * 400],
+            ["--n-bonafide", "3000000000", "--n-attack", "1", "--d", "16"],
+            ["--n-bonafide", str(cap), "--n-attack", "1", "--d", "1"],
+            ["--n-bonafide", "1", "--n-attack", "1", "--d", str(cap // 2 + 1)],
+        ]
+        outcomes = run_child(f"""
+import contextlib, io, json, resource, tracemalloc
+from padeval.cli import run
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (size + (512 << 20),) * 2)
+for argv in {sizes!r}:
+    err = io.StringIO()
+    tracemalloc.start()
+    with contextlib.redirect_stderr(err):
+        code = run(["synth-gen", "features", *argv, "--output-dir", {str(tmp_path / "gen")!r}])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(json.dumps([code, err.getvalue(), peak]))
+""")
+        message = f"error: draws of more than {cap} values ((n_bonafide + n_attack) x d) are refused\n"
+        for code, stderr, peak in map(json.loads, outcomes.splitlines()):
+            assert (code, stderr) == (2, message) and peak < 1 << 20
+        assert len(outcomes.splitlines()) == len(sizes) and not (tmp_path / "gen").exists()
+
     def test_bad_spec_is_a_data_error(self, tmp_path, capsys):
         assert (
             run(["synth-gen", "features", "--n-bonafide", "0", "--n-attack", "1",
@@ -353,14 +385,14 @@ class TestDvCommands:
 _SCORES_BLOCKS = ingest._scores_blocks
 
 
-def ignores_ctrl_c(manifest_dir, min_valid, row):
+def ignores_ctrl_c(manifest_dir, min_valid, sample_id, depth_path, landmarks_path):
     """A stand-in for ``cli._dv_row`` that scores 1.0 where its process ignores Ctrl-C."""
     return float(signal.getsignal(signal.SIGINT) is signal.SIG_IGN)
 
 
-def first_chunk_slow(manifest_dir, min_valid, row):
+def first_chunk_slow(manifest_dir, min_valid, sample_id, depth_path, landmarks_path):
     """A stand-in for ``cli._dv_row`` that scores row ``k`` as ``k``, slowly in the first chunk."""
-    k = int(row.sample_id[1:])
+    k = int(sample_id[1:])
     if k < cli._CHUNK_ROWS:
         time.sleep(0.002)
     return float(k)
@@ -476,21 +508,31 @@ class TestDvBatchPool:
         assert parse_scores(out.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE).values.tolist() == [1.0] * self.ROWS
         assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
-    def test_rows_cross_to_the_workers_from_their_fields(self):
-        # the default pickles a row's ``__dict__``, which then stays made beside
-        # the row, about 60 bytes of each for as long as the rows are held
-        rows = ingest.parse_manifest("sample_id,depth,landmarks,label\n" + "".join(
-            f"s{k:04d},d.pgm,l.csv,attack\n" for k in range(2000)))
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            for row in rows:
-                pickle.dumps(row)
-            after, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert after - before < 8 * len(rows)
-        assert pickle.loads(pickle.dumps(rows)) == rows
+    def test_failing_pools_never_hang(self, tmp_path):
+        # multiprocessing.Pool hung about once in 400 such runs, and a hang here
+        # outlasts the timeout; 300 runs, each of two chunks of two rows whose
+        # second fails, take about 6 s in all
+        runs = 300
+        depth, marks = gen_depth(SynthDepthSpec(kind=DepthKind.PLANAR_SHIRT, width=32, height=32))
+        write_file(tmp_path / "d.pgm", write_depth_pgm(depth))
+        write_file(tmp_path / "l.csv", write_landmarks(marks))
+        manifest = write_file(tmp_path / "m.csv", "sample_id,depth,landmarks,label\n" + "".join(
+            f"r{k},{'absent' if k == 3 else 'd'}.pgm,l.csv,attack\n" for k in range(4)))
+        error = f"error: [Errno 2] No such file or directory: {str(tmp_path / 'absent.pgm')!r}\n"
+        done = run_child(f"""
+import contextlib, io, multiprocessing
+from padeval import cli
+cli._CHUNK_ROWS = 2
+cli._workers = lambda n_rows: 2
+for _ in range({runs}):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(["dv-batch", "--manifest", {manifest!r}, "--out", {str(tmp_path / "s.csv")!r}])
+    assert (code, err.getvalue()) == (2, {error!r}), (code, err.getvalue())
+    assert multiprocessing.active_children() == []
+print("done")
+""", timeout=60)
+        assert done == "done\n" and not (tmp_path / "s.csv").exists()
 
     def test_workers_follow_the_affinity_mask_and_the_chunks(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
@@ -964,11 +1006,105 @@ class TestDeterminism:
         assert set(outputs[0]) == {"pad_report.json", "det.csv", "det.svg"}
 
 
-def test_module_runs_as_a_script():
+def child_env(**variables) -> dict:
+    """This process's environment with ``variables`` set and padeval's source on the path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                **variables)
+
+
+def run_child(code: str, timeout: float = 120, cwd=None, **variables) -> str:
+    """The stdout of ``code`` run by a child Python, which must exit 0 with nothing on stderr."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env(**variables), timeout=timeout, cwd=cwd)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    return result.stdout
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+# each op through cli.run in a child, in its working directory; the OpenBLAS
+# core, as diff_outputs names it, then each op's exit code, stdout and stderr
+_OPS = """
+import contextlib, io, json, sys
+sys.path.insert(0, {scripts!r})
+import diff_outputs
+from padeval.cli import run
+streams = []
+for argv in {ops!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        streams.append([run(argv), out.getvalue(), err.getvalue()])
+print(json.dumps([diff_outputs.blas_core(), streams]))
+"""
+
+
+class TestBlasKernels:
+    """Byte identity holds for one OpenBLAS kernel: across kernels, ocsvm-train
+    may differ in its last bits but still certifies, and the other ops write
+    the same bytes."""
+
+    KERNELS = ("Haswell", "Sandybridge")
+
+    def inputs(self, root):
+        """A manifest of eight rows over four captures, scores to fuse with
+        dv-batch's, and trial scores; the ops of one pipeline over them."""
+        from padeval import TrialLabel
+
+        rng = np.random.default_rng(4)
+        kinds = ["curved-face", "planar-shirt", "curved-face", "wrinkled-shirt"]
+        ids = [f"s{k}" for k in range(8)]
+        labels = [PresentationLabel.BONA_FIDE if k % 2 == 0 else PresentationLabel.ATTACK for k in range(8)]
+        write_file(root / "manifest.csv", "sample_id,depth,landmarks,label\n" + "".join(
+            f"{sample_id},cap{k % 4}/depth.pgm,cap{k % 4}/landmarks.csv,{label.value}\n"
+            for k, (sample_id, label) in enumerate(zip(ids, labels))))
+        write_file(root / "other.csv", write_scores(ScoreSet(ids, labels, rng.normal(size=8),
+                                                             Polarity.HIGHER_IS_BONA_FIDE)))
+        trial_labels = [list(TrialLabel)[k % 3] for k in range(30)]
+        write_file(root / "trials.csv", write_scores(ScoreSet([f"t{k}" for k in range(30)], trial_labels,
+                                                              rng.normal(size=30), Polarity.HIGHER_IS_MATCH)))
+        return [
+            ["synth-gen", "features", "--n-bonafide", "300", "--n-attack", "100", "--d", "8", "--seed", "5",
+             "--output-dir", "feats"],
+            ["ocsvm-train", "--features", "feats/features.csv", "--model", "model.json"],
+            *(["synth-gen", "depth", "--kind", kind, "--width", "32", "--height", "32", "--seed", str(k),
+               "--output-dir", f"cap{k}"] for k, kind in enumerate(kinds)),
+            ["dv-batch", "--manifest", "manifest.csv", "--out", "dv.csv"],
+            ["fuse", "--a", "dv.csv", "--b", "other.csv", "--out", "fused.csv"],
+            ["eval-pad", "--bonafide", "fused.csv", "--attack", "fused.csv", "--output-dir", "pad"],
+            ["eval-vuln", "--mated", "trials.csv", "--nonmated", "trials.csv", "--attack", "trials.csv",
+             "--output-dir", "vuln"],
+        ]
+
+    def test_only_the_solver_depends_on_the_kernel(self, tmp_path):
+        for kernel in self.KERNELS:
+            probe = subprocess.run([sys.executable, "-c", _OPS.format(scripts=SCRIPTS, ops=[])], capture_output=True,
+                                   text=True, timeout=120, env=child_env(OPENBLAS_CORETYPE=kernel))
+            if probe.returncode != 0 or probe.stdout != f'["{kernel}", []]\n':
+                pytest.skip(f"OPENBLAS_CORETYPE={kernel} is not confirmed here: {probe.stdout.strip()!r}")
+        trees = []
+        for kernel in self.KERNELS:
+            root = tmp_path / kernel
+            root.mkdir()
+            ops = self.inputs(root)
+            core, streams = json.loads(run_child(_OPS.format(scripts=SCRIPTS, ops=ops), cwd=root,
+                                                 OPENBLAS_CORETYPE=kernel))
+            assert core == kernel and [code for code, _, _ in streams] == [0] * len(ops)
+            model = json.loads((root / "model.json").read_text(encoding="utf-8"))
+            diag, n = model["diagnostics"], 400
+            assert diag["kkt_residual"] <= OcsvmConfig.tol
+            assert diag["n_margin_errors"] <= model["nu"] * n <= diag["n_support"]
+            del streams[1]  # ocsvm-train prints its diagnostics
+            files = {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*")
+                     if path.is_file() and path.name != "model.json"}
+            trees.append((streams, files))
+        assert trees[0] == trees[1]
+        assert {"dv.csv", "fused.csv", "feats/features.csv", "pad/det.svg", "vuln/vuln_report.json"} <= set(trees[0][1])
+
+
+def test_module_runs_as_a_script():
     result = subprocess.run(
-        [sys.executable, "-m", "padeval.cli", "--help"], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", "padeval.cli", "--help"], capture_output=True, text=True, env=child_env(), timeout=120
     )
     with open(os.path.join(GOLDEN_HELP, "padeval.txt"), encoding="utf-8") as fh:
         assert (result.returncode, result.stdout, result.stderr) == (0, fh.read(), "")
@@ -1066,12 +1202,12 @@ def test_detector_memory_is_linear_in_the_input(tmp_path, monkeypatch, capsys):
     and 2.5.  dv-batch holds its manifest and one capture at a time, so its
     ratio is per byte of the manifest.  It is measured in one process, where
     each capture is parsed, and with a pool of two workers, where only the
-    parent's share is traced.  In one process it reads about 14.3 at n and
-    13.6 at 4n, the peak of the manifest parse, since the parsed rows are
-    dropped before the scores are written (kept, the write set the peak at
-    about 15.8 and 14.9).  The pool reads about 14.7 at n, since its map
-    holds every chunk's tuple of rows until the chunk is scored, and 13.6 at
-    4n.
+    parent's share is traced.  The manifest is parsed into its four columns,
+    and the path columns are dropped before the scores are written.  In one
+    process it reads about 11.2 at n and 10.4 at 4n, the peak of the
+    manifest parse.  The pool reads about 11.7 at n, since its map holds
+    every chunk's tuples of arguments until the chunk is scored, and 10.5 at
+    4n.  A parse into one object per row read about 14.3 at n in both.
     """
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 14)
     monkeypatch.setattr(ingest, "_BLOCK_CELLS", 3 * 256)
@@ -1106,4 +1242,4 @@ def test_detector_memory_is_linear_in_the_input(tmp_path, monkeypatch, capsys):
             peak = traced_peak(["dv-batch", "--manifest", manifest, "--out", str(tmp_path / "dv.csv")])
             ratios[name].append((peak - size_manifest) / size_manifest)
         capsys.readouterr()
-    assert_linear(ratios, {"ocsvm-train": 2.0, "ocsvm-score": 2.0, "dv-batch": 16.0, "dv-batch pool": 16.0})
+    assert_linear(ratios, {"ocsvm-train": 2.0, "ocsvm-score": 2.0, "dv-batch": 13.0, "dv-batch pool": 13.0})

@@ -463,8 +463,11 @@ def _parse_by_rows(kind, text):
     if kind == "scores":
         ids, labels, values = walk(rows)
         return ScoreSet(sample_ids=ids, labels=labels, values=values, polarity=Polarity.HIGHER_IS_BONA_FIDE)
-    if kind in ("labels", "manifest"):
+    if kind == "labels":
         return walk(rows)
+    if kind == "manifest":
+        rows = walk(rows)
+        return tuple([row[k] for row in rows] for k in range(4))
     if kind == "landmarks":
         return LandmarkSet(points=walk(rows))
     ids, values = walk(rows, len(header[1]) - 1)
@@ -472,7 +475,7 @@ def _parse_by_rows(kind, text):
 
 
 def _columns(parsed):
-    if isinstance(parsed, list):
+    if isinstance(parsed, tuple):  # a manifest's columns
         return parsed
     if isinstance(parsed, dict):
         return list(parsed.items())
@@ -924,16 +927,17 @@ class TestLandmarksCsv:
 
 
 class TestManifestCsv:
-    def test_parses_rows(self):
+    def test_parses_columns(self):
         data = (
             "sample_id,depth,landmarks,label\n"
             "s1,maps/s1.pgm,marks/s1.csv,bonafide\n"
             "s2,maps/s2.pgm,marks/s2.csv,attack\n"
         )
-        rows = parse_manifest(data)
-        assert [r.sample_id for r in rows] == ["s1", "s2"]
-        assert rows[0].depth_path == "maps/s1.pgm"
-        assert rows[1].label is PresentationLabel.ATTACK
+        ids, depths, landmarks, labels = parse_manifest(data)
+        assert ids == ["s1", "s2"]
+        assert depths == ["maps/s1.pgm", "maps/s2.pgm"]
+        assert landmarks == ["marks/s1.csv", "marks/s2.csv"]
+        assert labels == [PresentationLabel.BONA_FIDE, PresentationLabel.ATTACK]
 
     def test_empty_paths_rejected(self):
         with pytest.raises(ParseError, match="non-empty"):

@@ -205,7 +205,9 @@ def test_diff_outputs_finds_no_difference_between_copies_of_one_tree(monkeypatch
     monkeypatch.setattr(diff.bench_pairs, "export_tree", lambda rev, dest: copy_of_the_checkout(dest))
     monkeypatch.setattr(diff.bench_pairs, "export_worktree", copy_of_the_checkout)
     assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", "eval_scale"]) == 0
-    assert capsys.readouterr().out == "eval_scale: 3 ops (exit codes: parent 0 0 0, change 0 0 0), 0 paths differ\n"
+    assert capsys.readouterr().out == (
+        f"{blas_header(diff)}\neval_scale: 3 ops (exit codes: parent 0 0 0, change 0 0 0), 0 paths differ\n"
+    )
 
 
 def test_diff_outputs_names_the_file_a_changed_writer_makes(monkeypatch, capsys):
@@ -224,5 +226,27 @@ def test_diff_outputs_names_the_file_a_changed_writer_makes(monkeypatch, capsys)
     monkeypatch.setattr(diff.bench_pairs, "export_worktree", changed)
     assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", "eval_scale"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "eval_scale: 3 ops (exit codes: parent 0 0 0, change 0 0 0), 2 paths differ"
-    assert out[1:] == ["eval_scale/out/pad/det.csv", "eval_scale/out/vuln/det.csv"]
+    assert out[:2] == [blas_header(diff), "eval_scale: 3 ops (exit codes: parent 0 0 0, change 0 0 0), 2 paths differ"]
+    assert out[2:] == ["eval_scale/out/pad/det.csv", "eval_scale/out/vuln/det.csv"]
+
+
+def blas_header(diff) -> str:
+    """The first line diff_outputs prints: numpy's version and the OpenBLAS core, one word."""
+    import re
+
+    import numpy
+
+    core = diff.blas_core()
+    assert re.fullmatch(r"\w+", core)
+    return f"numpy {numpy.__version__}, OpenBLAS core {core}"
+
+
+def test_diff_outputs_names_no_core_where_numpy_cannot_tell(monkeypatch):
+    diff = load_script("diff_outputs")
+    with monkeypatch.context() as patch:
+        patch.setattr(diff.glob, "glob", lambda pattern: [])
+        assert diff.blas_core() == "unknown"
+    # an OpenBLAS without the query
+    monkeypatch.setattr(diff.glob, "glob", lambda pattern: ["libscipy_openblas64_.so"])
+    monkeypatch.setattr(diff.ctypes, "CDLL", lambda path: object())
+    assert diff.blas_core() == "unknown"
