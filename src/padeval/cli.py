@@ -35,7 +35,7 @@ from .core import (
 )
 from .depth_variance import DEFAULT_MIN_VALID, dv_score
 from .fusion import DEFAULT_WEIGHTS, fuse
-from .metrics import APCER_TARGETS, DetAxes, _pad, det_curve, evaluate_vuln
+from .metrics import APCER_TARGETS, DetAxes, det_curve, evaluate_pad, evaluate_vuln
 from .ocsvm import NotConvergedError, OcsvmConfig, fit, score_matrix
 from .synth import DepthKind, SynthDepthSpec, SynthFeatureSpec, gen_depth, gen_features
 
@@ -239,8 +239,8 @@ def _cmd_eval_pad(args) -> None:
         "polarity": Polarity.HIGHER_IS_BONA_FIDE.value,
         "apcer_targets": list(APCER_TARGETS),
     }
-    report, det = _pad(bona, attack)
-    _write_evaluation(args, report, lambda: det, config, "pad_report.json")
+    curve = functools.partial(det_curve, bona.values, attack.values, DetAxes.APCER_BPCER)
+    _write_evaluation(args, evaluate_pad(bona, attack), curve, config, "pad_report.json")
 
 
 def _cmd_eval_vuln(args) -> None:

@@ -234,19 +234,14 @@ def _first_feasible(neg: np.ndarray, targets: Sequence[float]) -> list[Threshold
     return [float(grid[np.flatnonzero(accepts <= _floor_times(t, neg.size))[0]]) for t in targets]
 
 
-def _d_eer(pos: np.ndarray, neg: np.ndarray, pooled) -> tuple[float, Threshold]:
-    grid, c_apcer, c_bpcer = pooled
+def _d_eer(pos: np.ndarray, neg: np.ndarray) -> tuple[float, Threshold]:
+    """The D-EER and its threshold over the pooled grid of sorted ``pos`` and ``neg``."""
+    grid, c_apcer, c_bpcer = _pooled(pos, neg)
     # |APCER - BPCER| compared on the common denominator of the two rates
     gap = np.abs(c_apcer * pos.size - c_bpcer * neg.size)
     best = int(np.argmin(gap))
     eer = (Fraction(int(c_apcer[best]), neg.size) + Fraction(int(c_bpcer[best]), pos.size)) / 2
     return float(eer), float(grid[best])
-
-
-def _curve(pos: np.ndarray, neg: np.ndarray, axes: DetAxes, pooled) -> DetCurve:
-    """The DET curve of sorted ``pos`` and ``neg`` from their :func:`_pooled` sweep."""
-    grid, accepts, rejects = pooled
-    return DetCurve(grid, accepts / neg.size, rejects / pos.size, axes)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +301,7 @@ def d_eer(bonafide_scores: Sequence[float], attack_scores: Sequence[float]) -> t
     """
     bona = _sorted(bonafide_scores, "bonafide_scores")
     attack = _sorted(attack_scores, "attack_scores")
-    return _d_eer(bona, attack, _pooled(bona, attack))
+    return _d_eer(bona, attack)
 
 
 def bpcer_at_apcer(
@@ -343,7 +338,8 @@ def det_curve(
         raise ValidationError(f"axes must be a DetAxes, got {axes!r}")
     pos = _sorted(positive_scores, "positive_scores")
     neg = _sorted(negative_scores, "negative_scores")
-    return _curve(pos, neg, axes, _pooled(pos, neg))
+    grid, accepts, rejects = _pooled(pos, neg)
+    return DetCurve(grid, accepts / neg.size, rejects / pos.size, axes)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +361,18 @@ def _check_role(score_set: ScoreSet, expected_label, expected_polarity: Polarity
         )
 
 
-def _pad(bonafide: ScoreSet, attack: ScoreSet) -> tuple[PadReport, DetCurve]:
-    """:func:`evaluate_pad`'s report and its finished DET curve, both from one pooled sweep."""
+def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
+    """PAD evaluation of one detector: D-EER, BPCER10, BPCER20.
+
+    Both sets must declare ``HIGHER_IS_BONA_FIDE`` polarity and carry only
+    their own presentation label, which guards against swapped inputs.
+    """
     _check_role(bonafide, PresentationLabel.BONA_FIDE, Polarity.HIGHER_IS_BONA_FIDE, "bonafide")
     _check_role(attack, PresentationLabel.ATTACK, Polarity.HIGHER_IS_BONA_FIDE, "attack")
     bona, att = np.sort(bonafide.values), np.sort(attack.values)
-    pooled = _pooled(bona, att)
-    eer, eer_tau = _d_eer(bona, att, pooled)
+    eer, eer_tau = _d_eer(bona, att)
     tau10, tau20 = _first_feasible(att, APCER_TARGETS)
-    report = PadReport(
+    return PadReport(
         d_eer=eer,
         eer_threshold=eer_tau,
         bpcer10=_reject_rate(bona, tau10),
@@ -383,16 +382,6 @@ def _pad(bonafide: ScoreSet, attack: ScoreSet) -> tuple[PadReport, DetCurve]:
         n_bonafide=bona.size,
         n_attack=att.size,
     )
-    return report, _curve(bona, att, DetAxes.APCER_BPCER, pooled)
-
-
-def evaluate_pad(bonafide: ScoreSet, attack: ScoreSet) -> PadReport:
-    """PAD evaluation of one detector: D-EER, BPCER10, BPCER20.
-
-    Both sets must declare ``HIGHER_IS_BONA_FIDE`` polarity and carry only
-    their own presentation label, which guards against swapped inputs.
-    """
-    return _pad(bonafide, attack)[0]
 
 
 def evaluate_vuln(

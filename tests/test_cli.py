@@ -3,20 +3,28 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import multiprocessing
 import os
+import pathlib
+import re
 import runpy
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from padeval import (
     DepthKind,
@@ -696,13 +704,17 @@ class TestEvalPad:
         "rows",
         ["a,bonafide,1.7976931348623157e308\nb,attack,0.0\n", "a,bonafide,1.0\nb,attack,1.7976931348623157e308\n"],
     )
-    def test_largest_finite_score_is_data_error(self, tmp_path, capsys, rows):
+    @pytest.mark.parametrize("extra", [(), ("--format", "json")])
+    def test_largest_finite_score_is_data_error(self, tmp_path, capsys, rows, extra):
+        # the report pools both classes, so it fails before any file is written
         path = write_file(tmp_path / "scores.csv", "sample_id,label,score\n" + rows)
+        out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning from numpy would raise
-            code = run(["eval-pad", "--bonafide", path, "--attack", path, "--output-dir", str(tmp_path / "out")])
+            code = run(["eval-pad", "--bonafide", path, "--attack", path, "--output-dir", str(out), *extra])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
+        assert not out.exists()
         assert captured.err == (
             "error: score 1.7976931348623157e+308 is the largest finite float: "
             "no finite threshold lies above it\n"
@@ -832,39 +844,200 @@ class TestEvalVuln:
 
 
 @pytest.mark.parametrize("formats", [(), ("json",), ("csv",), ("svg",), ("json", "svg")])
-def test_one_pooled_sweep_per_evaluation(tmp_path, monkeypatch, formats):
-    """eval-pad pools its classes once, for the D-EER and the DET curve alike, and
-    never calls det_curve; eval-vuln calls det_curve once, and pools mated and
-    non-mated scores, only for a DET export."""
+def test_det_sweep_runs_only_for_a_det_export(tmp_path, monkeypatch, formats):
+    """Each evaluation calls the public functions: eval-pad pools its classes once in
+    evaluate_pad, and eval-pad and eval-vuln call det_curve, which pools its two
+    classes once more, only for det.csv or det.svg."""
     from padeval import TrialLabel, cli, metrics
 
-    calls, det_calls = [], []
-    real, real_det_curve = metrics._pooled, cli.det_curve
+    calls, pad_calls, det_calls = [], [], []
+    real, real_evaluate_pad, real_det_curve = metrics._pooled, cli.evaluate_pad, cli.det_curve
 
     def pooled(pos, neg):
         calls.append(pos.size + neg.size)
         return real(pos, neg)
+
+    def evaluate_pad(*args):
+        before = len(calls)
+        report = real_evaluate_pad(*args)
+        pad_calls.append(calls[before:])  # the pools made inside it
+        return report
 
     def det_curve(*args):
         det_calls.append(args[2])
         return real_det_curve(*args)
 
     monkeypatch.setattr(metrics, "_pooled", pooled)
+    monkeypatch.setattr(cli, "evaluate_pad", evaluate_pad)
     monkeypatch.setattr(cli, "det_curve", det_curve)
     extra = [arg for fmt in formats for arg in ("--format", fmt)]
+    exports = formats != ("json",)
     bona = scores_csv(tmp_path, "bona.csv", [3.0, 4.0, 5.0], prefix="b")
     attack = scores_csv(tmp_path, "atk.csv", [0.0, 4.0], label=PresentationLabel.ATTACK, prefix="a")
     assert run(["eval-pad", "--bonafide", bona, "--attack", attack,
                 "--output-dir", str(tmp_path / "pad"), *extra]) == 0
-    assert (calls, det_calls) == ([5], [])
+    assert (pad_calls, calls, det_calls) == ([[5]], [5] + [5] * exports, [DetAxes.APCER_BPCER] * exports)
+    calls.clear(), det_calls.clear()
     mated = scores_csv(tmp_path, "m.csv", [2.0, 3.0], label=TrialLabel.MATED, prefix="m")
     nonmated = scores_csv(tmp_path, "n.csv", [0.0, 1.0, 2.0], label=TrialLabel.NONMATED, prefix="n")
     attack = scores_csv(tmp_path, "x.csv", [2.5], label=TrialLabel.ATTACK_MATED, prefix="x")
     assert run(["eval-vuln", "--mated", mated, "--nonmated", nonmated, "--attack", attack,
                 "--output-dir", str(tmp_path / "vuln"), *extra]) == 0
-    exports = formats != ("json",)
-    assert calls == [5] + [5] * exports
-    assert det_calls == [DetAxes.FMR_FNMR] * exports
+    assert (calls, det_calls) == ([5] * exports, [DetAxes.FMR_FNMR] * exports)
+
+
+# ---------------------------------------------------------------------------
+# the input contract of eval-pad, eval-vuln and fuse
+
+#: In-range extremes of a float option or score cell, besides ordinary values.
+EXTREME_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 2.0**1022, -(2.0**1022),
+    sys.float_info.max, -sys.float_info.max, math.nan, math.inf, -math.inf,
+)
+huge_integers = st.integers(10**399, 10**400 - 1).map(str)
+
+
+def float_texts(ordinary):
+    """The repr of an extreme or an ordinary float, as a command line or a CSV cell holds it."""
+    return st.one_of(st.sampled_from(EXTREME_FLOATS), ordinary).map(repr)
+
+
+score_cells = float_texts(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False)))
+role_cells = st.lists(score_cells, min_size=1, max_size=4)
+rates = float_texts(st.floats(0.0, 1.0))
+format_lists = st.lists(st.sampled_from(["csv", "json", "svg"]), max_size=3)
+
+
+@st.composite
+def option(draw, name, values):
+    """``--name=value`` or ``--name value``; the second reads a leading ``-`` as an option."""
+    value = draw(values)
+    return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+
+def scores_table(path, rows):
+    """Write ``(label, cell)`` rows as a scores CSV with ids r0, r1, ..."""
+    lines = [f"r{k},{label},{cell}\n" for k, (label, cell) in enumerate(rows)]
+    return write_file(path, "sample_id,label,score\n" + "".join(lines))
+
+
+def run_captured(argv):
+    """``run(argv)``'s exit code, stdout and stderr, with every warning an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_streams(command, code, out, err):
+    """An exit code of the contract; a failure is one stderr line and nothing on stdout."""
+    assert code in (0, 1, 2, 3)
+    event(f"exit {code}")  # pytest --hypothesis-show-statistics shows the mix
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(("error: ", f"padeval {command}: "))
+
+
+def assert_finite_cells(cells):
+    assert cells and all(math.isfinite(float(cell)) for cell in cells)
+
+
+def check_evaluation_outputs(directory, report_name, formats):
+    """The files of a successful evaluation: exactly those of ``formats``, each re-read."""
+    names = {"json": report_name, "csv": "det.csv", "svg": "det.svg"}
+    assert sorted(os.listdir(directory)) == sorted(names[fmt] for fmt in set(formats))
+    for fmt in set(formats):
+        text = (directory / names[fmt]).read_text(encoding="utf-8")
+        if fmt == "json":
+            parse_report(text)
+        elif fmt == "csv":
+            header, *rows = text.splitlines()
+            assert_finite_cells([cell for row in rows for cell in row.split(",")])
+        else:
+            (points,) = re.findall(r'<polyline points="([^"]*)"', text)
+            assert_finite_cells([cell for pair in points.split(" ") for cell in pair.split(",")])
+
+
+def check_evaluation(tmp, command, argv, report_name, formats):
+    """Run ``command`` with every format and with the ``--format`` subset, check both,
+    and compare each file the subset wrote with the same file of the full run."""
+    full, subset = tmp / "all", tmp / "subset"
+    code, out, err = run_captured([command, *argv, "--output-dir", str(full)])
+    check_streams(command, code, out, err)
+    if code == 0:
+        check_evaluation_outputs(full, report_name, ["csv", "json", "svg"])
+    extra = [arg for fmt in formats for arg in ("--format", fmt)]
+    sub_code, sub_out, sub_err = run_captured([command, *argv, "--output-dir", str(subset), *extra])
+    check_streams(command, sub_code, sub_out, sub_err)
+    if sub_code == 0:
+        check_evaluation_outputs(subset, report_name, formats or ["csv", "json", "svg"])
+        if code == 0:
+            assert sub_out == out
+    for name in os.listdir(subset) if subset.exists() else []:
+        assert (subset / name).read_bytes() == (full / name).read_bytes()
+
+
+class TestInputContract:
+    """In-range extremes of every option and score cell, through ``cli.run``: an exit
+    code of 0-3, one stderr line on failure, no warning, finite re-readable outputs,
+    and a ``--format`` subset that writes the full run's bytes."""
+
+    @given(role_cells, role_cells, st.booleans(), format_lists)
+    @settings(max_examples=200)
+    def test_eval_pad(self, bona_cells, attack_cells, one_file, formats):
+        with tempfile.TemporaryDirectory() as name:
+            tmp = pathlib.Path(name)
+            bona_rows = [("bonafide", cell) for cell in bona_cells]
+            attack_rows = [("attack", cell) for cell in attack_cells]
+            if one_file:
+                bona = attack = scores_table(tmp / "scores.csv", attack_rows + bona_rows)
+            else:
+                bona = scores_table(tmp / "bona.csv", bona_rows)
+                attack = scores_table(tmp / "attack.csv", attack_rows)
+            check_evaluation(tmp, "eval-pad", ["--bonafide", bona, "--attack", attack], "pad_report.json", formats)
+
+    @given(
+        role_cells, role_cells, role_cells,
+        st.lists(option("--fmr", st.one_of(rates, huge_integers)), max_size=3), format_lists,
+    )
+    @settings(max_examples=200)
+    def test_eval_vuln(self, mated_cells, nonmated_cells, attack_cells, fmr_options, formats):
+        with tempfile.TemporaryDirectory() as name:
+            tmp = pathlib.Path(name)
+            argv = []
+            for role, label, cells in (
+                ("--mated", "mated", mated_cells),
+                ("--nonmated", "nonmated", nonmated_cells),
+                ("--attack", "attackmated", attack_cells),
+            ):
+                argv += [role, scores_table(tmp / f"{label}.csv", [(label, cell) for cell in cells])]
+            argv += [arg for fmr in fmr_options for arg in fmr]
+            check_evaluation(tmp, "eval-vuln", argv, "vuln_report.json", formats)
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(["bonafide", "attack"]), score_cells, score_cells), min_size=1, max_size=8),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_fuse(self, rows, data):
+        wa = data.draw(st.one_of(rates, huge_integers))
+        # the complement of wa, when it is a float, makes weights that sum to 1
+        wb = data.draw(st.one_of(rates, st.just(repr(1.0 - float(wa)))))
+        weights = data.draw(option("--wa", st.just(wa))) + data.draw(option("--wb", st.just(wb)))
+        with tempfile.TemporaryDirectory() as name:
+            tmp = pathlib.Path(name)
+            a = scores_table(tmp / "a.csv", [(label, cell) for label, cell, _ in rows])
+            b = scores_table(tmp / "b.csv", [(label, cell) for label, _, cell in rows])
+            out = tmp / "fused.csv"
+            code, stdout, err = run_captured(["fuse", "--a", a, "--b", b, "--out", str(out), *weights])
+            check_streams("fuse", code, stdout, err)
+            if code == 0:
+                fused = parse_scores(out.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE)
+                assert fused.sample_ids == tuple(f"r{k}" for k in range(len(rows)))
+                assert np.isfinite(fused.values).all()
 
 
 def mixed_scores_text(labels_and_values, polarity):

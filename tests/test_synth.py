@@ -265,6 +265,11 @@ class TestGenFeatures:
         with pytest.raises(SpecError):
             gen_features(SynthFeatureSpec(**base))
 
+    def test_value_count_is_bounded(self):
+        for n_bonafide, n_attack, d in [(2**22, 1, 1), (np.int64(2**32), 1, np.int64(2**32)), (10**400, 1, 8)]:
+            with pytest.raises(SpecError, match="draws of more than 4194304 values"):
+                gen_features(SynthFeatureSpec(n_bonafide=n_bonafide, n_attack=n_attack, d=d))
+
 
 class TestEndToEndSeparability:
     def run_chain(self, separation, seed):
