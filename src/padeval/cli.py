@@ -275,10 +275,7 @@ def _cmd_synth_depth(args) -> None:
 def _cmd_synth_features(args) -> None:
     features, labels = gen_features(_spec(SynthFeatureSpec, args))
     _write_text(_out_path(args, "features.csv"), ingest._features_blocks(features))
-    _write_text(
-        _out_path(args, "labels.csv"),
-        [ingest.write_labels(dict(zip(features.sample_ids, labels)))],
-    )
+    _write_text(_out_path(args, "labels.csv"), ingest._labels_blocks(features.sample_ids, labels))
 
 
 # ---------------------------------------------------------------------------

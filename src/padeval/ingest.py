@@ -224,17 +224,19 @@ def _utf8(data: Union[bytes, str], what: str) -> bytes:
 def _split_plain(data: bytes) -> _Table | None:
     """The table of plain CSV, split with ``split``; None for any other input.
 
-    Plain means: no ``"``, CR or NUL, no blank line (a final line break
-    aside), no line of more than ``csv.field_size_limit()`` bytes, and as
-    many commas on every line as on the header.  With the excel dialect and
-    no quotes, csv.reader splits fields on ``,`` and rows on ``\\n`` only,
-    so for such input it reads this same table.  A first pass over the
-    lines, span by span, decides plainness and counts the rows; each block
-    decodes its span of rows and splits it when it is read.
+    Plain means: no ``"``, CR or NUL, no blank line but at the end, no line
+    of more than ``csv.field_size_limit()`` bytes, and as many commas on
+    every line as on the header.  With the excel dialect and no quotes,
+    csv.reader splits fields on ``,`` and rows on ``\\n`` only, and its rows
+    of blank lines are skipped, so for such input it reads this same table.
+    A first pass over the lines, span by span, decides plainness and counts
+    the rows; each block decodes its span of rows and splits it when read.
     """
     if b'"' in data or b"\r" in data or b"\0" in data:
         return None
-    end = len(data) - data.endswith(b"\n")
+    end = len(data)
+    while data.endswith(b"\n", 0, end):  # a loop: data.rstrip(b"\n") would copy the input
+        end -= 1
     first = data.find(b"\n", 0, end)
     if first < 0:
         first = end
@@ -499,10 +501,16 @@ def parse_labels(data: Union[bytes, str]) -> dict[str, Label]:
     return dict(zip(ids, labels))
 
 
+def _labels_blocks(sample_ids: Sequence[str], labels: Sequence[Label]) -> Iterator[str]:
+    """The ``sample_id,label`` table of the aligned columns, one block of rows at a time."""
+    return _csv_blocks(
+        _LABELS_HEADER, len(sample_ids), lambda rows: (sample_ids[rows], [lab.value for lab in labels[rows]])
+    )
+
+
 def write_labels(labels: Mapping[str, Label]) -> str:
     _check_ids(tuple(labels))
-    ids, names = list(labels), [lab.value for lab in labels.values()]
-    return "".join(_csv_blocks(_LABELS_HEADER, len(ids), lambda rows: (ids[rows], names[rows])))
+    return "".join(_labels_blocks(tuple(labels), tuple(labels.values())))
 
 
 def _features_header(d: int) -> list[str]:

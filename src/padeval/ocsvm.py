@@ -198,7 +198,8 @@ def fit(features: Union[FeatureMatrix, np.ndarray], config: OcsvmConfig = OcsvmC
     Raises:
         InfeasibleNuError: ``nu`` outside (0, 1] or ``nu < 1/n``.
         NotConvergedError: KKT residual still above ``config.tol`` after
-            the pair-update budget or after three exact gradient refreshes.
+            the pair-update budget or after three exact gradient refreshes;
+            a step that moves no weight raises the budget's error at once.
         ValidationError: fewer than two rows, non-finite rows, a bad
             ``tol``/``max_iter``, a standardizer (mean or scale) that is
             not finite, or rows, after the standardizer, whose largest
@@ -349,6 +350,10 @@ def _smo(
             new_j = min(max(new_j, 0.0), c_box)
             delta_i = new_i - alpha[i]
             delta_j = new_j - alpha[j]
+            if delta_i == 0.0 and delta_j == 0.0:
+                # a step that moves no weight leaves every later step the same until the
+                # budget runs out (only zeros in grad may flip sign): stop as that would
+                raise NotConvergedError(kkt_residual=residual, iterations=max_iter)
             alpha[i] = new_i
             alpha[j] = new_j
             # grad += delta_i * col_i + delta_j * col_j, the columns as scratch

@@ -239,8 +239,8 @@ def gen_depth(spec: SynthDepthSpec) -> tuple[DepthMap, LandmarkSet]:
 # feature clusters
 
 
-#: synth-gen features traces about 210 bytes per value at d = 1, where each row's id
-#: and label cost most, and as much for two rows, where the header and each row's
+#: synth-gen features traces about 170 bytes per value at d = 1, where each row's id
+#: and label cost most, and about 208 for two rows, where the header and each row's
 #: text block hold a string per value; about 28 at d = 16: at most about 900 MB
 _MAX_FEATURE_VALUES = 2**22
 

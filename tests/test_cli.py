@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 
 from padeval import (
     DepthKind,
+    DepthMap,
     DetAxes,
     OcsvmConfig,
     OcsvmModel,
@@ -50,6 +52,8 @@ from padeval.core import LABEL_BY_NAME
 from padeval.ingest import (
     fmt_float,
     parse_depth_pgm,
+    parse_features,
+    parse_labels,
     parse_landmarks,
     parse_model,
     parse_report,
@@ -219,6 +223,19 @@ class TestSynthGen:
             dict(zip(feats.sample_ids, labels))
         )
 
+    @pytest.mark.parametrize("block_cells", [2, 3, 5, 768])
+    def test_feature_tables_match_the_library_in_every_block_size(self, block_cells, tmp_path, monkeypatch):
+        # 900 rows span several blocks of each size; the library tables are joined as one block
+        feats, labels = gen_features(SynthFeatureSpec(n_bonafide=500, n_attack=400, d=2, seed=5))
+        tables = write_features(feats), write_labels(dict(zip(feats.sample_ids, labels)))
+        monkeypatch.setattr(ingest, "_BLOCK_CELLS", block_cells)
+        out = tmp_path / "gen"
+        assert run(["synth-gen", "features", "--n-bonafide", "500", "--n-attack", "400",
+                    "--d", "2", "--seed", "5", "--output-dir", str(out)]) == 0
+        assert ((out / "features.csv").read_bytes(), (out / "labels.csv").read_bytes()) == tuple(
+            table.encode() for table in tables
+        )
+
     @pytest.mark.parametrize("what, spec", [("depth", SynthDepthSpec), ("features", SynthFeatureSpec)])
     def test_each_spec_field_is_an_option_with_the_spec_default(self, what, spec):
         # the subcommand builds its spec from the options of the fields' names
@@ -242,7 +259,8 @@ class TestSynthGen:
     def test_enormous_feature_draws_are_refused_before_they_allocate(self, tmp_path):
         # the 400-digit sizes ended in a ValueError traceback, and 3e9 x 16 values asked
         # for 358 GiB; each runs in a child whose address space has 512 MB to spare, and
-        # just over the cap, a draw of d = 1 or of two rows would trace about 900 MB
+        # just over the cap, a draw of two rows would trace about 900 MB (about 208 bytes
+        # per value) and one of d = 1 about 710 MB (about 170)
         cap = 2**22
         sizes = [
             ["--n-bonafide", "1" + "0" * 400, "--n-attack", "1"],
@@ -887,7 +905,7 @@ def test_det_sweep_runs_only_for_a_det_export(tmp_path, monkeypatch, formats):
 
 
 # ---------------------------------------------------------------------------
-# the input contract of eval-pad, eval-vuln and fuse
+# the input contract of every subcommand
 
 #: In-range extremes of a float option or score cell, besides ordinary values.
 EXTREME_FLOATS = (
@@ -902,7 +920,8 @@ def float_texts(ordinary):
     return st.one_of(st.sampled_from(EXTREME_FLOATS), ordinary).map(repr)
 
 
-score_cells = float_texts(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False)))
+ordinary_values = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False))
+score_cells = float_texts(ordinary_values)
 role_cells = st.lists(score_cells, min_size=1, max_size=4)
 rates = float_texts(st.floats(0.0, 1.0))
 format_lists = st.lists(st.sampled_from(["csv", "json", "svg"]), max_size=3)
@@ -919,6 +938,83 @@ def scores_table(path, rows):
     """Write ``(label, cell)`` rows as a scores CSV with ids r0, r1, ..."""
     lines = [f"r{k},{label},{cell}\n" for k, (label, cell) in enumerate(rows)]
     return write_file(path, "sample_id,label,score\n" + "".join(lines))
+
+
+big_integers = st.one_of(huge_integers, st.sampled_from([str(2**63), str(-(2**63))]))
+extreme_texts = st.one_of(st.sampled_from(EXTREME_FLOATS).map(repr), big_integers)
+label_names = st.sampled_from(sorted(LABEL_BY_NAME))
+
+
+def mostly(ordinary, extremes):
+    """An ordinary value three draws in four, else an extreme."""
+    return st.integers(0, 3).flatmap(lambda k: ordinary if k else extremes)
+
+
+def int_texts(lo, hi):
+    """An int in [lo, hi], or an extreme: a small, negative or enormous int, or a float."""
+    return mostly(st.integers(lo, hi).map(str), st.one_of(st.integers(-2, 1).map(str), extreme_texts))
+
+
+def float_texts_in(lo, hi):
+    """A float in [lo, hi], or an extreme."""
+    return mostly(st.floats(lo, hi).map(repr), extreme_texts)
+
+
+def some_options(*specs):
+    """Each ``(name, values)`` option of ``specs`` once or not at all, as command-line words."""
+    drawn = [st.one_of(st.just([]), option(name, values)) for name, values in specs]
+    return st.tuples(*drawn).map(lambda words: [word for each in words for word in each])
+
+
+@st.composite
+def cell_rows(draw, ordinary, min_rows, max_rows, width):
+    """Rows of ``width`` ordinary cells, in one draw in four with one or two of them swapped for an extreme."""
+    n = draw(st.integers(min_rows, max_rows))
+    rows = draw(st.lists(st.lists(ordinary, min_size=width, max_size=width), min_size=n, max_size=n))
+    for _ in range(draw(mostly(st.just(0), st.integers(1, 2)))):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, width - 1))] = draw(extreme_texts)
+    return rows
+
+
+@st.composite
+def pixel_grids(draw):
+    """16 x 16 depth pixels with relief near 1 m, some of them 0 (no measurement) or 65535."""
+    pixels = [draw(st.integers(900, 1000)) + (k * 37) % 50 for k in range(256)]
+    for at, value in draw(st.lists(st.tuples(st.integers(0, 255), st.sampled_from([0, 65535])), max_size=64)):
+        pixels[at] = value
+    return pixels
+
+
+landmark_rows = cell_rows(st.floats(-1.0, 17.0).map(repr), 1, 20, 2)
+feature_rows = st.integers(1, 3).flatmap(lambda d: cell_rows(ordinary_values.map(repr), 1, 6, d))
+min_valid = ("--min-valid", int_texts(2, 12))
+
+
+def capture_files(tmp, name, pixels, rows):
+    """Write a 16 x 16 depth map and its ``(x, y)`` landmark rows; their two paths."""
+    depth = write_file(tmp / f"{name}.pgm", write_depth_pgm(DepthMap(values=np.array(pixels).reshape(16, 16))))
+    lines = [f"{k},{x},{y}\n" for k, (x, y) in enumerate(rows)]
+    return depth, write_file(tmp / f"{name}.csv", "index,x,y\n" + "".join(lines))
+
+
+def features_table(path, rows):
+    """Write cell rows as a features CSV with ids r0, r1, ..."""
+    lines = [",".join(["sample_id"] + [f"f{k}" for k in range(len(rows[0]))])]
+    lines += [",".join([f"r{k}", *cells]) for k, cells in enumerate(rows)]
+    return write_file(path, "\n".join(lines) + "\n")
+
+
+def check_scores_file(path, ids):
+    """A scores CSV, re-read, that holds finite scores of ``ids`` in order."""
+    scores = parse_scores(path.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE)
+    assert scores.sample_ids == tuple(ids) and np.isfinite(scores.values).all()
+
+
+@functools.lru_cache(maxsize=None)
+def contract_model(d, standardize):
+    """The model JSON of ``d`` features fitted on ordinary rows."""
+    rows = np.random.default_rng(d).normal(size=(8, d))
+    return write_model(fit(rows, OcsvmConfig(standardize=standardize)))
 
 
 def run_captured(argv):
@@ -981,9 +1077,9 @@ def check_evaluation(tmp, command, argv, report_name, formats):
 
 
 class TestInputContract:
-    """In-range extremes of every option and score cell, through ``cli.run``: an exit
-    code of 0-3, one stderr line on failure, no warning, finite re-readable outputs,
-    and a ``--format`` subset that writes the full run's bytes."""
+    """In-range extremes of every option and input cell of every subcommand, through
+    ``cli.run``: an exit code of 0-3, one stderr line on failure, no warning, finite
+    re-readable outputs, and a ``--format`` subset that writes the full run's bytes."""
 
     @given(role_cells, role_cells, st.booleans(), format_lists)
     @settings(max_examples=200)
@@ -1038,6 +1134,132 @@ class TestInputContract:
                 fused = parse_scores(out.read_bytes(), Polarity.HIGHER_IS_BONA_FIDE)
                 assert fused.sample_ids == tuple(f"r{k}" for k in range(len(rows)))
                 assert np.isfinite(fused.values).all()
+
+
+    @given(pixel_grids(), landmark_rows, some_options(min_valid))
+    @settings(max_examples=100)
+    def test_dv_score(self, pixels, rows, options):
+        with tempfile.TemporaryDirectory() as name:
+            depth, landmarks = capture_files(pathlib.Path(name), "c", pixels, rows)
+            code, out, err = run_captured(["dv-score", "--depth", depth, "--landmarks", landmarks, *options])
+        check_streams("dv-score", code, out, err)
+        if code == 0:
+            score, n_valid = out.split("\t")
+            assert out == f"{float(score)!r}\t{int(n_valid)}\n" and math.isfinite(float(score))
+
+    @given(
+        st.lists(st.tuples(pixel_grids(), landmark_rows), min_size=1, max_size=2),
+        st.lists(st.tuples(st.integers(0, 1), label_names), min_size=1, max_size=4),
+        some_options(min_valid),
+    )
+    @settings(max_examples=50)
+    def test_dv_batch(self, captures, rows, options):
+        # at most 4 rows make one chunk, scored in this process
+        with tempfile.TemporaryDirectory() as name:
+            tmp = pathlib.Path(name)
+            paths = [capture_files(tmp, f"c{k}", *capture) for k, capture in enumerate(captures)]
+            lines = [f"r{k},{','.join(paths[c % len(paths)])},{label}\n" for k, (c, label) in enumerate(rows)]
+            manifest = write_file(tmp / "m.csv", "sample_id,depth,landmarks,label\n" + "".join(lines))
+            argv = ["dv-batch", "--manifest", manifest, "--out", str(tmp / "dv.csv"), *options]
+            code, out, err = run_captured(argv)
+            check_streams("dv-batch", code, out, err)
+            if code == 0:
+                check_scores_file(tmp / "dv.csv", [f"r{k}" for k in range(len(rows))])
+
+    @given(
+        feature_rows,
+        some_options(
+            ("--nu", float_texts_in(0.0, 1.0)),
+            ("--tol", float_texts_in(1e-12, 1.0)),
+            ("--max-iter", int_texts(1, 1000)),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=100)
+    def test_ocsvm_train(self, rows, options, no_standardize):
+        with tempfile.TemporaryDirectory() as name:
+            tmp = pathlib.Path(name)
+            features = features_table(tmp / "f.csv", rows)
+            argv = ["ocsvm-train", "--features", features, "--model", str(tmp / "m.json"), *options]
+            code, out, err = run_captured(argv + ["--no-standardize"] * no_standardize)
+            check_streams("ocsvm-train", code, out, err)
+            if code == 0:
+                assert out.startswith(f"trained on {len(rows)} x {len(rows[0])}: ") and out.count("\n") == 1
+                model = parse_model((tmp / "m.json").read_bytes())
+                arrays = [model.w, model.dual_alphas, model.diagnostics.objective_trace]
+                arrays += [] if no_standardize else [model.mean, model.scale]
+                assert all(np.isfinite(a).all() for a in arrays) and math.isfinite(model.rho)
+
+    @given(feature_rows, st.booleans(), st.data())
+    @settings(max_examples=100)
+    def test_ocsvm_score(self, rows, standardize, data):
+        # a model mostly of the rows' width; --label, or --labels naming the rows' ids,
+        # or some other count of them
+        d = data.draw(mostly(st.just(len(rows[0])), st.integers(1, 3)))
+        with tempfile.TemporaryDirectory() as name:
+            tmp = pathlib.Path(name)
+            model = write_file(tmp / "m.json", contract_model(d, standardize))
+            argv = ["ocsvm-score", "--model", model, "--features", features_table(tmp / "f.csv", rows),
+                    "--out", str(tmp / "s.csv")]
+            if data.draw(st.booleans()):
+                argv += ["--label", data.draw(label_names)]
+            else:
+                n = data.draw(mostly(st.just(len(rows)), st.integers(0, 6)))
+                lines = [f"r{k},{data.draw(label_names)}\n" for k in range(n)]
+                argv += ["--labels", write_file(tmp / "l.csv", "sample_id,label\n" + "".join(lines))]
+            code, out, err = run_captured(argv)
+            check_streams("ocsvm-score", code, out, err)
+            if code == 0:
+                check_scores_file(tmp / "s.csv", [f"r{k}" for k in range(len(rows))])
+
+    @given(
+        st.sampled_from([kind.value for kind in DepthKind]),
+        some_options(
+            ("--seed", int_texts(0, 2**64 - 1)),
+            ("--width", int_texts(8, 40)),
+            ("--height", int_texts(8, 40)),
+            ("--base-depth-mm", float_texts_in(1.0, 65535.0)),
+            ("--curvature-amp-mm", float_texts_in(0.0, 50.0)),
+            ("--wrinkle-amp-mm", float_texts_in(0.0, 50.0)),
+            ("--wrinkle-wavelength-px", float_texts_in(0.5, 50.0)),
+            ("--noise-sigma-mm", float_texts_in(0.0, 5.0)),
+            ("--invalid-fraction", float_texts_in(0.0, 0.99)),
+        ),
+    )
+    @settings(max_examples=100)
+    def test_synth_gen_depth(self, kind, options):
+        with tempfile.TemporaryDirectory() as name:
+            out = pathlib.Path(name) / "gen"
+            argv = ["synth-gen", "depth", "--kind", kind, *options, "--output-dir", str(out)]
+            code, stdout, err = run_captured(argv)
+            check_streams("synth-gen depth", code, stdout, err)
+            if code == 0:
+                assert sorted(os.listdir(out)) == ["depth.pgm", "landmarks.csv"]
+                parse_depth_pgm((out / "depth.pgm").read_bytes())
+                assert np.isfinite(parse_landmarks((out / "landmarks.csv").read_bytes()).points).all()
+
+    @given(
+        option("--n-bonafide", int_texts(1, 24)),
+        option("--n-attack", int_texts(1, 24)),
+        some_options(
+            ("--seed", int_texts(0, 2**64 - 1)),
+            ("--d", int_texts(1, 8)),
+            ("--separation", float_texts_in(0.0, 10.0)),
+            ("--center-norm", float_texts_in(0.0, 100.0)),
+        ),
+    )
+    @settings(max_examples=100)
+    def test_synth_gen_features(self, n_bonafide, n_attack, options):
+        with tempfile.TemporaryDirectory() as name:
+            out = pathlib.Path(name) / "gen"
+            argv = ["synth-gen", "features", *n_bonafide, *n_attack, *options, "--output-dir", str(out)]
+            code, stdout, err = run_captured(argv)
+            check_streams("synth-gen features", code, stdout, err)
+            if code == 0:
+                assert sorted(os.listdir(out)) == ["features.csv", "labels.csv"]
+                features = parse_features((out / "features.csv").read_bytes())
+                labels = parse_labels((out / "labels.csv").read_bytes())
+                assert list(labels) == list(features.sample_ids) and np.isfinite(features.values).all()
 
 
 def mixed_scores_text(labels_and_values, polarity):
@@ -1362,6 +1584,23 @@ def test_evaluation_and_fusion_memory_is_linear_in_the_input(tmp_path, monkeypat
         ratios["fuse"].append((peak - size_a - size_b) / (size_a + size_b))
         capsys.readouterr()
     assert_linear(ratios, {"eval-pad": 7.0, "eval-vuln": 5.0, "fuse": 3.5, "eval-pad quoted": 11.0})
+
+
+def test_feature_draw_memory_per_value_is_bounded(tmp_path, monkeypatch, capsys):
+    """synth-gen features at d = 1, where each row's id and label cost most,
+    writes labels.csv from the drawn columns one block at a time: about 160
+    traced bytes per drawn value at 50,000 rows.  Joining the labels table
+    whole from a dict of ids and labels read about 190.
+    """
+    monkeypatch.setattr(ingest, "_BLOCK_CELLS", 3 * 256)
+
+    def draw(n):
+        return ["synth-gen", "features", "--n-bonafide", str(n), "--n-attack", str(n), "--d", "1",
+                "--output-dir", str(tmp_path)]
+
+    traced_peak(draw(100))  # the first run pays fixed costs
+    assert traced_peak(draw(25000)) / 50000 < 180
+    assert capsys.readouterr() == ("", "")
 
 
 def test_detector_memory_is_linear_in_the_input(tmp_path, monkeypatch, capsys):

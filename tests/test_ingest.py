@@ -649,7 +649,7 @@ def _edit(text, edits):
         elif what == "lead":
             text = "\n" + text
         elif what == "trail":
-            text = text + "\n"
+            text = text + "\n" * (k % 3 + 1)
         elif what == "chop":
             text = text[:-1]
         else:
@@ -687,9 +687,12 @@ class TestPlainSplitMatchesCsvReader:
             pytest.param("index,x,y\n0,1.5,2\x00\n", False, id="nul"),
             pytest.param("\nindex,x,y\n0,1.5,2\n", False, id="leading-blank-line"),
             pytest.param("index,x,y\n\n0,1.5,2\n", False, id="interior-blank-line"),
-            pytest.param("index,x,y\n0,1.5,2\n\n", False, id="trailing-blank-line"),
+            pytest.param("index,x,y\n0,1.5,2\n\n", True, id="trailing-blank-line"),
+            pytest.param("index,x,y\n0,1.5,2\n\n\n\n", True, id="trailing-blank-lines"),
+            pytest.param("index,x,y\n\n\n", True, id="header-then-blank-lines"),
             pytest.param("", False, id="empty"),
             pytest.param("\n", False, id="one-line-break"),
+            pytest.param("\n\n\n", False, id="line-breaks-only"),
             pytest.param("index,x,y\n0,1.5," + "1" * _LIMIT + "\n", False, id="line-beyond-the-limit"),
             pytest.param("index,x,y\n0,1.5," + "1" * (_LIMIT + 1) + "\n", False, id="field-beyond-the-limit"),
             pytest.param("index\n" + "1" * _LIMIT + "\n", True, id="field-at-the-limit"),
@@ -771,13 +774,24 @@ class TestBlockReader:
                 assert new == old, (kind, block_bytes)
 
     @pytest.mark.parametrize("kind", _KINDS)
-    @pytest.mark.parametrize("ending", ["\n", ""], ids=["final-newline", "no-final-newline"])
+    @pytest.mark.parametrize(
+        "ending", ["\n", "", "\n\n\n"], ids=["final-newline", "no-final-newline", "trailing-blank-lines"]
+    )
     def test_header_only_tables(self, kind, ending):
         text = ",".join(_header(kind, 2)) + ending
         for block_bytes in _BLOCK_SIZES:
             new, old = _block_outcomes(kind, text, block_bytes)
             assert new == old
             assert new[1][0] is EmptyFileError
+            assert new[1][1].endswith("has a header but no data rows")
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n\n"], ids=["empty", "one-line-break", "line-breaks-only"])
+    def test_tables_without_content(self, text):
+        for kind in _KINDS:
+            new, old = _block_outcomes(kind, text, None)
+            assert new == old
+            assert new[1][0] is EmptyFileError
+            assert new[1][1].endswith("holds no content")
 
     def test_spans_hold_whole_rows(self):
         text = oracles.csv_lines(["index", "x", "y"], _valid_rows("landmarks", 12))

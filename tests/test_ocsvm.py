@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import functools
 import itertools
+import time
 import tracemalloc
 import warnings
 
@@ -400,6 +402,25 @@ class TestValidation:
             assert err.value.kkt_residual > 1e-6
             stops.append(str(err.value))
         assert stops[0] == stops[1]  # a larger budget does not help
+
+    def test_a_step_that_moves_no_weight_ends_the_fit_as_its_budget_would(self):
+        # rows of -2**63 make pair curvatures near 8.5e37, so the gap of 3 gives steps
+        # below the rounding of the weights: the first step moves none, every later one
+        # would repeat it, and a budget of 10**400 steps ran for ever
+        tiny = -(2.0**-1022)
+        x = np.array([[-188.04337475994544, -3.0], [0.5, 5e-324], [tiny, -3.0], [tiny, 0.0],
+                      [tiny, -(2.0**63)], [-(2.0**63), 0.0]])
+        config = OcsvmConfig(tol=2.0**-14, standardize=False)
+        assert _fit_bits(x, config) == _cached_fit_bits(x, config)  # the default budget of 600 steps
+        residuals = []
+        for max_iter in (600, 10**6, 10**400):
+            start = time.perf_counter()
+            with pytest.raises(NotConvergedError) as err:
+                fit(x, dataclasses.replace(config, max_iter=max_iter))
+            assert time.perf_counter() - start < 5.0  # 10**6 steps took about 18 s
+            assert err.value.iterations == max_iter
+            residuals.append(err.value.kkt_residual)
+        assert residuals == residuals[:1] * 3
 
     def test_needs_two_rows(self):
         with pytest.raises(ValidationError):
