@@ -15,6 +15,10 @@ exit code are stored under ``streams/`` beside its outputs.  The paths of
 the two run directories that differ in bytes, or that only one side has, are
 printed; the exit code is 1 if there is any, else 0.
 
+The ``synth`` workload is no benchmark workload: its ops are fixed
+``synth-gen`` draws that need no inputs, and they check the features and
+landmarks writers, which the set-up of the others runs from the parent tree.
+
 Byte identity holds for one numpy build and one OpenBLAS kernel: the
 solver's and scorer's matrix products sum in the order of the kernel, so
 ocsvm-train and ocsvm-score may differ in their last bits across kernels.
@@ -44,7 +48,10 @@ import numpy
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_pairs  # noqa: E402
 
-WORKLOADS = ("eval_scale", "ocsvm_fit", "detector_pipeline")
+WORKLOADS = ("eval_scale", "ocsvm_fit", "detector_pipeline", "synth")
+
+#: The ``synth`` workload's ``synth-gen features`` draws, as (n_bonafide, n_attack, d, seed).
+_FEATURE_DRAWS = ((4, 3, 5, 3), (50000, 50000, 1, 0), (20000, 20000, 16, 7), (1, 1, 65536, 1))
 
 # run in the set-up directory with the parent's src and perfbench on the path
 _SETUP = """
@@ -78,6 +85,22 @@ def setup_inputs(tree: str, workload: str, seed: int, scale: str, dest: str) -> 
     proc = subprocess.run([sys.executable, "-c", _SETUP, workload, str(seed), scale],
                           cwd=dest, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def synth_ops(scale: str) -> list[list[str]]:
+    """The CLI arguments of the ``synth`` workload, which needs no inputs: the
+    feature draws, each row count at most 50 at ``tiny`` scale, and one
+    ``synth-gen depth`` per kind."""
+    def rows(n: int) -> str:
+        return str(min(n, 50) if scale == "tiny" else n)
+
+    ops = [
+        ["synth-gen", "features", "--n-bonafide", rows(n_bonafide), "--n-attack", rows(n_attack),
+         "--d", str(d), "--seed", str(seed), "--output-dir", f"out/features-{k}"]
+        for k, (n_bonafide, n_attack, d, seed) in enumerate(_FEATURE_DRAWS)
+    ]
+    kinds = ("curved-face", "planar-shirt", "wrinkled-shirt")
+    return ops + [["synth-gen", "depth", "--kind", kind, "--output-dir", f"out/depth-{kind}"] for kind in kinds]
 
 
 def run_ops(tree: str, run_dir: str, ops: list[list[str]]) -> list[int]:
@@ -129,7 +152,10 @@ def main(argv=None) -> int:
         for workload in args.workload or WORKLOADS:
             inputs = os.path.join(tmp, "setup", workload)
             os.makedirs(inputs)
-            ops = setup_inputs(trees["parent"], workload, args.seed, args.scale, inputs)
+            if workload == "synth":
+                ops = synth_ops(args.scale)
+            else:
+                ops = setup_inputs(trees["parent"], workload, args.seed, args.scale, inputs)
             runs = {side: os.path.join(tmp, "runs", side, workload) for side in trees}
             codes = {}
             for side, run_dir in runs.items():

@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures.process  # at start-up: dv-batch's first pool would import it, 1.6 MB traced
+import concurrent.futures  # ProcessPoolExecutor loads its process module on first use: only a pool pays
 import dataclasses
 import functools
 import multiprocessing
@@ -182,12 +182,8 @@ def _cmd_ocsvm_train(args) -> None:
 def _cmd_ocsvm_score(args) -> None:
     model = _parse_file(ingest.parse_model, args.model)
     features = _parse_file(ingest.parse_features, args.features)
-    if args.labels is not None:
-        labels = _parse_file(ingest.parse_labels, args.labels)
-        scored = score_matrix(model, features, labels)
-    else:
-        scored = score_matrix(model, features, LABEL_BY_NAME[args.label])
-    _write_text(args.out, ingest._scores_blocks(scored))
+    labels = LABEL_BY_NAME[args.label] if args.labels is None else _parse_file(ingest.parse_labels, args.labels)
+    _write_text(args.out, ingest._scores_blocks(score_matrix(model, features, labels)))
 
 
 def _cmd_fuse(args) -> None:

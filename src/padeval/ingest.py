@@ -234,9 +234,8 @@ def _split_plain(data: bytes) -> _Table | None:
     """
     if b'"' in data or b"\r" in data or b"\0" in data:
         return None
-    end = len(data)
-    while data.endswith(b"\n", 0, end):  # a loop: data.rstrip(b"\n") would copy the input
-        end -= 1
+    # rstrip copies the input, so only input that ends in a blank line pays for it
+    end = len(data.rstrip(b"\n")) if data.endswith(b"\n\n") else len(data) - data.endswith(b"\n")
     first = data.find(b"\n", 0, end)
     if first < 0:
         first = end
@@ -270,6 +269,12 @@ def _read_table(data: Union[bytes, str], what: str) -> _Table:
     other input goes through csv.reader in one pass and makes one block.  A
     CSV syntax error anywhere wins over every error in the rows, which are
     checked only as their blocks are read.
+
+    Quoted input stays whole because no count of quotes per line tells which
+    line breaks end rows: a quote inside an unquoted field is a literal, so
+    csv.reader reads ``a"b,1\\nc,2\\n`` as two rows.  A csv.reader per span
+    would need the quote state at the start of its span, which only a csv
+    pass over everything before the span gives.
     """
     data = _utf8(data, what)
     table = _split_plain(data)
@@ -545,13 +550,14 @@ def parse_features(data: Union[bytes, str]) -> FeatureMatrix:
     return FeatureMatrix(tuple(ids), values)
 
 
+def _float_blocks(header: Sequence[str], first: Sequence[str], values: np.ndarray) -> Iterator[str]:
+    """:func:`_csv_blocks` of the column ``first`` followed by the float columns of ``values``."""
+    return _csv_blocks(header, len(first), lambda rows: (first[rows], *map(_reprs, values[rows].T)))
+
+
 def _features_blocks(features: FeatureMatrix) -> Iterator[str]:
     """:func:`write_features` one block of rows at a time."""
-
-    def columns(rows: slice) -> tuple:
-        return features.sample_ids[rows], *map(_reprs, features.values[rows].T)
-
-    return _csv_blocks(_features_header(features.d), features.n, columns)
+    return _float_blocks(_features_header(features.d), features.sample_ids, features.values)
 
 
 def write_features(features: FeatureMatrix) -> str:
@@ -603,11 +609,7 @@ def parse_landmarks(data: Union[bytes, str]) -> LandmarkSet:
 
 def write_landmarks(landmarks: LandmarkSet) -> str:
     points = landmarks.points
-
-    def columns(rows: slice) -> tuple:
-        return list(map(str, range(len(points))[rows])), *map(_reprs, points[rows].T)
-
-    return "".join(_csv_blocks(_LANDMARKS_HEADER, len(points), columns))
+    return "".join(_float_blocks(_LANDMARKS_HEADER, list(map(str, range(len(points)))), points))
 
 
 def parse_manifest(data: Union[bytes, str]) -> tuple[list[str], list[str], list[str], list[Label]]:

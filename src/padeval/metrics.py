@@ -48,6 +48,7 @@ from .core import (
     TrialLabel,
     ValidationError,
     _label_code,
+    _read_only,
 )
 
 __all__ = [
@@ -105,9 +106,7 @@ class DetCurve:
 
     def __post_init__(self) -> None:
         for name in ("thresholds", "x_rates", "y_rates"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            setattr(self, name, arr)
+            setattr(self, name, _read_only(np.asarray(getattr(self, name), dtype=np.float64)))
 
     def __len__(self) -> int:
         return len(self.thresholds)

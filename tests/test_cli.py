@@ -519,6 +519,20 @@ class TestDvBatchPool:
         code, _, stderr, _, _ = self.assert_pool_matches(monkeypatch, capsys, manifest)
         assert code == 2 and stderr.startswith(self.error_line(files, first, early)) and stderr.count("\n") == 1
 
+    def test_the_pool_module_is_imported_on_first_use(self, tmp_path, monkeypatch, capsys):
+        manifest = self.manifest(tmp_path)
+        _, _, _, one, _ = self.dv_batch(monkeypatch, capsys, manifest, 1)
+        out = str(tmp_path / "pool.csv")
+        printed = run_child(f"""
+import sys
+from padeval import cli
+print("concurrent.futures.process" in sys.modules)
+cli._workers = lambda n_rows: 2
+print(cli.run(["dv-batch", "--manifest", {manifest!r}, "--out", {out!r}]))
+""")
+        assert printed == "False\n0\n"
+        assert (tmp_path / "pool.csv").read_bytes() == one
+
     def test_scores_keep_manifest_order_when_a_later_chunk_ends_first(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_workers", lambda n_rows: 2)
         monkeypatch.setattr(cli, "_dv_row", first_chunk_slow)
@@ -1630,8 +1644,9 @@ def test_detector_memory_is_linear_in_the_input(tmp_path, monkeypatch, capsys):
     grid = [[12.0 + k % 4, 12.0 + k // 4] for k in range(12)]
     write_file(tmp_path / "l.csv", write_landmarks(LandmarkSet(points=np.array(grid))))
     ratios = {"ocsvm-train": [], "ocsvm-score": [], "dv-batch": [], "dv-batch pool": []}
-    # the first pool of a process imports the modules that start its workers
-    # (about 0.15 MB traced): a fixed cost, so it is paid before the measurements
+    # the first pool of a process imports the modules that start its workers,
+    # concurrent.futures.process among them (about 0.8 MB traced): a fixed
+    # cost, so it is paid before the measurements
     monkeypatch.setattr(cli, "_workers", lambda n_rows: 2)
     manifest = write_file(tmp_path / "m.csv", "sample_id,depth,landmarks,label\ns,d.pgm,l.csv,attack\n")
     assert run(["dv-batch", "--manifest", manifest, "--out", str(tmp_path / "dv.csv")]) == 0

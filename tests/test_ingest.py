@@ -682,6 +682,9 @@ class TestPlainSplitMatchesCsvReader:
             pytest.param("index,x,y\n0, 1.5 ,\u2028\n", True, id="spaces-and-unicode-separators"),
             pytest.param("index,x,y\n" + "0,1,2\n" * (_LIMIT // 6 + 1), True, id="file-beyond-the-limit"),
             pytest.param('index,x,y\n"0",1.5,2\n', False, id="quotes"),
+            # csv.reader reads a quote inside an unquoted field as itself, so no count
+            # of quotes per line tells which line breaks end rows
+            pytest.param('sample_id,label\na"b,bonafide\nc,attack\n', False, id="quote-inside-a-field"),
             pytest.param("index,x,y\n0,1.5,2\r1,3,4\n", False, id="bare-cr"),
             pytest.param("index,x,y\r\n0,1.5,2\r\n", False, id="crlf"),
             pytest.param("index,x,y\n0,1.5,2\x00\n", False, id="nul"),
@@ -690,6 +693,8 @@ class TestPlainSplitMatchesCsvReader:
             pytest.param("index,x,y\n0,1.5,2\n\n", True, id="trailing-blank-line"),
             pytest.param("index,x,y\n0,1.5,2\n\n\n\n", True, id="trailing-blank-lines"),
             pytest.param("index,x,y\n\n\n", True, id="header-then-blank-lines"),
+            pytest.param("index,x,y\n0,1.5,2" + "\n" * 100_000, True, id="table-then-many-line-breaks"),
+            pytest.param("index,x,y" + "\n" * 100_000, True, id="header-then-many-line-breaks"),
             pytest.param("", False, id="empty"),
             pytest.param("\n", False, id="one-line-break"),
             pytest.param("\n\n\n", False, id="line-breaks-only"),
@@ -775,7 +780,9 @@ class TestBlockReader:
 
     @pytest.mark.parametrize("kind", _KINDS)
     @pytest.mark.parametrize(
-        "ending", ["\n", "", "\n\n\n"], ids=["final-newline", "no-final-newline", "trailing-blank-lines"]
+        "ending",
+        ["\n", "", "\n\n\n", "\n" * 100_000],
+        ids=["final-newline", "no-final-newline", "trailing-blank-lines", "many-line-breaks"],
     )
     def test_header_only_tables(self, kind, ending):
         text = ",".join(_header(kind, 2)) + ending
@@ -1444,6 +1451,14 @@ class TestBlockWritersMatchWholeWriters:
         with _written_blocks_of(b, d + 1):
             assert len(list(ingest._features_blocks(features))) == 1 + -(-n // b)
             assert write_features(features) == oracles.whole_features(features)
+
+    @given(st.data(), _block_cases())
+    def test_landmarks(self, data, case):
+        b, n = case
+        points = data.draw(st.lists(st.one_of(finite_floats, self.repeated_rates), min_size=2 * n, max_size=2 * n))
+        landmarks = LandmarkSet(points=np.reshape(points, (n, 2)))
+        with _written_blocks_of(b, 3):
+            assert write_landmarks(landmarks) == oracles.landmarks_table(landmarks)
 
     @given(st.data(), _block_cases(empty_ok=True), st.sampled_from(list(DetAxes)))
     def test_det(self, data, case, axes):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from padeval import (
     DetAxes,
+    DetCurve,
     EmptySetError,
     InvalidTargetError,
     Polarity,
@@ -279,6 +280,18 @@ class TestDetCurve:
     def test_axes_type_checked(self):
         with pytest.raises(ValidationError):
             det_curve([1.0], [0.0], "apcer_bpcer")
+
+    def test_arrays_are_kept_and_made_read_only_the_callers_too(self):
+        given = [np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0]), np.array([0.0, 0.5, 1.0])]
+        curve = DetCurve(*given, DetAxes.FMR_FNMR)
+        for arr, kept in zip(given, (curve.thresholds, curve.x_rates, curve.y_rates)):
+            assert kept is arr and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 3.0
+        # other input is converted to float64, and the result is read-only too
+        curve = DetCurve([0, 1], [1, 0], (0, 1), DetAxes.APCER_BPCER)
+        for kept in (curve.thresholds, curve.x_rates, curve.y_rates):
+            assert kept.dtype == np.float64 and not kept.flags.writeable
 
 
 @given(lattice_scores, st.integers(-4, 4), st.integers(-40, 40))

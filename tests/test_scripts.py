@@ -210,24 +210,49 @@ def test_diff_outputs_finds_no_difference_between_copies_of_one_tree(monkeypatch
     )
 
 
-def test_diff_outputs_names_the_file_a_changed_writer_makes(monkeypatch, capsys):
-    diff = load_script("diff_outputs")
-
-    def changed(dest):
-        # one byte of the DET CSV header differs: "threshold" becomes "Threshold"
+def copy_with_changed_ingest(old, new):
+    """A copy of the checkout, like :func:`copy_of_the_checkout`, whose ingest.py has ``old`` replaced by ``new``."""
+    def copy(dest):
         copy_of_the_checkout(dest)
         path = os.path.join(dest, "src", "padeval", "ingest.py")
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+        assert old in text
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text.replace('_DET_HEADER = ["threshold"', '_DET_HEADER = ["Threshold"', 1))
+            fh.write(text.replace(old, new, 1))
 
+    return copy
+
+
+def test_diff_outputs_names_the_file_a_changed_writer_makes(monkeypatch, capsys):
+    diff = load_script("diff_outputs")
+    # one byte of the DET CSV header differs: "threshold" becomes "Threshold"
+    changed = copy_with_changed_ingest('_DET_HEADER = ["threshold"', '_DET_HEADER = ["Threshold"')
     monkeypatch.setattr(diff.bench_pairs, "export_tree", lambda rev, dest: copy_of_the_checkout(dest))
     monkeypatch.setattr(diff.bench_pairs, "export_worktree", changed)
     assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", "eval_scale"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == [blas_header(diff), "eval_scale: 3 ops (exit codes: parent 0 0 0, change 0 0 0), 2 paths differ"]
     assert out[2:] == ["eval_scale/out/pad/det.csv", "eval_scale/out/vuln/det.csv"]
+
+
+def test_diff_outputs_compares_the_synth_draws(monkeypatch, capsys):
+    diff = load_script("diff_outputs")
+    monkeypatch.setattr(diff.bench_pairs, "export_tree", lambda rev, dest: copy_of_the_checkout(dest))
+    monkeypatch.setattr(diff.bench_pairs, "export_worktree", copy_of_the_checkout)
+    assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", "synth"]) == 0
+    exits = " ".join(["0"] * 7)
+    assert capsys.readouterr().out == (
+        f"{blas_header(diff)}\nsynth: 7 ops (exit codes: parent {exits}, change {exits}), 0 paths differ\n"
+    )
+    # one byte of the landmarks CSV header differs: "index" becomes "Index"
+    changed = copy_with_changed_ingest('_LANDMARKS_HEADER = ["index"', '_LANDMARKS_HEADER = ["Index"')
+    monkeypatch.setattr(diff.bench_pairs, "export_worktree", changed)
+    assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", "synth"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == f"synth: 7 ops (exit codes: parent {exits}, change {exits}), 3 paths differ"
+    assert out[2:] == [f"synth/out/depth-{kind}/landmarks.csv" for kind in
+                       ("curved-face", "planar-shirt", "wrinkled-shirt")]
 
 
 def blas_header(diff) -> str:
