@@ -18,6 +18,12 @@ printed; the exit code is 1 if there is any, else 0.
 The ``synth`` workload is no benchmark workload: its ops are fixed
 ``synth-gen`` draws that need no inputs, and they check the features and
 landmarks writers, which the set-up of the others runs from the parent tree.
+Nor is the ``dialects`` workload: this script writes its small fixed
+features, labels, scores, landmarks and manifest tables itself, each with
+LF, CRLF and lone-CR line breaks and with blank lines before, inside and
+after it, and its ops read them: ocsvm-train and ocsvm-score, dv-score and
+dv-batch on the depth map of a ``synth-gen depth`` op, fuse, eval-pad and
+eval-vuln.
 
 Byte identity holds for one numpy build and one OpenBLAS kernel: the
 solver's and scorer's matrix products sum in the order of the kernel, so
@@ -43,12 +49,14 @@ import subprocess
 import sys
 import tempfile
 
+import random
+
 import numpy
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_pairs  # noqa: E402
 
-WORKLOADS = ("eval_scale", "ocsvm_fit", "detector_pipeline", "synth")
+WORKLOADS = ("eval_scale", "ocsvm_fit", "detector_pipeline", "synth", "dialects")
 
 #: The ``synth`` workload's ``synth-gen features`` draws, as (n_bonafide, n_attack, d, seed).
 _FEATURE_DRAWS = ((4, 3, 5, 3), (50000, 50000, 1, 0), (20000, 20000, 16, 7), (1, 1, 65536, 1))
@@ -103,6 +111,70 @@ def synth_ops(scale: str) -> list[list[str]]:
     return ops + [["synth-gen", "depth", "--kind", kind, "--output-dir", f"out/depth-{kind}"] for kind in kinds]
 
 
+#: The ``dialects`` workload's line breaks.
+_LINE_BREAKS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+#: The places of the blank lines in a ``dialects`` table.
+_BLANK_PLACES = ("leading", "interior", "trailing")
+
+
+def _dialect_text(lines: list[str], brk: str, blanks: tuple[str, ...]) -> str:
+    """The lines of a table, header first, each ended by ``brk``, with a blank
+    line before the header, one after about half the rows, and two after the
+    last row, as ``blanks`` names their places."""
+    mid = len(lines) // 2 + 1
+    lines = [*[""] * ("leading" in blanks), *lines[:mid], *[""] * ("interior" in blanks), *lines[mid:],
+             *[""] * (2 * ("trailing" in blanks))]
+    return "".join(line + brk for line in lines)
+
+
+def dialects_ops(scale: str, dest: str) -> list[list[str]]:
+    """Write the ``dialects`` tables under ``dest/inputs``; the CLI arguments of
+    its ops.  Each variant of the tables has one line break and, at ``full``
+    scale, blank lines in no place or in one place, with 200 feature and
+    score rows; at ``tiny`` scale, blank lines in every place and 20 rows."""
+    n = 20 if scale == "tiny" else 200
+    rng = random.Random(5)
+    ids = [f"s{k:03d}" for k in range(n)]
+    labels = ["bonafide" if k % 2 == 0 else "attack" for k in range(n)]
+    tables = {
+        "features": ["sample_id,f0,f1,f2,f3"]
+        + [",".join([sid, *(repr(rng.gauss(0.0, 1.0)) for _ in range(4))]) for sid in ids],
+        "labels": ["sample_id,label"] + [f"{sid},{label}" for sid, label in zip(ids, labels)],
+        "scores": ["sample_id,label,score"]
+        + [f"{sid},{label},{rng.random()!r}" for sid, label in zip(ids, labels)],
+        "vuln": ["sample_id,label,score"]
+        + [f"v{k:03d},{('mated', 'nonmated', 'attackmated')[k % 3]},{rng.random()!r}" for k in range(n)],
+        "landmarks": ["index,x,y"] + [f"{k},{8 + k % 6 * 3},{8 + k // 6 * 3}" for k in range(30)],
+    }
+    places = [_BLANK_PLACES] if scale == "tiny" else [(), *((place,) for place in _BLANK_PLACES)]
+    os.makedirs(os.path.join(dest, "inputs"))
+    ops = [["synth-gen", "depth", "--kind", "curved-face", "--width", "32", "--height", "32",
+            "--output-dir", "out/depth"]]
+    for name, brk in _LINE_BREAKS.items():
+        for blanks in places:
+            v = "-".join([name, *blanks])
+            tables["manifest"] = ["sample_id,depth,landmarks,label"] + [
+                f"c{k},../out/depth/depth.pgm,{v}-landmarks.csv,{labels[k]}" for k in range(4)
+            ]
+            for table, lines in tables.items():
+                with open(os.path.join(dest, "inputs", f"{v}-{table}.csv"), "w", newline="") as fh:
+                    fh.write(_dialect_text(lines, brk, blanks))
+            stem = f"inputs/{v}-"
+            ops += [
+                ["ocsvm-train", "--features", stem + "features.csv", "--model", f"out/{v}-model.json"],
+                ["ocsvm-score", "--model", f"out/{v}-model.json", "--features", stem + "features.csv",
+                 "--labels", stem + "labels.csv", "--out", f"out/{v}-ocsvm.csv"],
+                ["dv-score", "--depth", "out/depth/depth.pgm", "--landmarks", stem + "landmarks.csv"],
+                ["dv-batch", "--manifest", stem + "manifest.csv", "--out", f"out/{v}-dv.csv"],
+                ["fuse", "--a", stem + "scores.csv", "--b", f"out/{v}-ocsvm.csv", "--out", f"out/{v}-fused.csv"],
+                ["eval-pad", "--bonafide", stem + "scores.csv", "--attack", stem + "scores.csv",
+                 "--output-dir", f"out/{v}-pad"],
+                ["eval-vuln", "--mated", stem + "vuln.csv", "--nonmated", stem + "vuln.csv",
+                 "--attack", stem + "vuln.csv", "--output-dir", f"out/{v}-vuln"],
+            ]
+    return ops
+
+
 def run_ops(tree: str, run_dir: str, ops: list[list[str]]) -> list[int]:
     """Run ``ops`` in order in ``run_dir`` with ``tree``'s padeval, keeping each op's
     streams; their exit codes."""
@@ -154,6 +226,8 @@ def main(argv=None) -> int:
             os.makedirs(inputs)
             if workload == "synth":
                 ops = synth_ops(args.scale)
+            elif workload == "dialects":
+                ops = dialects_ops(args.scale, inputs)
             else:
                 ops = setup_inputs(trees["parent"], workload, args.seed, args.scale, inputs)
             runs = {side: os.path.join(tmp, "runs", side, workload) for side in trees}

@@ -210,6 +210,18 @@ def test_diff_outputs_finds_no_difference_between_copies_of_one_tree(monkeypatch
     )
 
 
+def test_diff_outputs_runs_the_dialect_tables(monkeypatch, capsys):
+    diff = load_script("diff_outputs")
+    monkeypatch.setattr(diff.bench_pairs, "export_tree", lambda rev, dest: copy_of_the_checkout(dest))
+    monkeypatch.setattr(diff.bench_pairs, "export_worktree", copy_of_the_checkout)
+    assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", "dialects"]) == 0
+    # one synth-gen depth, then seven ops on each of the LF, CRLF and lone-CR tables
+    exits = " ".join(["0"] * 22)
+    assert capsys.readouterr().out == (
+        f"{blas_header(diff)}\ndialects: 22 ops (exit codes: parent {exits}, change {exits}), 0 paths differ\n"
+    )
+
+
 def copy_with_changed_ingest(old, new):
     """A copy of the checkout, like :func:`copy_of_the_checkout`, whose ingest.py has ``old`` replaced by ``new``."""
     def copy(dest):
