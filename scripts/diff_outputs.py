@@ -44,12 +44,11 @@ import filecmp
 import glob
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import tempfile
-
-import random
 
 import numpy
 

@@ -24,10 +24,9 @@ import json
 import math
 import re
 import sys
-from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import repeat
 from statistics import NormalDist
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -156,7 +155,7 @@ def percent(rate: float, decimals: int) -> str:
 # shared text plumbing
 
 
-#: About how many bytes of unquoted CSV make one block of rows; a block always
+#: About how many bytes of plain CSV make one block of rows; a block always
 #: ends at a line break, so it holds whole rows.
 _BLOCK_BYTES = 1 << 20
 
@@ -165,13 +164,12 @@ _BLOCK_BYTES = 1 << 20
 class _Table:
     """A CSV table, blank lines skipped, whose rows are read one block at a time.
 
-    ``header_line`` is the one-based line of the header, the first line that
-    is not blank, and ``lines`` that of each data row as wide as the header,
-    as any sequence of ints (a list, a range, or an int64 ``array`` when a
-    blank line comes before some row); ``blocks`` holds their cells, row
-    after row, as flat lists of whole rows; it can be consumed once, and
-    each block may be changed by its reader.  ``ragged`` is the first data
-    row of another width, as ``(number of rows before it, line, fields)``, or None.
+    ``lines`` holds the one-based line numbers of the data rows that are as
+    wide as the header, as any sequence of ints (a list, or a range when no
+    line was skipped), and ``blocks`` their cells, row after row, as flat
+    lists of whole rows; it can be consumed once, and each block may be
+    changed by its reader.  ``ragged`` is the first data row of another
+    width, as ``(number of rows before it, line, fields)``, or None.
     """
 
     header: list[str]
@@ -189,19 +187,14 @@ class _Table:
             start += rows
 
 
-#: A line that is not blank, without its line break.
-_LINE = re.compile(rb"[^\r\n]+")
-#: A line break where csv.reader and ``bytes.splitlines`` end a line: LF, CRLF or a lone CR.
-_LINE_BREAK = re.compile(rb"\r\n?|\n")
-
-
 def _spans(data: bytes, start: int, end: int) -> Iterator[tuple[int, int]]:
     """The lines of ``data[start:end]`` in spans of about :data:`_BLOCK_BYTES` bytes, as
-    ``(start, stop)`` offsets, each span ending at ``stop``, the last byte of a line break,
-    or at ``end``; none if ``start > end``."""
+    ``(start, stop)`` offsets, each span ending at a line break at ``stop`` or at ``end``;
+    none if ``start > end``."""
     while start <= end:
-        brk = _LINE_BREAK.search(data, start + _BLOCK_BYTES - 1, end)
-        stop = brk.end() - 1 if brk else end
+        stop = data.find(b"\n", start + _BLOCK_BYTES - 1, end)
+        if stop < 0:
+            stop = end
         yield start, stop
         start = stop + 1
 
@@ -229,58 +222,41 @@ def _utf8(data: Union[bytes, str], what: str) -> bytes:
 
 
 def _split_plain(data: bytes) -> _Table | None:
-    """The table of unquoted CSV, split with ``split``; None for any other input.
+    """The table of plain CSV, split with ``split``; None for any other input.
 
-    The input must have no ``"`` or NUL, some line that is not blank, no
-    line of more than ``csv.field_size_limit()`` bytes, and on each line
-    that is not blank as many commas as on the first, the header.  With the
-    excel dialect and no quotes, csv.reader splits fields on ``,`` and rows
-    where ``bytes.splitlines`` splits lines, and skips blank lines, so for
-    such input it reads this same table.  A first pass over the lines, span
-    by span, decides and counts the rows, and numbers them once a blank line
-    comes before one; each block decodes its span of rows and splits it.
+    Plain means: no ``"``, CR or NUL, no blank line but at the end, no line
+    of more than ``csv.field_size_limit()`` bytes, and as many commas on
+    every line as on the header.  With the excel dialect and no quotes,
+    csv.reader splits fields on ``,`` and rows on ``\\n`` only, and its rows
+    of blank lines are skipped, so for such input it reads this same table.
+    A first pass over the lines, span by span, decides plainness and counts
+    the rows; each block decodes its span of rows and splits it when read.
     """
-    # csv.reader refuses NUL before Python 3.11 ("line contains NUL"), so it reads such input
-    if b'"' in data or b"\0" in data:
+    if b'"' in data or b"\r" in data or b"\0" in data:
         return None
     # rstrip copies the input, so only input that ends in a blank line pays for it
-    end = len(data) - (2 if data.endswith(b"\r\n") else data.endswith((b"\n", b"\r")))
-    end = len(data.rstrip(b"\r\n")) if data.endswith((b"\n", b"\r"), 0, end) else end
+    end = len(data.rstrip(b"\n")) if data.endswith(b"\n\n") else len(data) - data.endswith(b"\n")
+    first = data.find(b"\n", 0, end)
+    if first < 0:
+        first = end
+    commas = data.count(b",", 0, first)
     limit = csv.field_size_limit()
-    header = _LINE.search(data, 0, end)
-    if header is None or header.end() - header.start() > limit:
-        return None
-    head, first = header.span()
-    body = first + 1 + data.startswith(b"\r\n", first)
-    commas = data.count(b",", head, first)
-    # one line for each line break before the header
-    header_line = 1 + data.count(b"\n", 0, head) + data.count(b"\r", 0, head) - data.count(b"\r\n", 0, head)
     long = len(data) > limit
-    numbers = None  # the line of each row, from the first blank line before a row on
-    line = header_line + 1
-    spans = []
-    for start, stop in _spans(data, body, end):
-        # split is faster; splitlines needs the closing line break to see a blank line before it
-        lf = data.find(b"\r", start, stop) < 0
-        lines = data[start:stop].split(b"\n") if lf else data[start : stop + 1].splitlines()
-        rows = list(filter(None, lines)) if b"" in lines else lines
-        if long and max(map(len, lines)) > limit or not set(map(bytes.count, rows, repeat(b","))) <= {commas}:
+    n = 0
+    for start, stop in _spans(data, 0, end):
+        lines = data[start:stop].split(b"\n")
+        if (
+            b"" in lines
+            or long and max(map(len, lines)) > limit
+            or set(map(bytes.count, lines, repeat(b","))) != {commas}
+        ):
             return None
-        if numbers is not None or rows is not lines:
-            numbers = array("q", range(header_line + 1, line)) if numbers is None else numbers
-            numbers.extend(compress(range(line, line + len(lines)), lines))
-        line += len(lines)
-        if rows:
-            spans.append((start, stop, lf and rows is lines))
-    # a span of LF line breaks and no blank line is decoded as it is, any other has
-    # its lines that are not blank joined first; its bytes are dropped before the split
+        n += len(lines)
     blocks = (
-        str(data[start:stop] if lf else b"\n".join(filter(None, data[start:stop].splitlines())), "utf-8",
-            "surrogatepass").replace("\n", ",").split(",")
-        for start, stop, lf in spans
+        str(data[start:stop], "utf-8", "surrogatepass").replace("\n", ",").split(",")
+        for start, stop in _spans(data, first + 1, end)
     )
-    numbers = range(header_line + 1, line) if numbers is None else numbers
-    return _Table(str(header[0], "utf-8", "surrogatepass").split(","), header_line, numbers, None, blocks)
+    return _Table(str(data[:first], "utf-8", "surrogatepass").split(","), 1, range(2, n + 1), None, blocks)
 
 
 def _read_table(data: Union[bytes, str], what: str) -> _Table:
@@ -288,11 +264,9 @@ def _read_table(data: Union[bytes, str], what: str) -> _Table:
 
     The input is read as bytes, with no whole decoded copy: bytes that are
     not all ASCII are checked to be UTF-8 up front, span by span, and a str
-    is encoded, its surrogates passed, as the blocks are decoded.  Unquoted
-    CSV makes one block per span of lines (see :func:`_split_plain`); in one
-    pass, making one block, csv.reader reads quoted input, input with a line
-    over the field size limit (which it counts in characters of a field),
-    and input refused anyway (NUL, a row of another width, no content).  A
+    is encoded, its surrogates passed, as the blocks are decoded.  Plain CSV
+    makes one block per span of lines (see :func:`_split_plain`); every
+    other input goes through csv.reader in one pass and makes one block.  A
     CSV syntax error anywhere wins over every error in the rows, which are
     checked only as their blocks are read.
 

@@ -620,27 +620,23 @@ def _shift_comma(text, k):
     return text[:j] + "," + text[j:]
 
 
-# each edit as (what, argument): one character or line break inserted, every
-# line break written as CRLF or as a lone CR, blank lines of LF, CRLF or CR
-# before, inside and after the table, the final line break dropped, a field at
-# or beyond the field size limit, a comma moved
+# each edit as (what, argument): one character inserted, every line break
+# written as CRLF, blank lines before, inside and after the table, the final
+# line break dropped, a field at or beyond the field size limit, a comma moved
 _EDITS = [
     ("insert", '"'),
     ("insert", "\r"),
     ("insert", "\x00"),
     ("insert", "\n"),
-    ("insert", "\r\n"),
     ("insert", ","),
     ("insert", "x" * _LIMIT),
     ("insert", "x" * (_LIMIT + 1)),
-    ("ends", "\r\n"),
-    ("ends", "\r"),
+    ("crlf", None),
     ("lead", None),
     ("trail", None),
     ("chop", None),
     ("shift", None),
 ]
-_BREAKS = ["\n", "\r\n", "\r"]
 
 
 def _edit(text, edits):
@@ -648,35 +644,17 @@ def _edit(text, edits):
         if what == "insert":
             at = k % (len(text) + 1)
             text = text[:at] + arg + text[at:]
-        elif what == "ends":
-            text = text.replace("\n", arg)
+        elif what == "crlf":
+            text = text.replace("\n", "\r\n")
         elif what == "lead":
-            text = _BREAKS[k % 3] + text
+            text = "\n" + text
         elif what == "trail":
-            text = text + _BREAKS[k % 3] * (k // 3 % 3 + 1)
+            text = text + "\n" * (k % 3 + 1)
         elif what == "chop":
             text = text[:-1]
         else:
             text = _shift_comma(text, k)
     return text
-
-
-def _blank_line_mid_table(text):
-    """``text`` with a blank line after the line break nearest its middle."""
-    k = text.index("\n", len(text) // 2) + 1
-    return text[:k] + "\n" + text[k:]
-
-
-# a table of LF line breaks as it is, and with its line breaks, or blank
-# lines before or inside it, written another way
-_DIALECTS = {
-    "lf": lambda text: text,
-    "crlf": lambda text: text.replace("\n", "\r\n"),
-    "lone-cr": lambda text: text.replace("\n", "\r"),
-    "leading-blank-lines": lambda text: "\r\n\n" + text,
-    "blank-line-after-the-header": lambda text: text.replace("\n", "\n\r", 1),
-    "blank-line-mid-table": _blank_line_mid_table,
-}
 
 
 class TestPlainSplitMatchesCsvReader:
@@ -707,17 +685,11 @@ class TestPlainSplitMatchesCsvReader:
             # csv.reader reads a quote inside an unquoted field as itself, so no count
             # of quotes per line tells which line breaks end rows
             pytest.param('sample_id,label\na"b,bonafide\nc,attack\n', False, id="quote-inside-a-field"),
-            pytest.param("index,x,y\n0,1.5,2\r1,3,4\n", True, id="bare-cr"),
-            pytest.param("index,x,y\r\n0,1.5,2\r\n", True, id="crlf"),
+            pytest.param("index,x,y\n0,1.5,2\r1,3,4\n", False, id="bare-cr"),
+            pytest.param("index,x,y\r\n0,1.5,2\r\n", False, id="crlf"),
             pytest.param("index,x,y\n0,1.5,2\x00\n", False, id="nul"),
-            pytest.param("index,x,y\r\n0,1.5,2\r1,3,4\n2,5,6\r\n", True, id="mixed-line-ends"),
-            pytest.param("index,x,y\r\r\n0,1.5,2\r\r\n1,3,4\r\r\n", True, id="cr-crlf"),
-            pytest.param("index,x,y\r\n0,1.5,2\r\n\r\n\r\n", True, id="crlf-trailing-blank-lines"),
-            pytest.param("index,x,y\n\n\r\n\r0,1.5,2\n1,3,4\n", True, id="blank-lines-before-the-first-row"),
-            pytest.param("index,x,y\n0,1.5,2\r", True, id="lone-cr-at-the-end"),
-            pytest.param("index,x,y\r\n0,1.5,2\r\n\r\n1,abc,4\r\n", True, id="faulty-row-after-a-blank-line"),
-            pytest.param("\nindex,x,y\n0,1.5,2\n", True, id="leading-blank-line"),
-            pytest.param("index,x,y\n\n0,1.5,2\n", True, id="interior-blank-line"),
+            pytest.param("\nindex,x,y\n0,1.5,2\n", False, id="leading-blank-line"),
+            pytest.param("index,x,y\n\n0,1.5,2\n", False, id="interior-blank-line"),
             pytest.param("index,x,y\n0,1.5,2\n\n", True, id="trailing-blank-line"),
             pytest.param("index,x,y\n0,1.5,2\n\n\n\n", True, id="trailing-blank-lines"),
             pytest.param("index,x,y\n\n\n", True, id="header-then-blank-lines"),
@@ -740,21 +712,7 @@ class TestPlainSplitMatchesCsvReader:
             new, old = _block_outcomes(kind, text, None)
             assert new == old
 
-    # lines count as csv.reader counts them: blank lines, and each of LF,
-    # CRLF and a lone CR ends one
-    def test_errors_cite_physical_lines_past_blank_lines(self):
-        text = "\r\nindex,x,y\r\n0,1.5,2\n\r\r\n1,abc,4\r\n"
-        table = ingest._split_plain(text.encode())
-        assert (table.header_line, list(table.lines)) == (2, [3, 6])
-        with pytest.raises(ParseError) as caught:
-            parse_landmarks(text)
-        assert (caught.value.line, caught.value.reason) == (6, "bad x 'abc'")
-        with pytest.raises(ParseError) as caught:
-            parse_landmarks(text.replace("index", "Index"))
-        assert caught.value.line == 2
-
-    @pytest.mark.parametrize("dialect", list(_DIALECTS))
-    def test_plain_files_never_construct_a_csv_reader(self, dialect):
+    def test_plain_files_never_construct_a_csv_reader(self):
         depth, landmarks = gen_depth(SynthDepthSpec(kind=DepthKind.CURVED_FACE, width=32, height=32, seed=3))
         scores = ScoreSet(
             sample_ids=["a", "b.1", "c-2"],
@@ -762,8 +720,7 @@ class TestPlainSplitMatchesCsvReader:
             values=[0.25, -1e-300, 3.0],
             polarity=Polarity.HIGHER_IS_BONA_FIDE,
         )
-        landmarks_csv = _DIALECTS[dialect](write_landmarks(landmarks))
-        scores_csv = _DIALECTS[dialect](write_scores(scores))
+        landmarks_csv, scores_csv = write_landmarks(landmarks), write_scores(scores)
 
         def constructed(*args, **kwargs):
             raise AssertionError("csv.reader ran on a plain file")
@@ -855,15 +812,12 @@ class TestBlockReader:
         assert starts == [0, 3, 6, 9]
 
     # ids of four-byte characters are checked to be UTF-8 first; a check
-    # that decoded the input whole would read about 5.0 here, not 0.9, and
-    # csv.reader over the whole CRLF table about 4.9
+    # that decoded the input whole would read about 5.0 here, not 0.9
     @pytest.mark.parametrize("prefix", ["sample-", "\U0001f600-"], ids=["ascii", "non-ascii"])
-    @pytest.mark.parametrize("dialect", ["lf", "crlf", "blank-line-mid-table"])
-    def test_peak_memory_is_one_block_beside_the_input(self, prefix, dialect):
+    def test_peak_memory_is_one_block_beside_the_input(self, prefix):
         rng = np.random.default_rng(12)
         ids = [f"{prefix}{k:05d}" for k in range(4000)]
-        text = write_features(FeatureMatrix(sample_ids=ids, values=rng.normal(size=(4000, 32))))
-        data = _DIALECTS[dialect](text).encode()
+        data = write_features(FeatureMatrix(sample_ids=ids, values=rng.normal(size=(4000, 32)))).encode()
         with _blocks_of(1 << 16):
             tracemalloc.start()
             try:

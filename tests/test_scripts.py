@@ -6,6 +6,8 @@ import importlib.util
 import math
 import os
 
+import pytest
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
@@ -200,25 +202,17 @@ def copy_of_the_checkout(dest):
         shutil.copytree(os.path.join(HERE, "..", part), os.path.join(dest, part), ignore=ignore)
 
 
-def test_diff_outputs_finds_no_difference_between_copies_of_one_tree(monkeypatch, capsys):
+# the dialects workload runs one synth-gen depth, then seven ops on each of
+# its LF, CRLF and lone-CR tables
+@pytest.mark.parametrize("workload, n_ops", [("eval_scale", 3), ("dialects", 22)])
+def test_diff_outputs_finds_no_difference_between_copies_of_one_tree(monkeypatch, capsys, workload, n_ops):
     diff = load_script("diff_outputs")
     monkeypatch.setattr(diff.bench_pairs, "export_tree", lambda rev, dest: copy_of_the_checkout(dest))
     monkeypatch.setattr(diff.bench_pairs, "export_worktree", copy_of_the_checkout)
-    assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", "eval_scale"]) == 0
+    assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", workload]) == 0
+    exits = " ".join(["0"] * n_ops)
     assert capsys.readouterr().out == (
-        f"{blas_header(diff)}\neval_scale: 3 ops (exit codes: parent 0 0 0, change 0 0 0), 0 paths differ\n"
-    )
-
-
-def test_diff_outputs_runs_the_dialect_tables(monkeypatch, capsys):
-    diff = load_script("diff_outputs")
-    monkeypatch.setattr(diff.bench_pairs, "export_tree", lambda rev, dest: copy_of_the_checkout(dest))
-    monkeypatch.setattr(diff.bench_pairs, "export_worktree", copy_of_the_checkout)
-    assert diff.main(["--parent", "HEAD", "--scale", "tiny", "--workload", "dialects"]) == 0
-    # one synth-gen depth, then seven ops on each of the LF, CRLF and lone-CR tables
-    exits = " ".join(["0"] * 22)
-    assert capsys.readouterr().out == (
-        f"{blas_header(diff)}\ndialects: 22 ops (exit codes: parent {exits}, change {exits}), 0 paths differ\n"
+        f"{blas_header(diff)}\n{workload}: {n_ops} ops (exit codes: parent {exits}, change {exits}), 0 paths differ\n"
     )
 
 
